@@ -268,7 +268,8 @@ func (p *Pipeline) resolveMode(op string, o callOpts) (Mode, error) {
 // private encoder clone plus scratch hypervectors from an internal pool
 // (encoders carry scratch state, so sharing one across goroutines would
 // corrupt encodings). Methods that mutate state — Fit, Adapt, Quantize,
-// Binarize — require exclusive access.
+// Binarize — require exclusive access. Clone may run beside concurrent
+// inference on its receiver, but not beside a mutator.
 type Pipeline struct {
 	enc     Encoder
 	model   *Model
@@ -282,11 +283,13 @@ type Pipeline struct {
 	bmodel *classifier.BinaryModel
 	mode   Mode
 	// states pools per-goroutine (encoder clone, scratch) pairs so Predict
-	// is safe and allocation-free under concurrency. Clones carry a
-	// bit-exact copy of enc's current hypervector material (including any
-	// injected faults), so every state produces bit-identical encodings.
-	// The pool is replaced wholesale whenever the primary encoder's
-	// material changes (fault injection, scrub) to drop stale clones.
+	// is safe and allocation-free under concurrency. Pooled encoders share
+	// enc's current hypervector material (including any injected faults),
+	// so every state produces bit-identical encodings. The pool belongs to
+	// that material, not to the pipeline: Clone shares it, so a freshly
+	// published snapshot predicts on warm states, and it is replaced only
+	// when this pipeline's material changes (level/id fault injection,
+	// scrub).
 	states *sync.Pool
 	// faultCtl manages persistent fault state (lazily built; see
 	// InjectFaults). hasChecksum records whether a loaded model file
@@ -355,23 +358,27 @@ func NewPipeline(enc Encoder, classes int, opts ...PipelineOption) *Pipeline {
 	return p
 }
 
-// resetStates installs a fresh state pool. Clones prefer CloneMaterial (a
-// bit-exact copy of the primary encoder's current material) so concurrent
-// prediction observes injected faults; foreign encoders rebuild from their
-// configuration. Called whenever pooled clones would go stale.
+// resetStates installs a fresh state pool for the encoder's current
+// material. Called whenever that material changes, so pooled clones never
+// go stale. The pool clones a private prototype taken now rather than
+// p.enc, whose material later writers replace.
 func (p *Pipeline) resetStates() {
+	proto := cloneEncoder(p.enc)
+	d := proto.D()
 	p.states = &sync.Pool{New: func() any {
-		var clone Encoder
-		if mc, ok := p.enc.(encoding.MaterialCloner); ok {
-			clone = mc.CloneMaterial()
-		} else {
-			clone = encoding.MustNew(p.enc.Kind(), p.enc.Config())
-		}
-		return &pipeState{enc: clone, scratch: hdc.NewVec(p.enc.D()), bin: hdc.NewBinVec(p.enc.D())}
+		return &pipeState{enc: cloneEncoder(proto), scratch: hdc.NewVec(d), bin: hdc.NewBinVec(d)}
 	}}
-	// Seed the pool with the primary encoder so single-goroutine use never
-	// builds a clone.
-	p.states.Put(&pipeState{enc: p.enc, scratch: hdc.NewVec(p.enc.D()), bin: hdc.NewBinVec(p.enc.D())})
+}
+
+// cloneEncoder returns an encoder with private scratch and e's current
+// material: shared through CloneMaterial for library encoders, rebuilt from
+// Kind and Config (whose contract guarantees identical material) for
+// foreign ones.
+func cloneEncoder(e Encoder) Encoder {
+	if mc, ok := e.(encoding.MaterialCloner); ok {
+		return mc.CloneMaterial()
+	}
+	return encoding.MustNew(e.Kind(), e.Config())
 }
 
 // Encoder returns the pipeline's encoder; Model its trained model (nil
@@ -488,31 +495,25 @@ func (p *Pipeline) reprofile() {
 // default (perceptron) and nothing has been trained or loaded yet.
 func (p *Pipeline) Trainer() string { return p.trainer }
 
-// Clone returns an independent deep copy of the pipeline: the model, the
-// encoder's current hypervector material (bit-exact, including any injected
-// faults), and the fault controller's guard/mask state. Clone is the
-// snapshot hook of the serving layer's clone-modify-publish protocol —
-// mutate the clone, then atomically publish it — so readers of the original
-// never observe a half-applied mutation. Clone requires the same exclusive
-// access as Fit/Adapt (it reads every piece of mutable state).
+// Clone returns an independent pipeline in O(classes) — the snapshot hook
+// of the serving layer's clone-modify-publish protocol: mutate the clone,
+// then atomically publish it, so readers of the original never observe a
+// half-applied mutation. Nothing is deep-copied; the two pipelines share
+// state under three rules:
+//
+//   - Encoder material is immutable and shared; its writers (level/id fault
+//     injection, Scrub) install fresh material on the pipeline they run on.
+//   - Class rows (integer and packed) are shared copy-on-write: a writer
+//     copies only the rows it touches, so an Adapt update copies two.
+//   - The state pool belongs to the shared material and is shared with it;
+//     a pipeline whose material changes installs its own pool.
+//
+// Quality calibration and the fault guard are immutable and shared too.
+// Clone marks the receiver's rows shared, so it may run beside concurrent
+// inference on p but not beside a mutator (or another Clone) of p.
 func (p *Pipeline) Clone() *Pipeline {
-	c := &Pipeline{
-		classes:     p.classes,
-		trainer:     p.trainer,
-		hasChecksum: p.hasChecksum,
-		mode:        p.mode,
-		// Quality state is immutable after capture: share, don't copy —
-		// Clone runs on every serving adapt and must stay cheap.
-		profile:     p.profile,
-		calibX:      p.calibX,
-		calibY:      p.calibY,
-		shadowEvery: p.shadowEvery,
-	}
-	if mc, ok := p.enc.(encoding.MaterialCloner); ok {
-		c.enc = mc.CloneMaterial()
-	} else {
-		c.enc = encoding.MustNew(p.enc.Kind(), p.enc.Config())
-	}
+	c := *p
+	c.enc = cloneEncoder(p.enc)
 	if p.model != nil {
 		c.model = p.model.Clone()
 	}
@@ -522,8 +523,7 @@ func (p *Pipeline) Clone() *Pipeline {
 	if p.faultCtl != nil {
 		c.faultCtl = p.faultCtl.CloneFor(c.model, c.enc)
 	}
-	c.resetStates()
-	return c
+	return &c
 }
 
 // validateFit checks the training set's shape against the pipeline before
@@ -685,10 +685,9 @@ func (p *Pipeline) PredictAll(X [][]float64, opts ...Option) ([]int, error) {
 }
 
 // PredictAllInto is PredictAll writing predictions into a caller-provided
-// slice of len(X) — the steady-state zero-allocation batch path: in Binary
-// mode each worker streams its contiguous chunk through pooled scratch
-// (packed query in, label out) and no per-sample hypervector is ever
-// materialized.
+// slice of len(X) — the steady-state zero-allocation batch path: each
+// worker streams its contiguous chunk through pooled scratch (query in,
+// label out) and no per-sample hypervector is ever materialized.
 func (p *Pipeline) PredictAllInto(dst []int, X [][]float64, opts ...Option) error {
 	if err := p.trained("PredictAllInto"); err != nil {
 		return err
@@ -718,36 +717,39 @@ func (p *Pipeline) predictAllInto(dst []int, X [][]float64, mode Mode, o callOpt
 	}
 	sp := perf.Begin("pipeline.predict_all")
 	defer sp.End()
-	if mode == Binary {
-		w := parallel.Workers(o.workers)
-		if w > len(X) {
-			w = len(X)
-		}
-		if w <= 1 {
-			// Serial fast path without the chunk closure: with a warm state
-			// pool the steady-state batch allocates nothing.
-			st := p.states.Get().(*pipeState)
-			for i, x := range X {
-				st.encodeBin(x)
-				dst[i], _ = p.bmodel.PredictDims(st.bin, dims)
-				p.maybeShadow(st, x, dims, dst[i])
-			}
-			p.states.Put(st)
-			return
-		}
-		parallel.ForChunks(w, len(X), func(_, lo, hi int) {
-			st := p.states.Get().(*pipeState)
-			for i := lo; i < hi; i++ {
-				st.encodeBin(X[i])
-				dst[i], _ = p.bmodel.PredictDims(st.bin, dims)
-				p.maybeShadow(st, X[i], dims, dst[i])
-			}
-			p.states.Put(st)
-		})
+	w := parallel.Workers(o.workers)
+	if w > len(X) {
+		w = len(X)
+	}
+	if w <= 1 {
+		// Serial fast path without the chunk closure: with a warm state pool
+		// the steady-state batch allocates nothing.
+		st := p.states.Get().(*pipeState)
+		p.predictChunk(st, dst, X, mode, dims)
+		p.states.Put(st)
 		return
 	}
-	encoded := encoding.EncodeAllWorkers(p.enc, X, o.workers)
-	copy(dst, p.model.PredictDimsBatch(encoded, dims, true, o.workers))
+	parallel.ForChunks(w, len(X), func(_, lo, hi int) {
+		st := p.states.Get().(*pipeState)
+		p.predictChunk(st, dst[lo:hi], X[lo:hi], mode, dims)
+		p.states.Put(st)
+	})
+}
+
+// predictChunk classifies X into dst with one pooled working set. Every
+// encode goes through st, never through p.enc, whose scratch belongs to the
+// exclusive-access entry points.
+func (p *Pipeline) predictChunk(st *pipeState, dst []int, X [][]float64, mode Mode, dims int) {
+	for i, x := range X {
+		if mode == Binary {
+			st.encodeBin(x)
+			dst[i], _ = p.bmodel.PredictDims(st.bin, dims)
+			p.maybeShadow(st, x, dims, dst[i])
+			continue
+		}
+		st.enc.Encode(x, st.scratch)
+		dst[i], _ = p.model.PredictDims(st.scratch, dims, true)
+	}
 }
 
 // PredictBatch classifies a batch of inputs across workers workers (≤ 0

@@ -1,6 +1,7 @@
 package budget
 
 import (
+	generic "github.com/edge-hdc/generic"
 	"github.com/edge-hdc/generic/internal/classifier"
 	"github.com/edge-hdc/generic/internal/encoding"
 	"github.com/edge-hdc/generic/internal/hdc"
@@ -98,6 +99,23 @@ func Ops() []Op {
 		Op{Name: "model/binary_predict", Run: func() { bmodel.Predict(bquery) }},
 		Op{Name: "model/binary_predict_batch_w1", Run: func() { bmodel.PredictBatchInto(bdst, bbatch, 1) }},
 	)
+
+	// Snapshot cloning: the serving layer clones the live pipeline on every
+	// adapt, so Clone must stay O(classes) reference copies. Deep copying
+	// the encoder material and class rows again would multiply this count.
+	pipe := generic.NewPipeline(encoding.MustNew(encoding.Generic, cfg), opClasses)
+	pX, pY := make([][]float64, 8), make([]int, 8)
+	for i := range pX {
+		pX[i], pY[i] = features(i), i%opClasses
+	}
+	if _, err := pipe.Fit(pX, pY, classifier.Options{Epochs: 1}); err != nil {
+		panic(err)
+	}
+	// Serving snapshots carry a fault controller; Health builds it.
+	if _, err := pipe.Health(); err != nil {
+		panic(err)
+	}
+	ops = append(ops, Op{Name: "pipeline/clone", Run: func() { pipe.Clone() }})
 
 	// The hdc kernels under the classifier: bundling update and scoring dot.
 	a, b := hdc.NewVec(opD), hdc.NewVec(opD)

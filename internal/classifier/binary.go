@@ -24,20 +24,25 @@ import (
 // exactly the min-Hamming ranking (dot = dims − 2·hamming). BinaryModel
 // therefore predicts bit-identically to the integer path on a Quantize(1)
 // model — the golden equivalence test locks this.
+//
+// Packed rows share copy-on-write across Clone exactly like Model's class
+// rows: writers take ownership of a row before writing it.
 type BinaryModel struct {
 	d        int
 	classes  []*hdc.BinVec
-	sourceBW int // bit-width of the counters this model was binarized from
+	owned    []bool // owned[c]: classes[c] is referenced by this model alone
+	sourceBW int    // bit-width of the counters this model was binarized from
 }
 
 // Binarize packs the sign of every class counter of m (v >= 0 → +1) into a
 // binary model. The source model is not modified.
 func Binarize(m *Model) *BinaryModel {
-	b := &BinaryModel{d: m.d, sourceBW: m.bw, classes: make([]*hdc.BinVec, len(m.classes))}
+	b := &BinaryModel{d: m.d, sourceBW: m.bw, classes: make([]*hdc.BinVec, len(m.classes)), owned: make([]bool, len(m.classes))}
 	for c, cv := range m.classes {
 		bv := hdc.NewBinVec(m.d)
 		bv.PackSigns(cv)
 		b.classes[c] = bv
+		b.owned[c] = true
 	}
 	return b
 }
@@ -49,17 +54,32 @@ func (b *BinaryModel) D() int        { return b.d }
 func (b *BinaryModel) Classes() int  { return len(b.classes) }
 func (b *BinaryModel) SourceBW() int { return b.sourceBW }
 
-// Class exposes class c's packed hypervector. Callers must not modify it;
-// the fault layer (internal/faults) is the sanctioned exception — it flips
-// stored bits in place to model memory errors on the packed representation.
+// Class exposes class c's packed hypervector, read-only: the row may be
+// shared with clones. The fault layer writes through MutableClass.
 func (b *BinaryModel) Class(c int) *hdc.BinVec { return b.classes[c] }
+
+// MutableClass takes ownership of class c's packed row, copying it if a
+// clone may still reference it, and returns it for in-place mutation — the
+// fault layer's packed class-memory write path.
+func (b *BinaryModel) MutableClass(c int) *hdc.BinVec {
+	if !b.owned[c] {
+		b.classes[c] = b.classes[c].Clone()
+		b.owned[c] = true
+	}
+	return b.classes[c]
+}
 
 // RebinarizeClass re-derives class c's packed vector from the integer model
 // — the maintenance hook for online adaptation, which touches at most two
-// classes per step.
+// classes per step. A row shared with a clone is replaced by a fresh one,
+// never overwritten.
 func (b *BinaryModel) RebinarizeClass(m *Model, c int) {
 	if m.d != b.d {
 		panic(fmt.Sprintf("classifier: RebinarizeClass D=%d, binary model D=%d", m.d, b.d))
+	}
+	if !b.owned[c] {
+		b.classes[c] = hdc.NewBinVec(b.d)
+		b.owned[c] = true
 	}
 	b.classes[c].PackSigns(m.classes[c])
 	b.sourceBW = m.bw
@@ -188,13 +208,16 @@ func (b *BinaryModel) PredictBatchInto(dst []int, encoded []*hdc.BinVec, workers
 	})
 }
 
-// Clone returns a deep copy, so fault sweeps can corrupt a binary model
-// without losing the original.
+// Clone returns an independent binary model in O(classes), sharing the
+// packed rows copy-on-write under the same rules as Model.Clone.
 func (b *BinaryModel) Clone() *BinaryModel {
-	c := &BinaryModel{d: b.d, sourceBW: b.sourceBW, classes: make([]*hdc.BinVec, len(b.classes))}
-	for i, v := range b.classes {
-		c.classes[i] = v.Clone()
+	c := &BinaryModel{
+		d:        b.d,
+		sourceBW: b.sourceBW,
+		classes:  append([]*hdc.BinVec(nil), b.classes...),
+		owned:    make([]bool, len(b.classes)),
 	}
+	clear(b.owned)
 	return c
 }
 

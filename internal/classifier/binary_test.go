@@ -171,8 +171,23 @@ func TestBinaryCloneIndependence(t *testing.T) {
 	if c.D() != b.D() || c.Classes() != b.Classes() || c.SourceBW() != b.SourceBW() {
 		t.Fatal("clone metadata differs")
 	}
-	c.Class(0).SetBit(0, 1-c.Class(0).Bit(0))
+	c.MutableClass(0).SetBit(0, 1-c.Class(0).Bit(0))
 	if b.Class(0).Equal(c.Class(0)) {
 		t.Fatal("mutating clone affected original")
+	}
+
+	// The reverse direction, through the adaptation hook: rebinarizing the
+	// original from a changed integer model must leave the clone's packed
+	// row as it was.
+	c = b.Clone()
+	want := c.Class(1).Clone()
+	m2 := m.Clone()
+	m2.MutableClass(1)[0] = -m2.Class(1)[0] - 1
+	b.RebinarizeClass(m2, 1)
+	if b.Class(1).Equal(want) {
+		t.Fatal("RebinarizeClass changed nothing; the test would prove nothing")
+	}
+	if !c.Class(1).Equal(want) {
+		t.Fatal("rebinarizing the original affected the clone")
 	}
 }

@@ -76,14 +76,24 @@ func (o Options) withDefaults() Options {
 
 // Model is a trained HDC classification model: one integer hypervector per
 // class plus the squared-norm bookkeeping the similarity metric needs.
+//
+// Class rows are per-row references shared copy-on-write across Clone: a
+// clone starts owning no rows, and every writer first takes ownership of
+// the rows it writes (own), copying a row and its sub-norm ladder only when
+// another model may still reference them. A retraining step therefore
+// copies the two classes it touches, not the model.
 type Model struct {
 	d       int
 	classes []hdc.Vec
 	bw      int
 	// norm2[c] is ‖C_c‖²; subNorm2[c][k] is the squared norm of the first
-	// (k+1)·SubNormGranularity dimensions of class c.
+	// (k+1)·SubNormGranularity dimensions of class c. norm2 is one word per
+	// class and is copied by every Clone; subNorm2 rows share like classes.
 	norm2    []int64
 	subNorm2 [][]int64
+	// owned[c] reports that classes[c] and subNorm2[c] are referenced by
+	// this model alone and may be written in place.
+	owned []bool
 }
 
 // NewModel returns an all-zero model with nC classes of dimensionality d.
@@ -104,10 +114,49 @@ func NewModel(d, nC, bw int) *Model {
 	}
 	m.norm2 = make([]int64, nC)
 	m.subNorm2 = make([][]int64, nC)
+	m.owned = make([]bool, nC)
 	for c := range m.subNorm2 {
 		m.subNorm2[c] = make([]int64, d/SubNormGranularity)
+		m.owned[c] = true
 	}
 	return m
+}
+
+// own makes class c's counter row and sub-norm ladder private to m, copying
+// them if a clone may still reference them. Every in-place writer calls it
+// before writing a row.
+//
+//generic:hotpath
+func (m *Model) own(c int) {
+	if !m.owned[c] {
+		//lint:ignore generic/hotalloc copy-on-write runs once per row after a Clone, never in the steady state
+		m.copyRow(c)
+	}
+}
+
+// copyRow gives m private copies of class c's rows. It stays out of line so
+// the ownership check inlines into the hot writers and the copy does not.
+//
+//go:noinline
+func (m *Model) copyRow(c int) {
+	m.classes[c] = m.classes[c].Clone()
+	m.subNorm2[c] = append([]int64(nil), m.subNorm2[c]...)
+	m.owned[c] = true
+}
+
+// ownAll takes ownership of every row, for the whole-model writers.
+func (m *Model) ownAll() {
+	for c := range m.classes {
+		m.own(c)
+	}
+}
+
+// MutableClass takes ownership of class c's row (see Model) and returns it
+// for in-place mutation — the fault layer's class-memory write path. Call
+// RefreshAllNorms after mutating.
+func (m *Model) MutableClass(c int) hdc.Vec {
+	m.own(c)
+	return m.classes[c]
 }
 
 // D returns the model dimensionality; Classes the class count; BW the
@@ -116,10 +165,10 @@ func (m *Model) D() int       { return m.d }
 func (m *Model) Classes() int { return len(m.classes) }
 func (m *Model) BW() int      { return m.bw }
 
-// Class exposes class c's hypervector. Callers must not modify it; use
-// AddEncoded/Update. The fault layer (internal/faults) is the sanctioned
-// exception: it mutates class words in place to model memory bit errors and
-// refreshes norms afterwards.
+// Class exposes class c's hypervector, read-only: the row may be shared with
+// clones of this model (see Model), so writing through it could change
+// them too. Mutate through AddEncoded/Update/SetClass, or through
+// MutableClass, which takes ownership of the row first.
 func (m *Model) Class(c int) hdc.Vec { return m.classes[c] }
 
 // Norm2 returns ‖C_c‖².
@@ -131,6 +180,7 @@ func (m *Model) SetClass(c int, v hdc.Vec) {
 	if len(v) != m.d {
 		panic(fmt.Sprintf("classifier: SetClass length %d, want %d", len(v), m.d))
 	}
+	m.own(c)
 	copy(m.classes[c], v)
 	m.refreshNorms(c)
 }
@@ -141,6 +191,7 @@ func (m *Model) SetClass(c int, v hdc.Vec) {
 //
 //generic:hotpath
 func (m *Model) AddEncoded(h hdc.Vec, c int) {
+	m.own(c)
 	m.norm2[c] = m.classes[c].AddSatNorms(h, m.bw, SubNormGranularity, m.subNorm2[c])
 }
 
@@ -148,10 +199,13 @@ func (m *Model) AddEncoded(h hdc.Vec, c int) {
 // predicted as class wrong but belongs to class correct (Fig. 1c). Each
 // class is updated by one fused accumulate-saturate-renorm sweep instead of
 // the historical Sub/Add + Saturate + norm-recompute sequence (six full
-// class-vector passes); results are bit-identical.
+// class-vector passes); results are bit-identical. Only the two touched
+// rows are copied when shared with a clone.
 //
 //generic:hotpath
 func (m *Model) Update(h hdc.Vec, correct, wrong int) {
+	m.own(wrong)
+	m.own(correct)
 	m.norm2[wrong] = m.classes[wrong].SubSatNorms(h, m.bw, SubNormGranularity, m.subNorm2[wrong])
 	m.norm2[correct] = m.classes[correct].AddSatNorms(h, m.bw, SubNormGranularity, m.subNorm2[correct])
 }
@@ -160,6 +214,7 @@ func (m *Model) Update(h hdc.Vec, correct, wrong int) {
 //
 //generic:hotpath
 func (m *Model) refreshNorms(c int) {
+	m.own(c)
 	v := m.classes[c]
 	var acc int64
 	sub := m.subNorm2[c]
@@ -282,6 +337,7 @@ func (m *Model) Quantize(bw int) {
 	if bw < 1 || bw > 16 {
 		panic(fmt.Sprintf("classifier: Quantize bw=%d out of range [1,16]", bw))
 	}
+	m.ownAll()
 	if bw == 1 {
 		for _, cv := range m.classes {
 			for i, v := range cv {
@@ -336,6 +392,7 @@ func (m *Model) InjectBitErrors(ber float64, r *rng.Rand) int {
 	if ber <= 0 {
 		return 0
 	}
+	m.ownAll()
 	flipped := 0
 	if m.bw == 1 {
 		for _, cv := range m.classes {
@@ -398,19 +455,22 @@ func (m *Model) InjectBitErrorsSeeded(ber float64, seed uint64) int {
 	return m.InjectBitErrors(ber, rng.New(seed))
 }
 
-// Clone returns a deep copy of the model, so fault-injection sweeps can
-// reuse one trained model.
+// Clone returns an independent model in O(classes): the row references are
+// copied and the rows shared copy-on-write (see Model), so a later write to
+// either model copies just the rows it touches. Clone marks the receiver's
+// rows shared too — it writes ownership bookkeeping that scoring never
+// reads, so it may run beside concurrent predicts, but not beside another
+// writer or Clone of the same model.
 func (m *Model) Clone() *Model {
-	c := &Model{d: m.d, bw: m.bw}
-	c.classes = make([]hdc.Vec, len(m.classes))
-	for i, v := range m.classes {
-		c.classes[i] = v.Clone()
+	c := &Model{
+		d:        m.d,
+		bw:       m.bw,
+		classes:  append([]hdc.Vec(nil), m.classes...),
+		norm2:    append([]int64(nil), m.norm2...),
+		subNorm2: append([][]int64(nil), m.subNorm2...),
+		owned:    make([]bool, len(m.classes)),
 	}
-	c.norm2 = append([]int64(nil), m.norm2...)
-	c.subNorm2 = make([][]int64, len(m.subNorm2))
-	for i, s := range m.subNorm2 {
-		c.subNorm2[i] = append([]int64(nil), s...)
-	}
+	clear(m.owned)
 	return c
 }
 

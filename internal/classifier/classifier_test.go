@@ -270,15 +270,94 @@ func TestInjectBitErrorsBipolar(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// deepCopy copies every row of m into fresh storage, independent of the
+// copy-on-write sharing under test.
+func deepCopy(m *Model) *Model {
+	c := NewModel(m.d, len(m.classes), m.bw)
+	for i := range m.classes {
+		copy(c.classes[i], m.classes[i])
+		copy(c.subNorm2[i], m.subNorm2[i])
+	}
+	copy(c.norm2, m.norm2)
+	return c
+}
+
+func sameModel(a, b *Model) bool {
+	if a.d != b.d || a.bw != b.bw || len(a.classes) != len(b.classes) {
+		return false
+	}
+	for i := range a.classes {
+		if a.norm2[i] != b.norm2[i] {
+			return false
+		}
+		for j := range a.classes[i] {
+			if a.classes[i][j] != b.classes[i][j] {
+				return false
+			}
+		}
+		for k := range a.subNorm2[i] {
+			if a.subNorm2[i][k] != b.subNorm2[i][k] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Clone shares rows copy-on-write, so independence is a property of every
+// writer: mutating a clone through any mutator never changes the original
+// (or a clone of the clone), and mutating the original never changes its
+// clones.
+func TestCloneIndependence(t *testing.T) {
+	const nC = 3
 	r := rng.New(17)
-	train, labels, _ := syntheticEncoded(r, 256, 2, 5, 0.2)
-	m, _ := TrainEncoded(train, labels, 2, Options{Epochs: 1})
-	c := m.Clone()
-	c.Class(0)[0] += 100
-	c.RefreshAllNorms()
-	if m.Class(0)[0] == c.Class(0)[0] {
-		t.Fatal("clone shares class storage")
+	train, labels, _ := syntheticEncoded(r, 256, nC, 5, 0.2)
+	h := train[0]
+	mutators := map[string]func(m *Model){
+		"Update":     func(m *Model) { m.Update(h, 1, 0) },
+		"Adapt":      func(m *Model) { pred, _ := m.Predict(h); m.Adapt(h, (pred+1)%nC) },
+		"AddEncoded": func(m *Model) { m.AddEncoded(h, 2) },
+		"SetClass":   func(m *Model) { m.SetClass(1, h) },
+		"Quantize":   func(m *Model) { m.Quantize(4) },
+		"MaskDims":   func(m *Model) { m.MaskDims(1, 16) },
+		"InjectBitErrors": func(m *Model) {
+			m.InjectBitErrors(0.05, rng.New(3))
+		},
+		"MutableClass": func(m *Model) {
+			m.MutableClass(2)[5] += 9
+			m.RefreshAllNorms()
+		},
+		"SetNorm2Word": func(m *Model) { m.SetNorm2Word(0, 12345) },
+	}
+	for name, mutate := range mutators {
+		t.Run(name+"/clone", func(t *testing.T) {
+			m, _ := TrainEncoded(train, labels, nC, Options{Epochs: 1})
+			c := m.Clone()
+			grand := c.Clone()
+			wantM, wantGrand := deepCopy(m), deepCopy(grand)
+			mutate(c)
+			if sameModel(c, wantM) {
+				t.Fatal("mutator changed nothing; the test would prove nothing")
+			}
+			if !sameModel(m, wantM) {
+				t.Fatal("mutating the clone changed the original")
+			}
+			if !sameModel(grand, wantGrand) {
+				t.Fatal("mutating the clone changed the clone's clone")
+			}
+		})
+		t.Run(name+"/original", func(t *testing.T) {
+			m, _ := TrainEncoded(train, labels, nC, Options{Epochs: 1})
+			c := m.Clone()
+			want := deepCopy(c)
+			mutate(m)
+			if sameModel(m, want) {
+				t.Fatal("mutator changed nothing; the test would prove nothing")
+			}
+			if !sameModel(c, want) {
+				t.Fatal("mutating the original changed the clone")
+			}
+		})
 	}
 }
 

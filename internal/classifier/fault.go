@@ -14,7 +14,8 @@ func (m *Model) Norm2Word(c int) uint64 { return uint64(m.norm2[c]) }
 // word, bypassing the usual recompute — this models norm2-memory corruption,
 // so the stored value may disagree with the class vector (or even be
 // negative) until RefreshAllNorms or a scrub pass repairs it. Sub-norms are
-// left untouched: the full-dimension score path reads norm2 only.
+// left untouched: the full-dimension score path reads norm2 only. norm2 is
+// never shared with a clone (Clone copies it), so no ownership is needed.
 func (m *Model) SetNorm2Word(c int, w uint64) { m.norm2[c] = int64(w) }
 
 // MaskDims zeroes dimension i of every class whenever i%stride == offset and
@@ -28,6 +29,7 @@ func (m *Model) MaskDims(offset, stride int) int {
 	if stride <= 0 || offset < 0 || offset >= stride {
 		panic(fmt.Sprintf("classifier: MaskDims offset %d out of range for stride %d", offset, stride))
 	}
+	m.ownAll()
 	masked := 0
 	for i := offset; i < m.d; i += stride {
 		for _, cv := range m.classes {

@@ -106,7 +106,7 @@ func (e *permuteEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
 }
 
 // binScratch is the windowed encoder's fused-kernel working set, sized once
-// at construction (window count and plane depth are functions of the
+// on the first EncodeBin (window count and plane depth are functions of the
 // configuration alone, so Regenerate never needs to touch it).
 type binScratch struct {
 	rows [][]uint64 // per-offset level word rows of the current window (generic-n gather)
@@ -168,6 +168,10 @@ func (e *windowedEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
 	}
 	nw := e.cfg.D / hdc.WordBits
 	windows := len(x) - n + 1
+	if e.bin == nil {
+		//lint:ignore generic/hotalloc,generic/escapes one-time scratch build behind the nil guard, on each encoder's first EncodeBin
+		e.bin = newBinScratch(e.cfg)
+	}
 	win := e.bin.win
 
 	// Pass 1: gather and bind. The common window widths keep every row

@@ -220,7 +220,8 @@ func (e *rpEncoder) Encode(x []float64, out hdc.Vec) {
 
 // levelIDEncoder binds quantized levels with per-index ids (Fig. 2c).
 type levelIDEncoder struct {
-	cfg    Config
+	cfg Config
+	// Material, shared with CloneMaterial copies (see MaterialCloner).
 	levels *hdc.LevelTable
 	idGen  *hdc.IDGenerator
 	ids    []*hdc.BitVec // materialized ρ(m)(seed) per feature index
@@ -262,7 +263,7 @@ func (e *levelIDEncoder) Encode(x []float64, out hdc.Vec) {
 // permuteEncoder binds position by rotation (Fig. 2b).
 type permuteEncoder struct {
 	cfg    Config
-	levels *hdc.LevelTable
+	levels *hdc.LevelTable // material, shared with CloneMaterial copies
 	rot    *hdc.BitVec
 	acc    *hdc.Acc
 }
@@ -306,29 +307,33 @@ type windowedEncoder struct {
 	cfg     Config
 	generic bool
 	useID   bool
+	// Material, shared with CloneMaterial copies (see MaterialCloner).
 	// rotLevels[j][bin] = ρ(j)(ℓ(bin)), precomputed for the n offsets.
 	rotLevels [][]*hdc.BitVec
 	idGen     *hdc.IDGenerator // nil when !useID
 	ids       []*hdc.BitVec    // per-window ids (nil when !useID)
 	quant     *hdc.LevelTable
-	win       *hdc.BitVec
-	acc       *hdc.Acc
-	bins      []int       // scratch: per-feature quantized levels, reused across calls
-	bin       *binScratch // scratch for the fused binarized encode kernel
+	// Scratch, private to each encoder.
+	win  *hdc.BitVec
+	acc  *hdc.Acc
+	bins []int       // per-feature quantized levels, reused across calls
+	bin  *binScratch // fused binarized encode kernel; built on the first EncodeBin
 }
 
 func newWindowed(cfg Config, useID, generic bool) *windowedEncoder {
-	e := &windowedEncoder{
-		cfg:     cfg,
-		generic: generic,
-		useID:   useID,
-		win:     hdc.NewBitVec(cfg.D),
-		acc:     hdc.NewAcc(cfg.D),
-		bins:    make([]int, cfg.Features),
-		bin:     newBinScratch(cfg),
-	}
+	e := &windowedEncoder{cfg: cfg, generic: generic, useID: useID}
+	e.initScratch()
 	e.Regenerate()
 	return e
+}
+
+// initScratch gives the encoder its private working set. The 32 KB-class
+// binScratch is left to the first EncodeBin, so a clone that only ever
+// encodes exactly (or never encodes) does not pay for it.
+func (e *windowedEncoder) initScratch() {
+	e.win = hdc.NewBitVec(e.cfg.D)
+	e.acc = hdc.NewAcc(e.cfg.D)
+	e.bins = make([]int, e.cfg.Features)
 }
 
 func (e *windowedEncoder) D() int { return e.cfg.D }

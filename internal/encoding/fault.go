@@ -11,35 +11,46 @@ import (
 // they need no active protection — any corruption is perfectly repairable by
 // regeneration (Regenerate), which replays the exact constructor RNG
 // sequence from Config().Seed.
+//
+// Material (level table, id generator, rotated levels, materialized ids) is
+// immutable once built and shared between an encoder and its CloneMaterial
+// copies. Every writer installs fresh material instead of writing into the
+// shared one: Regenerate and RebuildDerived build new slices, and
+// LevelRows/IDSeed copy the memory they hand out for corruption.
 
 // MaterialCloner is implemented by encoders that can clone their *current*
-// hypervector material bit-exactly — including any in-place corruption —
+// hypervector material bit-exactly — including any injected corruption —
 // rather than regenerating pristine material from the config seed. Pools
 // prefer it so that batch encoding sees the same (possibly faulted) memory
 // state as the primary encoder.
 type MaterialCloner interface {
-	// CloneMaterial returns an independent encoder with fresh scratch state
-	// and a bit-exact copy (or an immutable share) of the receiver's current
-	// hypervector material.
+	// CloneMaterial returns an independent encoder with its own scratch that
+	// shares the receiver's current material. The share is safe because
+	// material is never written in place (see Faultable): a later write on
+	// either encoder replaces that encoder's material and leaves the other's
+	// untouched. Cloning only reads the receiver, so it may run concurrently
+	// with encodes on it, but not with its Faultable writers.
 	CloneMaterial() Encoder
 }
 
 // Faultable is implemented by level-based encoders whose Fig. 4 memories
-// (level memory, id seed register) can be mutated in place by the fault
-// layer and repaired by regeneration.
+// (level memory, id seed register) can be corrupted by the fault layer and
+// repaired by regeneration.
 type Faultable interface {
 	Encoder
 	MaterialCloner
-	// LevelRows returns the live level-memory rows ℓ(0)…ℓ(bins−1). Mutating
-	// their bits models level-memory errors; call RebuildDerived afterwards.
+	// LevelRows gives the encoder a private copy of its level memory and
+	// returns that copy's rows ℓ(0)…ℓ(bins−1) for in-place mutation, which
+	// models level-memory errors; call RebuildDerived afterwards.
 	LevelRows() []*hdc.BitVec
-	// IDSeed returns the live id seed register, or nil if the encoding does
+	// IDSeed gives the encoder a private copy of its id seed register and
+	// returns it for in-place mutation, or returns nil if the encoding does
 	// not bind ids. Mutating its bits models id-memory errors; call
 	// RebuildDerived afterwards.
 	IDSeed() *hdc.BitVec
 	// RebuildDerived recomputes material derived from the level rows and id
-	// seed (rotated levels, materialized ids) so Encode observes in-place
-	// mutations.
+	// seed (rotated levels, materialized ids) into fresh slices, so Encode
+	// observes the mutations.
 	RebuildDerived()
 	// Regenerate rebuilds all hypervector material from Config().Seed,
 	// discarding any corruption — the self-heal path.
@@ -48,19 +59,18 @@ type Faultable interface {
 
 // --- levelIDEncoder ---------------------------------------------------------
 
-func (e *levelIDEncoder) LevelRows() []*hdc.BitVec { return e.levels.Rows() }
-func (e *levelIDEncoder) IDSeed() *hdc.BitVec      { return e.idGen.Seed() }
+func (e *levelIDEncoder) LevelRows() []*hdc.BitVec {
+	e.levels = e.levels.Clone()
+	return e.levels.Rows()
+}
+
+func (e *levelIDEncoder) IDSeed() *hdc.BitVec {
+	e.idGen = e.idGen.Clone()
+	return e.idGen.Seed()
+}
 
 func (e *levelIDEncoder) RebuildDerived() {
-	if e.ids == nil {
-		e.ids = make([]*hdc.BitVec, e.cfg.Features)
-		for m := range e.ids {
-			e.ids[m] = hdc.NewBitVec(e.cfg.D)
-		}
-	}
-	for m := range e.ids {
-		e.idGen.ID(m, e.ids[m])
-	}
+	e.ids = materializeIDs(e.idGen, e.cfg.Features, e.cfg.D)
 }
 
 func (e *levelIDEncoder) Regenerate() {
@@ -71,22 +81,35 @@ func (e *levelIDEncoder) Regenerate() {
 }
 
 func (e *levelIDEncoder) CloneMaterial() Encoder {
-	c := &levelIDEncoder{
+	return &levelIDEncoder{
 		cfg:    e.cfg,
-		levels: e.levels.Clone(),
-		idGen:  e.idGen.Clone(),
+		levels: e.levels,
+		idGen:  e.idGen,
+		ids:    e.ids,
 		bound:  hdc.NewBitVec(e.cfg.D),
 		acc:    hdc.NewAcc(e.cfg.D),
 	}
-	c.RebuildDerived()
-	return c
+}
+
+// materializeIDs builds ids ρ(0)(seed) … ρ(n−1)(seed) into fresh vectors.
+func materializeIDs(g *hdc.IDGenerator, n, d int) []*hdc.BitVec {
+	ids := make([]*hdc.BitVec, n)
+	for i := range ids {
+		ids[i] = hdc.NewBitVec(d)
+		g.ID(i, ids[i])
+	}
+	return ids
 }
 
 // --- permuteEncoder ---------------------------------------------------------
 
-func (e *permuteEncoder) LevelRows() []*hdc.BitVec { return e.levels.Rows() }
-func (e *permuteEncoder) IDSeed() *hdc.BitVec      { return nil }
-func (e *permuteEncoder) RebuildDerived()          {} // levels are used directly
+func (e *permuteEncoder) LevelRows() []*hdc.BitVec {
+	e.levels = e.levels.Clone()
+	return e.levels.Rows()
+}
+
+func (e *permuteEncoder) IDSeed() *hdc.BitVec { return nil }
+func (e *permuteEncoder) RebuildDerived()     {} // levels are used directly
 
 func (e *permuteEncoder) Regenerate() {
 	r := rng.New(e.cfg.Seed)
@@ -96,7 +119,7 @@ func (e *permuteEncoder) Regenerate() {
 func (e *permuteEncoder) CloneMaterial() Encoder {
 	return &permuteEncoder{
 		cfg:    e.cfg,
-		levels: e.levels.Clone(),
+		levels: e.levels,
 		rot:    hdc.NewBitVec(e.cfg.D),
 		acc:    hdc.NewAcc(e.cfg.D),
 	}
@@ -104,38 +127,30 @@ func (e *permuteEncoder) CloneMaterial() Encoder {
 
 // --- windowedEncoder --------------------------------------------------------
 
-func (e *windowedEncoder) LevelRows() []*hdc.BitVec { return e.quant.Rows() }
+func (e *windowedEncoder) LevelRows() []*hdc.BitVec {
+	e.quant = e.quant.Clone()
+	return e.quant.Rows()
+}
 
 func (e *windowedEncoder) IDSeed() *hdc.BitVec {
 	if e.idGen == nil {
 		return nil
 	}
+	e.idGen = e.idGen.Clone()
 	return e.idGen.Seed()
 }
 
 func (e *windowedEncoder) RebuildDerived() {
-	if e.rotLevels == nil {
-		e.rotLevels = make([][]*hdc.BitVec, e.cfg.N)
-		for j := range e.rotLevels {
-			e.rotLevels[j] = make([]*hdc.BitVec, e.cfg.Bins)
+	rot := make([][]*hdc.BitVec, e.cfg.N)
+	for j := range rot {
+		rot[j] = make([]*hdc.BitVec, e.cfg.Bins)
+		for b := range rot[j] {
+			rot[j][b] = hdc.Rotate(e.quant.Level(b), j)
 		}
 	}
-	for j := 0; j < e.cfg.N; j++ {
-		for b := 0; b < e.cfg.Bins; b++ {
-			e.rotLevels[j][b] = hdc.Rotate(e.quant.Level(b), j)
-		}
-	}
+	e.rotLevels = rot
 	if e.useID {
-		if e.ids == nil {
-			nWin := e.cfg.Features - e.cfg.N + 1
-			e.ids = make([]*hdc.BitVec, nWin)
-			for i := range e.ids {
-				e.ids[i] = hdc.NewBitVec(e.cfg.D)
-			}
-		}
-		for i := range e.ids {
-			e.idGen.ID(i, e.ids[i])
-		}
+		e.ids = materializeIDs(e.idGen, e.cfg.Features-e.cfg.N+1, e.cfg.D)
 	}
 }
 
@@ -150,19 +165,15 @@ func (e *windowedEncoder) Regenerate() {
 
 func (e *windowedEncoder) CloneMaterial() Encoder {
 	c := &windowedEncoder{
-		cfg:     e.cfg,
-		generic: e.generic,
-		useID:   e.useID,
-		quant:   e.quant.Clone(),
-		win:     hdc.NewBitVec(e.cfg.D),
-		acc:     hdc.NewAcc(e.cfg.D),
-		bins:    make([]int, e.cfg.Features),
-		bin:     newBinScratch(e.cfg),
+		cfg:       e.cfg,
+		generic:   e.generic,
+		useID:     e.useID,
+		rotLevels: e.rotLevels,
+		idGen:     e.idGen,
+		ids:       e.ids,
+		quant:     e.quant,
 	}
-	if e.idGen != nil {
-		c.idGen = e.idGen.Clone()
-	}
-	c.RebuildDerived()
+	c.initScratch()
 	return c
 }
 

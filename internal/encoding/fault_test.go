@@ -82,8 +82,9 @@ func TestRegenerateEqualsFresh(t *testing.T) {
 	}
 }
 
-// CloneMaterial must copy the *current* material — including corruption — so
-// pooled encoders see the same faulted memory state as the primary.
+// CloneMaterial must carry the *current* material — including corruption —
+// so pooled encoders see the same faulted memory state as the primary, and
+// writes on either side must never reach the other.
 func TestCloneMaterialPreservesCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		kind  Kind
@@ -106,6 +107,25 @@ func TestCloneMaterialPreservesCorruption(t *testing.T) {
 			clone := f.CloneMaterial()
 			if !vecsEqual(encodeOne(clone, faultInput), want) {
 				t.Fatal("clone does not reproduce the corrupted encoding")
+			}
+
+			// Material is shared, so corrupting another clone's level memory
+			// and id seed must not reach the original, even when the
+			// original then rebuilds its derived material from its own rows.
+			other := f.CloneMaterial().(Faultable)
+			for _, row := range other.LevelRows() {
+				row.SetBit(5, 1-row.Bit(5))
+			}
+			if seed := other.IDSeed(); seed != nil {
+				seed.SetBit(9, 1-seed.Bit(9))
+			}
+			other.RebuildDerived()
+			if vecsEqual(encodeOne(other, faultInput), want) {
+				t.Fatal("corrupting the other clone changed nothing")
+			}
+			f.RebuildDerived()
+			if !vecsEqual(encodeOne(e, faultInput), want) {
+				t.Fatal("corrupting a clone reached the original's material")
 			}
 
 			// The clone is independent: healing the original must not heal

@@ -31,9 +31,9 @@ func NewPool(kind Kind, cfg Config, workers int) (*Pool, error) {
 }
 
 // NewPoolFrom builds a pool of workers encoders cloned from e. Library
-// encoders implement MaterialCloner, so clones carry a bit-exact copy of e's
-// *current* material — including any fault-layer corruption — and pool
-// outputs are bit-identical to encoding with e itself. Foreign encoders fall
+// encoders implement MaterialCloner, so clones share e's *current* material
+// — including any fault-layer corruption — and pool outputs are
+// bit-identical to encoding with e itself. Foreign encoders fall
 // back to reconstruction from Kind and Config, whose contract guarantees
 // identical pristine material.
 func NewPoolFrom(e Encoder, workers int) (*Pool, error) {

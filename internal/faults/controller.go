@@ -53,21 +53,21 @@ func NewController(m *classifier.Model, enc encoding.Encoder) *Controller {
 // The serving layer's clone-modify-publish protocol uses it so that a
 // published snapshot remembers which banks are dead and which corruption a
 // scrub has not yet seen, rather than resetting fault bookkeeping on every
-// publish.
+// publish. It copies no memory: the guard is immutable once built (a scrub
+// builds a new one), and the history is shared with its capacity capped,
+// so the first append on either side copies it.
 func (c *Controller) CloneFor(m *classifier.Model, enc encoding.Encoder) *Controller {
 	n := &Controller{
 		model:        m,
+		guard:        c.guard,
 		injectedBits: c.injectedBits,
 		pending:      c.pending,
 		quarantined:  c.quarantined,
 		masked:       c.masked,
-		history:      append([]string(nil), c.history...),
+		history:      c.history[:len(c.history):len(c.history)],
 	}
 	if f, ok := enc.(encoding.Faultable); ok {
 		n.enc = f
-	}
-	if c.guard != nil {
-		n.guard = c.guard.Clone()
 	}
 	return n
 }
@@ -226,7 +226,7 @@ func (c *Controller) Scrub() ScrubReport {
 					continue
 				}
 				for _, cls := range bad[lane] {
-					cv := c.model.Class(cls)
+					cv := c.model.MutableClass(cls)
 					for i := lane; i < c.model.D(); i += Lanes {
 						cv[i] = 0
 					}
@@ -237,11 +237,7 @@ func (c *Controller) Scrub() ScrubReport {
 		}
 	}
 	c.model.RefreshAllNorms()
-	if c.guard == nil {
-		c.guard = NewGuard(c.model)
-	} else {
-		c.guard.Resync(c.model)
-	}
+	c.guard = NewGuard(c.model)
 	c.pending = 0
 	telemetry.Scrubs.Inc()
 	telemetry.FaultPending.Set(0)

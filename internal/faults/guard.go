@@ -10,38 +10,23 @@ import (
 // per (class, lane) over the lane's 16-bit class words, mirroring how the
 // hardware would attach a checksum to each physical class-memory column.
 // Level/id memories carry no guard — they are regenerable from seed, which
-// is cheaper than any code (see the package comment).
+// is cheaper than any code (see the package comment). A guard is immutable
+// once built, so cloned controllers share it; re-blessing a new state
+// builds a new guard.
 type Guard struct {
-	classes int
-	d       int
-	crcs    [][Lanes]uint32 // crcs[class][lane]
+	crcs [][Lanes]uint32 // crcs[class][lane]
 }
 
-// NewGuard snapshots CRCs for the model's current class memory.
+// NewGuard snapshots CRCs for the model's current class memory, blessing it
+// as the reference.
 func NewGuard(m *classifier.Model) *Guard {
-	g := &Guard{classes: m.Classes(), d: m.D(), crcs: make([][Lanes]uint32, m.Classes())}
-	g.Resync(m)
-	return g
-}
-
-// Clone returns an independent copy of the guard, so a cloned model can
-// carry its CRC reference into a new controller without re-blessing the
-// (possibly corrupted) current state.
-func (g *Guard) Clone() *Guard {
-	c := &Guard{classes: g.classes, d: g.d, crcs: make([][Lanes]uint32, len(g.crcs))}
-	copy(c.crcs, g.crcs)
-	return c
-}
-
-// Resync recomputes every CRC from the model's current state, blessing it as
-// the new reference. Call after any legitimate mutation (training,
-// quantization, scrub repair).
-func (g *Guard) Resync(m *classifier.Model) {
-	for c := 0; c < g.classes; c++ {
+	g := &Guard{crcs: make([][Lanes]uint32, m.Classes())}
+	for c := range g.crcs {
 		for lane := 0; lane < Lanes; lane++ {
 			g.crcs[c][lane] = laneCRC(m, c, lane)
 		}
 	}
+	return g
 }
 
 // Check reports whether class c's lane column still matches its reference

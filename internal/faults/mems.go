@@ -52,7 +52,9 @@ type classMem struct {
 	sign uint32
 }
 
-// ClassMem wraps a live model for class-memory injection.
+// ClassMem wraps a live model for class-memory injection. Writes take
+// ownership of the written class row first (Model.MutableClass), so a
+// corrupted model never changes a clone it shares rows with.
 func ClassMem(m *classifier.Model) Mem {
 	bw := m.BW()
 	return classMem{
@@ -79,7 +81,7 @@ func (c classMem) Bit(row, cell, b int) int {
 }
 
 func (c classMem) SetBit(row, cell, b, bit int) {
-	cv := c.m.Class(row)
+	cv := c.m.MutableClass(row)
 	if c.bw == 1 {
 		// Bipolar storage: the single bit is the sign.
 		if bit == 1 {
@@ -111,7 +113,8 @@ func (c classMem) SetBit(row, cell, b, bit int) {
 type binaryClassMem struct{ b *classifier.BinaryModel }
 
 // BinaryClassMem wraps a live binary model for packed class-memory
-// injection. Mutations are in place on the packed words.
+// injection. Mutations are in place on the packed words of rows the model
+// owns (BinaryModel.MutableClass), never on rows shared with a clone.
 func BinaryClassMem(b *classifier.BinaryModel) Mem { return binaryClassMem{b: b} }
 
 func (m binaryClassMem) Rows() int     { return m.b.Classes() }
@@ -120,7 +123,7 @@ func (m binaryClassMem) CellBits() int { return 1 }
 
 func (m binaryClassMem) Bit(row, cell, _ int) int { return m.b.Class(row).Bit(cell) }
 
-func (m binaryClassMem) SetBit(row, cell, _, v int) { m.b.Class(row).SetBit(cell, v) }
+func (m binaryClassMem) SetBit(row, cell, _, v int) { m.b.MutableClass(row).SetBit(cell, v) }
 
 // --- norm2 memory -----------------------------------------------------------
 
@@ -129,7 +132,9 @@ func (m binaryClassMem) SetBit(row, cell, _, v int) { m.b.Class(row).SetBit(cell
 // norm that disagrees with the class vector until a scrub repairs it.
 type normMem struct{ m *classifier.Model }
 
-// NormMem wraps a live model's norm2 memory for injection.
+// NormMem wraps a live model's norm2 memory for injection. The norm2 words
+// are private to each model (Model.Clone copies them), so writes need no
+// ownership step.
 func NormMem(m *classifier.Model) Mem { return normMem{m: m} }
 
 func (n normMem) Rows() int     { return n.m.Classes() }

@@ -54,8 +54,8 @@ func (t *LevelTable) Bins() int { return t.bins }
 
 // Level returns the hypervector for bin b. The returned vector is shared;
 // callers must not modify it (the fault layer is the sanctioned exception:
-// it mutates levels in place to model memory bit errors and repairs them by
-// regeneration).
+// it corrupts the levels of a private Clone of the table to model memory
+// bit errors and repairs them by regeneration).
 func (t *LevelTable) Level(b int) *BitVec {
 	return t.levels[b]
 }
@@ -105,7 +105,8 @@ func NewIDGenerator(d int, r *rng.Rand) *IDGenerator {
 }
 
 // Seed returns the seed hypervector (id 0). Callers must not modify it
-// (the fault layer is the sanctioned exception; see LevelTable.Level).
+// (the fault layer is the sanctioned exception, on a private Clone; see
+// LevelTable.Level).
 func (g *IDGenerator) Seed() *BitVec { return g.seed }
 
 // Clone returns a deep copy of the generator, including any in-place

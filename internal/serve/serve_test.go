@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -469,6 +472,82 @@ func TestConcurrentPredictAdaptRace(t *testing.T) {
 	}
 	if v := core.Current().Version; v != uint64(1+nAdapts) {
 		t.Errorf("snapshot version = %d, want %d", v, 1+nAdapts)
+	}
+}
+
+// TestSnapshotIsolation is the copy-on-write contract as a property: a
+// seeded random sequence of adapts, fault injections at every persistent
+// site, and scrubs runs through the Core, and after every publish each
+// earlier pinned snapshot must still serialize to the same bytes and answer
+// a fixed probe with the same labels and margins. Save covers the class
+// rows and norms; the probe also covers the shared encoder material, which
+// Save does not serialize.
+func TestSnapshotIsolation(t *testing.T) {
+	sites := []generic.FaultSite{generic.FaultSiteClass, generic.FaultSiteLevel, generic.FaultSiteID, generic.FaultSiteNorm}
+	for _, binary := range []bool{false, true} {
+		name := "exact"
+		if binary {
+			name = "binary"
+		}
+		t.Run(name, func(t *testing.T) {
+			p, X, _ := testPipeline(t, 512)
+			if binary {
+				if err := p.Binarize(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			core, err := Open(p, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer core.Close()
+			AX, AY := adaptStream(64, 31)
+			probe := append(append([][]float64(nil), X[:6]...), AX[:6]...)
+
+			type pinned struct {
+				snap    *Snapshot
+				sum     [sha256.Size]byte
+				answers []uint64 // label and margin bits per probe row
+			}
+			observe := func(s *Snapshot) pinned {
+				pin := pinned{snap: s, sum: sha256.Sum256(modelBytes(t, s.Pipeline))}
+				for _, x := range probe {
+					c, m, err := s.Pipeline.PredictMargin(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pin.answers = append(pin.answers, uint64(c), math.Float64bits(m))
+				}
+				return pin
+			}
+			pins := []pinned{observe(core.Current())}
+			r := rng.New(41)
+			for step := 0; step < 48; step++ {
+				var err error
+				switch k := r.Intn(8); {
+				case k < 5:
+					i := r.Intn(len(AX))
+					_, _, err = core.Adapt(AX[i], AY[i])
+				case k < 7:
+					spec := generic.FaultSpec{Site: sites[r.Intn(len(sites))], Kind: generic.FaultUniform, Rate: 0.02, Seed: uint64(step)}
+					_, err = core.InjectFaults(spec)
+				default:
+					_, err = core.Scrub()
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				for i, pin := range pins {
+					if got := observe(pin.snap); got.sum != pin.sum || !slices.Equal(got.answers, pin.answers) {
+						t.Fatalf("step %d changed snapshot %d (version %d)", step, i, pin.snap.Version)
+					}
+				}
+				pins = append(pins, observe(core.Current()))
+			}
+			if v := core.Current().Version; v != 49 {
+				t.Fatalf("final version %d, want 49: some step did not publish", v)
+			}
+		})
 	}
 }
 

@@ -70,34 +70,83 @@ func TestFitParallelBitIdentical(t *testing.T) {
 
 // Concurrent Predict/PredictReduced on one Pipeline must be safe (the
 // encoder/scratch pool) and agree with the serial answers. Run under
-// -race to verify the safety half.
+// -race to verify the safety half. The agreement must survive changes of
+// the encoder material: level/id fault injection and Scrub install fresh
+// material, and the state pool must be swapped with it. The
+// pool is warmed on the old material first, so a missing swap would hand
+// out stale encoders; the reference encodes through the primary encoder,
+// which never comes from the pool, and the margin makes any encoding change
+// visible even where the label survives it.
 func TestPredictConcurrentSafe(t *testing.T) {
-	p, X, Y := fitWorkers(t, 1)
-	want := make([]int, len(X))
-	wantRed := make([]int, len(X))
-	for i, x := range X {
-		want[i] = must(p.Predict(x))
-		wantRed[i] = must(p.PredictReduced(x, 256))
+	inject := func(site generic.FaultSite) func(*generic.Pipeline, func()) error {
+		return func(p *generic.Pipeline, _ func()) error {
+			_, err := p.InjectFaults(generic.FaultSpec{Site: site, Kind: generic.FaultUniform, Rate: 0.2, Seed: 9})
+			return err
+		}
 	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *generic.Pipeline, warm func()) error
+	}{
+		{"trained", func(*generic.Pipeline, func()) error { return nil }},
+		{"level faults", inject(generic.FaultSiteLevel)},
+		{"id faults", inject(generic.FaultSiteID)},
+		{"scrub", func(p *generic.Pipeline, warm func()) error {
+			if err := inject(generic.FaultSiteLevel)(p, warm); err != nil {
+				return err
+			}
+			warm() // the pool now holds faulted material for Scrub to retire
+			_, err := p.Scrub()
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, X, _ := fitWorkers(t, 1)
+			warm := func() { forEachConcurrently(len(X), func(i int) { must(p.Predict(X[i])) }) }
+			warm()
+			if err := tc.mutate(p, warm); err != nil {
+				t.Fatal(err)
+			}
+			type answer struct {
+				label  int
+				margin float64
+			}
+			want := make([]answer, len(X))
+			wantRed := make([]int, len(X))
+			h := make(generic.Hypervector, p.Encoder().D())
+			for i, x := range X {
+				p.Encoder().Encode(x, h)
+				want[i].label, want[i].margin = p.Model().MarginDims(h, p.Model().D())
+				wantRed[i], _ = p.Model().PredictDims(h, 256, true)
+				if c, m := must2(p.PredictMargin(x)); (answer{c, m}) != want[i] {
+					t.Fatalf("serial PredictMargin(%d) = (%d, %v), primary encoder gives %+v", i, c, m, want[i])
+				}
+			}
+			forEachConcurrently(len(X), func(i int) {
+				if c, m := must2(p.PredictMargin(X[i])); (answer{c, m}) != want[i] {
+					t.Errorf("concurrent PredictMargin(%d) = (%d, %v), want %+v", i, c, m, want[i])
+				}
+				if got := must(p.PredictReduced(X[i], 256)); got != wantRed[i] {
+					t.Errorf("concurrent PredictReduced(%d) = %d, want %d", i, got, wantRed[i])
+				}
+			})
+		})
+	}
+}
+
+// forEachConcurrently runs fn(i) for every i in [0, n) across 8 goroutines.
+func forEachConcurrently(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := g; i < len(X); i += 8 {
-				if got := must(p.Predict(X[i])); got != want[i] {
-					t.Errorf("concurrent Predict(%d) = %d, want %d", i, got, want[i])
-					return
-				}
-				if got := must(p.PredictReduced(X[i], 256)); got != wantRed[i] {
-					t.Errorf("concurrent PredictReduced(%d) = %d, want %d", i, got, wantRed[i])
-					return
-				}
+			for i := g; i < n; i += 8 {
+				fn(i)
 			}
 		}(g)
 	}
 	wg.Wait()
-	_ = Y
 }
 
 func TestEncodeWorkersMatchesSerial(t *testing.T) {
@@ -138,4 +187,56 @@ func TestClusterWorkersBitIdentical(t *testing.T) {
 			t.Fatalf("assignment %d differs: %d vs %d", i, par.Assignments[i], serial.Assignments[i])
 		}
 	}
+}
+
+func must2[A, B any](a A, b B, err error) (A, B) {
+	if err != nil {
+		panic(err)
+	}
+	return a, b
+}
+
+// A small exact batch (fewer rows than twice the workers) beside concurrent
+// Predict traffic must encode through pooled scratch like every other path,
+// never through the primary encoder that the pool also hands out. Either
+// side of such a collision corrupts an encoding; the margin makes that
+// visible on the Predict side even where the label survives it.
+func TestPredictAllBesidePredict(t *testing.T) {
+	p, X, _ := fitWorkers(t, 1)
+	// The reference runs on a clone, leaving p's state pool untouched until
+	// the two callers below meet on it.
+	ref := p.Clone()
+	want := must(ref.PredictAll(X))
+	margins := make([]float64, len(X))
+	for i, x := range X {
+		_, margins[i] = must2(ref.PredictMargin(x))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for ; ; i = (i + 1) % len(X) {
+				select {
+				case <-stop:
+					return
+				default:
+					if c, m := must2(p.PredictMargin(X[i])); c != want[i] || m != margins[i] {
+						t.Errorf("PredictMargin(%d) = (%d, %v), want (%d, %v)", i, c, m, want[i], margins[i])
+					}
+				}
+			}
+		}(g * 50)
+	}
+	for round := 0; round < 20; round++ {
+		for i := range X {
+			got := must(p.PredictAll(X[i:i+1], generic.WithWorkers(2)))
+			if got[0] != want[i] {
+				t.Errorf("PredictAll(%d) = %d, want %d", i, got[0], want[i])
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
