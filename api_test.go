@@ -61,41 +61,13 @@ func TestFitReturnsEpochs(t *testing.T) {
 	}
 }
 
-// TestOptionFormsMatchDeprecated proves the variadic-option entry points and
-// the deprecated fixed-signature wrappers are the same computation.
-func TestOptionFormsMatchDeprecated(t *testing.T) {
+// TestPredictAllDefaultIsSerial: PredictAll with no options is the serial
+// path.
+func TestPredictAllDefaultIsSerial(t *testing.T) {
 	p, X, Y := trainableProblem(t)
 	if _, err := p.Fit(X, Y, generic.TrainOptions{Epochs: 5, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 0} {
-		newPreds, err := p.PredictAll(X, generic.WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldPreds, err := p.PredictBatch(X, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range newPreds {
-			if newPreds[i] != oldPreds[i] {
-				t.Fatalf("workers=%d: PredictAll[%d]=%d, PredictBatch=%d",
-					workers, i, newPreds[i], oldPreds[i])
-			}
-		}
-		newAcc, err := p.Accuracy(X, Y, generic.WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldAcc, err := p.AccuracyWorkers(X, Y, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if newAcc != oldAcc {
-			t.Fatalf("workers=%d: Accuracy=%v, AccuracyWorkers=%v", workers, newAcc, oldAcc)
-		}
-	}
-	// Default (no options) is the serial path.
 	serial, err := p.PredictAll(X)
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +103,6 @@ func TestPredictShapeValidation(t *testing.T) {
 	narrow := []float64{1, 2, 3}
 	if _, err := p.Predict(narrow); err == nil || !strings.Contains(err.Error(), "features") {
 		t.Errorf("Predict on narrow input: err = %v", err)
-	}
-	if _, err := p.PredictReduced(narrow, 256); err == nil || !strings.Contains(err.Error(), "features") {
-		t.Errorf("PredictReduced on narrow input: err = %v", err)
 	}
 	if _, err := p.PredictAll([][]float64{X[0], narrow}); err == nil || !strings.Contains(err.Error(), "sample 1") {
 		t.Errorf("PredictAll on narrow row: err = %v", err)

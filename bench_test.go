@@ -172,7 +172,7 @@ func benchEvaluate(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.AccuracyWorkers(X, Y, workers)
+		p.Accuracy(X, Y, generic.WithWorkers(workers))
 	}
 }
 

@@ -114,7 +114,7 @@ func TestEndpointsRoundTrip(t *testing.T) {
 		t.Errorf("single predict = %v, want %d", single.Label, want)
 	}
 
-	// Batch predict matches the deprecated PredictBatch form bit for bit.
+	// Batch predict matches serial PredictAll bit for bit.
 	resp, body = postJSON(t, ts.URL+"/predict", map[string]any{"xs": X})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch predict: %d %s", resp.StatusCode, body)
@@ -123,7 +123,7 @@ func TestEndpointsRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.PredictBatch(X, 1)
+	want, err := p.PredictAll(X)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,12 +131,10 @@ func main() {
 	if *bw > 0 {
 		// Post-training quantization (vs training-time TrainOptions.BW) so
 		// the full-precision accuracy above and the narrowed accuracy here
-		// come from the same trained counters.
-		//lint:ignore generic/depapi -bw reports the paper's post-training quantization sweep on one model
-		if err := p.Quantize(*bw); err != nil {
-			fmt.Fprintln(os.Stderr, "generic-train:", err)
-			os.Exit(1)
-		}
+		// come from the same trained counters. It runs right after Fit,
+		// before -binarize and with no fault controller, so narrowing the
+		// model in place is the whole transition.
+		p.Model().Quantize(*bw)
 		fmt.Printf("test accuracy @ %d-bit model: %.2f%%\n", *bw, 100*must(p.Accuracy(ds.TestX, ds.TestY, generic.WithWorkers(*workers))))
 	}
 	if *dims > 0 {

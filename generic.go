@@ -177,10 +177,10 @@ func (m Mode) String() string {
 }
 
 // Option configures one call to a Pipeline inference entry point (Predict,
-// PredictAll, Accuracy, and their deprecated fixed-signature forms).
-// Option is an opaque value (not a closure) so building and applying
-// options never allocates — the single-sample binary Predict path runs at
-// zero allocations per call, and the alloc-budget gate depends on that.
+// PredictAll, Accuracy). Option is an opaque value (not a closure) so
+// building and applying options never allocates — the single-sample binary
+// Predict path runs at zero allocations per call, and the alloc-budget gate
+// depends on that.
 type Option struct {
 	kind optKind
 	v    int
@@ -752,26 +752,6 @@ func (p *Pipeline) predictChunk(st *pipeState, dst []int, X [][]float64, mode Mo
 	}
 }
 
-// PredictBatch classifies a batch of inputs across workers workers (≤ 0
-// means GOMAXPROCS, 1 is serial), returning predictions in input order.
-//
-// Deprecated: use PredictAll with WithWorkers. generic-lint's depapi check
-// flags in-repo callers of this form.
-func (p *Pipeline) PredictBatch(X [][]float64, workers int) ([]int, error) {
-	return p.PredictAll(X, WithWorkers(workers))
-}
-
-// PredictReduced classifies using only the first dims dimensions with the
-// updated sub-norms — the accelerator's on-demand dimension reduction.
-// Safe for concurrent use on a trained pipeline.
-//
-// Deprecated: use Predict with WithDims (add WithMode(Exact) to pin the
-// historical representation on a binarized pipeline). generic-lint's depapi
-// check flags in-repo callers of this form.
-func (p *Pipeline) PredictReduced(x []float64, dims int) (int, error) {
-	return p.Predict(x, WithDims(dims), WithMode(Exact))
-}
-
 // Adapt performs one online-learning step: classify x and, when the
 // prediction disagrees with label, apply the retraining update. It returns
 // the pre-update prediction and whether the model changed — the streaming
@@ -851,34 +831,6 @@ func (p *Pipeline) Accuracy(X [][]float64, Y []int, opts ...Option) (float64, er
 		}
 	}
 	return float64(correct) / float64(len(X)), nil
-}
-
-// AccuracyWorkers scores the pipeline on a labelled set with encoding and
-// scoring fanned across workers workers (≤ 0 means GOMAXPROCS).
-//
-// Deprecated: use Accuracy with WithWorkers. generic-lint's depapi check
-// flags in-repo callers of this form.
-func (p *Pipeline) AccuracyWorkers(X [][]float64, Y []int, workers int) (float64, error) {
-	return p.Accuracy(X, Y, WithWorkers(workers))
-}
-
-// Quantize reduces the model's class bit-width (the accelerator's bw input).
-//
-// Deprecated: for training-time widths set TrainOptions.BW; for binary
-// inference make the explicit mode transition with Binarize, which keeps the
-// integer counters for continued adaptation instead of destructively
-// collapsing them. generic-lint's depapi check flags in-repo callers of this
-// form.
-func (p *Pipeline) Quantize(bw int) error {
-	if err := p.trained("Quantize"); err != nil {
-		return err
-	}
-	p.model.Quantize(bw)
-	if p.bmodel != nil {
-		p.bmodel = classifier.Binarize(p.model)
-	}
-	p.invalidateGuard()
-	return nil
 }
 
 // Binarize derives the packed binary inference representation from the

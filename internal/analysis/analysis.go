@@ -19,9 +19,6 @@
 //   - dimguard:   exported internal/hdc kernels taking two hypervectors
 //     begin with a dimensionality check that panics with the
 //     "hdc:" prefix.
-//   - depapi:     repository code does not call the deprecated batch entry
-//     points (Pipeline.PredictBatch, Pipeline.AccuracyWorkers) — new code
-//     uses the variadic-option forms.
 //   - hotalloc:   //generic:hotpath functions (and default-hot internal/hdc
 //     kernels) do not allocate: no escaping literals, bare make/append,
 //     defer, closures, interface boxing, or unvetted helper calls. See
@@ -63,7 +60,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{DetRand, EncShare, MergeOrder, DimGuard, DepAPI, HotAlloc, LockShape}
+	return []*Analyzer{DetRand, EncShare, MergeOrder, DimGuard, HotAlloc, LockShape}
 }
 
 // ByName resolves a comma-separated analyzer list ("detrand,dimguard").

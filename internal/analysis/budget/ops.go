@@ -19,7 +19,7 @@ type Op struct {
 }
 
 // opDims keeps the measurement fixtures small but structurally real: D is a
-// multiple of 64 (BitVec words) and of classifier.SubNormGranularity.
+// multiple of 64 (packed-vector words) and of classifier.SubNormGranularity.
 const (
 	opD        = 1024
 	opFeatures = 16

@@ -9,7 +9,7 @@ import (
 
 // DimGuard enforces the kernel precondition contract in internal/hdc: every
 // exported function or method that operates on two or more hypervectors
-// (Vec or BitVec, by value or pointer, receiver included) must begin with a
+// (Vec or BinVec, by value or pointer, receiver included) must begin with a
 // dimensionality check that panics with the "hdc:" prefix. Vector kernels
 // are plain loops over parallel slices; without the leading guard a length
 // mismatch either panics with a bare index error deep in the loop or — for
@@ -44,7 +44,7 @@ func runDimGuard(pass *Pass) {
 }
 
 // countVectorParams counts receiver and parameter entries whose type is the
-// package's Vec or BitVec (possibly behind a pointer).
+// package's Vec or BinVec (possibly behind a pointer).
 func countVectorParams(pass *Pass, fd *ast.FuncDecl) int {
 	n := 0
 	count := func(fl *ast.FieldList) {
@@ -56,7 +56,7 @@ func countVectorParams(pass *Pass, fd *ast.FuncDecl) int {
 				continue
 			}
 			// An unnamed entry (receiver or `Vec` in a signature) is one
-			// vector; `a, b *BitVec` is two.
+			// vector; `a, b *BinVec` is two.
 			if len(field.Names) == 0 {
 				n++
 			} else {
@@ -70,20 +70,27 @@ func countVectorParams(pass *Pass, fd *ast.FuncDecl) int {
 }
 
 // isVectorType recognizes the hdc hypervector types by name within the
-// analyzed package: Vec, BitVec, and BinVec, by value or pointer.
+// analyzed package: Vec and BinVec, by value or pointer. With Acc added
+// (hotVectorType) it is also hotalloc's default-hot parameter set.
 func isVectorType(pass *Pass, t types.Type) bool {
+	name := hdcTypeName(pass, t)
+	return name == "Vec" || name == "BinVec"
+}
+
+// hdcTypeName returns the name of t, behind at most one pointer, when it is
+// a named type declared in the analyzed package, and "" otherwise.
+func hdcTypeName(pass *Pass, t types.Type) string {
 	if t == nil {
-		return false
+		return ""
 	}
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() != pass.Pkg {
-		return false
+		return ""
 	}
-	name := named.Obj().Name()
-	return name == "Vec" || name == "BitVec" || name == "BinVec"
+	return named.Obj().Name()
 }
 
 // isDimGuardStmt reports whether stmt is an acceptable leading guard: a call

@@ -104,7 +104,7 @@ func hasDirective(fd *ast.FuncDecl, directive string) bool {
 }
 
 // defaultHotKernel implements the default-hot rule: in internal/hdc, every
-// exported function taking at least one hypervector parameter (Vec, BitVec,
+// exported function taking at least one hypervector parameter (Vec, BinVec,
 // or Acc) is a kernel on the per-sample path. Receivers alone do not qualify
 // — constructors and cold maintenance methods live on the same types — and
 // allocating constructors (New*, Clone*, Random*) and String are exempt by
@@ -126,24 +126,10 @@ func defaultHotKernel(pass *Pass, fd *ast.FuncDecl) bool {
 	return false
 }
 
-// hotVectorType recognizes the hypervector types by name within the analyzed
-// package: Vec, BitVec, BinVec, and Acc, by value or pointer.
+// hotVectorType is dimguard's isVectorType plus Acc: the parameter types
+// that make an exported internal/hdc function a default-hot kernel.
 func hotVectorType(pass *Pass, t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() != pass.Pkg {
-		return false
-	}
-	switch named.Obj().Name() {
-	case "Vec", "BitVec", "BinVec", "Acc":
-		return true
-	}
-	return false
+	return isVectorType(pass, t) || hdcTypeName(pass, t) == "Acc"
 }
 
 // sanctionedCallPkg lists the packages hotpath code may call into: the HDC

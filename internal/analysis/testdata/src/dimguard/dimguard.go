@@ -1,6 +1,6 @@
 // Package hdc is a golden fixture for the generic/dimguard analyzer. It
 // mirrors the real internal/hdc type names (the analyzer recognizes Vec and
-// BitVec declared in the package under its import path) and seeds kernels
+// BinVec declared in the package under its import path) and seeds kernels
 // with and without the leading dimensionality guard.
 package hdc
 
@@ -9,14 +9,14 @@ import "fmt"
 // Vec mirrors hdc.Vec.
 type Vec []int32
 
-// BitVec mirrors hdc.BitVec.
-type BitVec struct {
+// BinVec mirrors hdc.BinVec.
+type BinVec struct {
 	d     int
 	words []uint64
 }
 
 // Unguarded lacks the leading check entirely.
-func Unguarded(a, b *BitVec) int { // want generic/dimguard
+func Unguarded(a, b *BinVec) int { // want generic/dimguard
 	return len(a.words) - len(b.words)
 }
 
@@ -27,7 +27,7 @@ func LateGuard(v, o Vec) { // want generic/dimguard
 }
 
 // WrongPrefix panics without the hdc: prefix.
-func WrongPrefix(a, b *BitVec) int { // want generic/dimguard
+func WrongPrefix(a, b *BinVec) int { // want generic/dimguard
 	if a.d != b.d {
 		panic("dimensionality mismatch")
 	}
@@ -35,7 +35,7 @@ func WrongPrefix(a, b *BitVec) int { // want generic/dimguard
 }
 
 // InlineGuard leads with an if statement that panics in shape: allowed.
-func InlineGuard(a, b *BitVec) int {
+func InlineGuard(a, b *BinVec) int {
 	if a.d != b.d {
 		panic(fmt.Sprintf("hdc: InlineGuard dimensionality mismatch: got %d, want %d", b.d, a.d))
 	}
@@ -62,10 +62,10 @@ func ScalarArgs(a, b int) int { return a + b }
 // Predicate is exempted by directive: allowed.
 //
 //lint:ignore generic/dimguard predicates report a mismatch as false rather than panicking
-func Predicate(a, b *BitVec) bool { return a.d == b.d }
+func Predicate(a, b *BinVec) bool { return a.d == b.d }
 
 // unexported kernels are outside the exported-API contract.
-func unexported(a, b *BitVec) int { return a.d + b.d }
+func unexported(a, b *BinVec) int { return a.d + b.d }
 
 func mustSameLen(op string, a, b Vec) {
 	if len(a) != len(b) {

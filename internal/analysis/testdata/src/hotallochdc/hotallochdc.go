@@ -7,13 +7,8 @@ package hotallochdc
 
 import "fmt"
 
-// Vec, BitVec, and BinVec mirror the real hypervector types.
+// Vec and BinVec mirror the real hypervector types.
 type Vec []int32
-
-type BitVec struct {
-	d     int
-	words []uint64
-}
 
 type BinVec struct {
 	d     int
@@ -48,7 +43,7 @@ func (v Vec) Scaled(o Vec, k int32) Vec {
 }
 
 // Grow is default-hot; the plane append is the sanctioned suppression site.
-func (b *BitVec) Grow(o *BitVec) {
+func (b *BinVec) Grow(o *BinVec) {
 	if len(b.words) < len(o.words) {
 		//lint:ignore generic/hotalloc fixture: amortized growth mirrors Acc.Add
 		b.words = append(b.words, make([]uint64, len(o.words)-len(b.words))...)
@@ -56,7 +51,7 @@ func (b *BitVec) Grow(o *BitVec) {
 }
 
 // Shrink is default-hot; the bare append must be flagged.
-func (b *BitVec) Shrink(o *BitVec) {
+func (b *BinVec) Shrink(o *BinVec) {
 	b.words = append(b.words, o.words...) // want generic/hotalloc
 }
 

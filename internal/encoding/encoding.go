@@ -224,16 +224,16 @@ type levelIDEncoder struct {
 	// Material, shared with CloneMaterial copies (see MaterialCloner).
 	levels *hdc.LevelTable
 	idGen  *hdc.IDGenerator
-	ids    []*hdc.BitVec // materialized ρ(m)(seed) per feature index
+	ids    []*hdc.BinVec // materialized ρ(m)(seed) per feature index
 	// scratch
-	bound *hdc.BitVec
+	bound *hdc.BinVec
 	acc   *hdc.Acc
 }
 
 func newLevelID(cfg Config) *levelIDEncoder {
 	e := &levelIDEncoder{
 		cfg:   cfg,
-		bound: hdc.NewBitVec(cfg.D),
+		bound: hdc.NewBinVec(cfg.D),
 		acc:   hdc.NewAcc(cfg.D),
 	}
 	e.Regenerate()
@@ -264,14 +264,14 @@ func (e *levelIDEncoder) Encode(x []float64, out hdc.Vec) {
 type permuteEncoder struct {
 	cfg    Config
 	levels *hdc.LevelTable // material, shared with CloneMaterial copies
-	rot    *hdc.BitVec
+	rot    *hdc.BinVec
 	acc    *hdc.Acc
 }
 
 func newPermute(cfg Config) *permuteEncoder {
 	e := &permuteEncoder{
 		cfg: cfg,
-		rot: hdc.NewBitVec(cfg.D),
+		rot: hdc.NewBinVec(cfg.D),
 		acc: hdc.NewAcc(cfg.D),
 	}
 	e.Regenerate()
@@ -309,12 +309,12 @@ type windowedEncoder struct {
 	useID   bool
 	// Material, shared with CloneMaterial copies (see MaterialCloner).
 	// rotLevels[j][bin] = ρ(j)(ℓ(bin)), precomputed for the n offsets.
-	rotLevels [][]*hdc.BitVec
+	rotLevels [][]*hdc.BinVec
 	idGen     *hdc.IDGenerator // nil when !useID
-	ids       []*hdc.BitVec    // per-window ids (nil when !useID)
+	ids       []*hdc.BinVec    // per-window ids (nil when !useID)
 	quant     *hdc.LevelTable
 	// Scratch, private to each encoder.
-	win  *hdc.BitVec
+	win  *hdc.BinVec
 	acc  *hdc.Acc
 	bins []int       // per-feature quantized levels, reused across calls
 	bin  *binScratch // fused binarized encode kernel; built on the first EncodeBin
@@ -331,7 +331,7 @@ func newWindowed(cfg Config, useID, generic bool) *windowedEncoder {
 // binScratch is left to the first EncodeBin, so a clone that only ever
 // encodes exactly (or never encodes) does not pay for it.
 func (e *windowedEncoder) initScratch() {
-	e.win = hdc.NewBitVec(e.cfg.D)
+	e.win = hdc.NewBinVec(e.cfg.D)
 	e.acc = hdc.NewAcc(e.cfg.D)
 	e.bins = make([]int, e.cfg.Features)
 }

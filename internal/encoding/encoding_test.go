@@ -1,6 +1,9 @@
 package encoding
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"github.com/edge-hdc/generic/internal/hdc"
@@ -302,5 +305,56 @@ func BenchmarkRPEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Encode(x, out)
+	}
+}
+
+// TestEncoderGoldenBytes pins the absolute output of every encoder family:
+// the SHA-256 of Encode (little-endian int32) and of EncodeBin (little-endian
+// words) over a fixed seeded input set. Every other bit-identity check in
+// this package is relative (EncodeBin ≡ PackSigns(Encode), clone ≡
+// original), so a change to level or id generation, rotation or bundling
+// would pass them while changing every model. The hashes were captured
+// before the packed-vector types were merged; if this test fails, the
+// encoder's arithmetic changed — that is a bug, not a baseline to update.
+func TestEncoderGoldenBytes(t *testing.T) {
+	golden := map[Kind][2]string{
+		RP:      {"6631285daefe5e39d0ad04ba375af37f261eeb462e0e354b8bdd381bb4e59f3b", "5884f4bbc3139fed272afbccb122fdbf656504a395669bb8f8db19b7b21e500c"},
+		LevelID: {"50e9eb6edbb94bd352be91e30af986cf9daadaeda3d8144891eb33dcf69d8971", "1a806ea0dbe9611b67ee34f46d352f6d36afce5bda1ba4a4dbf2eaf4daf4efb1"},
+		Ngram:   {"683232911a9d1d3d13211e93f4faa95fe7f93e46b8107b590b57935c0678b314", "5bf8c68732392cfd9c13a47dc5401095c24aa6ead92efd7f2e15d18f66941f58"},
+		Permute: {"3bbad8b421c7a762744ae4169c186ab24bfb4dbc0d6e7704c18afee464adbdb6", "3b56cd5112b978151daae63ce1dd5df74cb7fbf505926bf1c5d4273c8d55ee12"},
+		Generic: {"c20aa626e8c48225c3be81c29fbfa6f0e1ee89c7fadce9757652c93ffb0b5b83", "e3b7d42980965f62513fb3a97c70612264c9dfb0e87d7c2f87f23f184a28f04c"},
+	}
+	cfg := Config{D: 1024, Features: 24, Bins: 32, Lo: 0, Hi: 1, N: 3, UseID: true, Seed: 17}
+	r := rng.New(2024)
+	X := make([][]float64, 8)
+	for i := range X {
+		X[i] = make([]float64, cfg.Features)
+		for m := range X[i] {
+			X[i][m] = 1.5*r.Float64() - 0.25 // some features clamp to the extreme bins
+		}
+	}
+	for _, k := range Kinds() {
+		e := MustNew(k, cfg)
+		be, _ := AsBinary(e)
+		he, hb := sha256.New(), sha256.New()
+		out, bin := hdc.NewVec(cfg.D), hdc.NewBinVec(cfg.D)
+		var buf [8]byte
+		for _, x := range X {
+			e.Encode(x, out)
+			for _, v := range out {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(v))
+				he.Write(buf[:4])
+			}
+			be.EncodeBin(x, bin)
+			for _, w := range bin.Words() {
+				binary.LittleEndian.PutUint64(buf[:], w)
+				hb.Write(buf[:])
+			}
+		}
+		got := [2]string{hex.EncodeToString(he.Sum(nil)), hex.EncodeToString(hb.Sum(nil))}
+		if got != golden[k] {
+			t.Errorf("%v: encoder output diverged from the golden bytes:\n got Encode %s EncodeBin %s\nwant Encode %s EncodeBin %s",
+				k, got[0], got[1], golden[k][0], golden[k][1])
+		}
 	}
 }

@@ -42,12 +42,12 @@ type Faultable interface {
 	// LevelRows gives the encoder a private copy of its level memory and
 	// returns that copy's rows ℓ(0)…ℓ(bins−1) for in-place mutation, which
 	// models level-memory errors; call RebuildDerived afterwards.
-	LevelRows() []*hdc.BitVec
+	LevelRows() []*hdc.BinVec
 	// IDSeed gives the encoder a private copy of its id seed register and
 	// returns it for in-place mutation, or returns nil if the encoding does
 	// not bind ids. Mutating its bits models id-memory errors; call
 	// RebuildDerived afterwards.
-	IDSeed() *hdc.BitVec
+	IDSeed() *hdc.BinVec
 	// RebuildDerived recomputes material derived from the level rows and id
 	// seed (rotated levels, materialized ids) into fresh slices, so Encode
 	// observes the mutations.
@@ -59,12 +59,12 @@ type Faultable interface {
 
 // --- levelIDEncoder ---------------------------------------------------------
 
-func (e *levelIDEncoder) LevelRows() []*hdc.BitVec {
+func (e *levelIDEncoder) LevelRows() []*hdc.BinVec {
 	e.levels = e.levels.Clone()
 	return e.levels.Rows()
 }
 
-func (e *levelIDEncoder) IDSeed() *hdc.BitVec {
+func (e *levelIDEncoder) IDSeed() *hdc.BinVec {
 	e.idGen = e.idGen.Clone()
 	return e.idGen.Seed()
 }
@@ -86,16 +86,16 @@ func (e *levelIDEncoder) CloneMaterial() Encoder {
 		levels: e.levels,
 		idGen:  e.idGen,
 		ids:    e.ids,
-		bound:  hdc.NewBitVec(e.cfg.D),
+		bound:  hdc.NewBinVec(e.cfg.D),
 		acc:    hdc.NewAcc(e.cfg.D),
 	}
 }
 
 // materializeIDs builds ids ρ(0)(seed) … ρ(n−1)(seed) into fresh vectors.
-func materializeIDs(g *hdc.IDGenerator, n, d int) []*hdc.BitVec {
-	ids := make([]*hdc.BitVec, n)
+func materializeIDs(g *hdc.IDGenerator, n, d int) []*hdc.BinVec {
+	ids := make([]*hdc.BinVec, n)
 	for i := range ids {
-		ids[i] = hdc.NewBitVec(d)
+		ids[i] = hdc.NewBinVec(d)
 		g.ID(i, ids[i])
 	}
 	return ids
@@ -103,12 +103,12 @@ func materializeIDs(g *hdc.IDGenerator, n, d int) []*hdc.BitVec {
 
 // --- permuteEncoder ---------------------------------------------------------
 
-func (e *permuteEncoder) LevelRows() []*hdc.BitVec {
+func (e *permuteEncoder) LevelRows() []*hdc.BinVec {
 	e.levels = e.levels.Clone()
 	return e.levels.Rows()
 }
 
-func (e *permuteEncoder) IDSeed() *hdc.BitVec { return nil }
+func (e *permuteEncoder) IDSeed() *hdc.BinVec { return nil }
 func (e *permuteEncoder) RebuildDerived()     {} // levels are used directly
 
 func (e *permuteEncoder) Regenerate() {
@@ -120,19 +120,19 @@ func (e *permuteEncoder) CloneMaterial() Encoder {
 	return &permuteEncoder{
 		cfg:    e.cfg,
 		levels: e.levels,
-		rot:    hdc.NewBitVec(e.cfg.D),
+		rot:    hdc.NewBinVec(e.cfg.D),
 		acc:    hdc.NewAcc(e.cfg.D),
 	}
 }
 
 // --- windowedEncoder --------------------------------------------------------
 
-func (e *windowedEncoder) LevelRows() []*hdc.BitVec {
+func (e *windowedEncoder) LevelRows() []*hdc.BinVec {
 	e.quant = e.quant.Clone()
 	return e.quant.Rows()
 }
 
-func (e *windowedEncoder) IDSeed() *hdc.BitVec {
+func (e *windowedEncoder) IDSeed() *hdc.BinVec {
 	if e.idGen == nil {
 		return nil
 	}
@@ -141,9 +141,9 @@ func (e *windowedEncoder) IDSeed() *hdc.BitVec {
 }
 
 func (e *windowedEncoder) RebuildDerived() {
-	rot := make([][]*hdc.BitVec, e.cfg.N)
+	rot := make([][]*hdc.BinVec, e.cfg.N)
 	for j := range rot {
-		rot[j] = make([]*hdc.BitVec, e.cfg.Bins)
+		rot[j] = make([]*hdc.BinVec, e.cfg.Bins)
 		for b := range rot[j] {
 			rot[j][b] = hdc.Rotate(e.quant.Level(b), j)
 		}

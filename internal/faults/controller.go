@@ -117,7 +117,7 @@ func (c *Controller) Inject(spec Spec) (int, error) {
 		if seed == nil {
 			return 0, ErrNoIDMemory
 		}
-		n = inj.Apply(BitRowsMem([]*hdc.BitVec{seed}), r)
+		n = inj.Apply(BitRowsMem([]*hdc.BinVec{seed}), r)
 		c.enc.RebuildDerived()
 	case SiteNorm:
 		n = inj.Apply(NormMem(c.model), r)

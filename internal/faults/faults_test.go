@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/edge-hdc/generic/internal/classifier"
@@ -412,9 +413,15 @@ func TestCorruptFeaturesDeterministic(t *testing.T) {
 		}
 	}
 	// Rate 0 still round-trips through 8-bit quantization: values clamp to
-	// [lo, hi] and snap to the 256-code grid.
+	// [lo, hi] and snap to the 256-code grid. Features too large for an int
+	// clamp to hi too (the clamp precedes the integer conversion).
 	zero, _ := Spec{Site: SiteInput, Kind: Uniform, Rate: 0, Seed: 1}.Injector()
+	x = append(x, 1e18, math.Inf(1))
+	a = make([]float64, len(x))
 	CorruptFeatures(a, x, 0, 1, zero, rng.New(1))
+	if far := a[len(a)-2:]; far[0] != 1 || far[1] != 1 {
+		t.Fatalf("1e18 and +Inf round-tripped to %v, want hi = 1", far)
+	}
 	for i, v := range a {
 		if v < 0 || v > 1 {
 			t.Fatalf("feature %d = %g outside [0,1] after quantization", i, v)

@@ -24,11 +24,11 @@ type Mem interface {
 
 // bitRowsMem views a slice of bit-vectors as rows of 1-bit cells — the level
 // memory (64 rows × D bits) or the id seed register (1 row × D bits).
-type bitRowsMem struct{ rows []*hdc.BitVec }
+type bitRowsMem struct{ rows []*hdc.BinVec }
 
 // BitRowsMem wraps live bit-vector rows for injection. Mutations are
 // in place; callers owning derived material must rebuild it afterwards.
-func BitRowsMem(rows []*hdc.BitVec) Mem { return bitRowsMem{rows: rows} }
+func BitRowsMem(rows []*hdc.BinVec) Mem { return bitRowsMem{rows: rows} }
 
 func (m bitRowsMem) Rows() int     { return len(m.rows) }
 func (m bitRowsMem) Cells() int    { return m.rows[0].D() }
@@ -196,13 +196,14 @@ func CorruptFeatures(dst, x []float64, lo, hi float64, inj Injector, r *rng.Rand
 	codes := make([]byte, len(x))
 	scale := float64(inputCodeMax) / (hi - lo)
 	for i, v := range x {
-		c := int((v-lo)*scale + 0.5)
-		if c < 0 {
-			c = 0
-		} else if c > inputCodeMax {
-			c = inputCodeMax
+		// Clamp before converting: an overflowing float-to-int conversion
+		// is platform-defined. NaN stores code 0.
+		switch f := (v-lo)*scale + 0.5; {
+		case f >= inputCodeMax:
+			codes[i] = inputCodeMax
+		case f >= 0:
+			codes[i] = byte(f)
 		}
-		codes[i] = byte(c)
 	}
 	changed := inj.Apply(ByteMem(codes), r)
 	for i, c := range codes {

@@ -42,7 +42,7 @@ func (a *Acc) Reset() {
 }
 
 // Add bundles v into the accumulator.
-func (a *Acc) Add(v *BitVec) {
+func (a *Acc) Add(v *BinVec) {
 	mustSameDim("Acc.Add", v.d, a.d)
 	a.n++
 	nw := a.d / WordBits
@@ -158,23 +158,4 @@ func (a *Acc) MajorityInto(out *BinVec) {
 		out.words[w] = ^borrow
 	}
 	out.words[len(out.words)-1] &= tailMask(out.d)
-}
-
-// Threshold materializes the majority vote: bit i of the result is 1 when
-// more than half the added vectors had bit 1 there. Ties (possible only for
-// even counts) break toward 0. It panics if the accumulator is empty.
-func (a *Acc) Threshold() *BitVec {
-	if a.n == 0 {
-		panic("hdc: Threshold on empty accumulator")
-	}
-	counts := make([]int32, a.d)
-	a.Counts(counts)
-	out := NewBitVec(a.d)
-	half := int32(a.n)
-	for i, c := range counts {
-		if 2*c > half {
-			out.SetBit(i, 1)
-		}
-	}
-	return out
 }

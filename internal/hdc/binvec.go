@@ -1,35 +1,63 @@
+// Package hdc implements the hyperdimensional-computing primitives that the
+// GENERIC engine is built on: bit-packed binary hypervectors with bipolar
+// (±1) semantics, XOR binding, rotation (permutation), bundling accumulators,
+// level-hypervector ladders, and rotating-seed id generation.
+//
+// Binary hypervectors are stored one bit per dimension in []uint64 words;
+// bit 1 represents bipolar +1 and bit 0 represents −1. Under this mapping,
+// element-wise bipolar multiplication is XOR of the complement — we follow
+// the usual HDC convention where XOR itself is used as the bind operator
+// (it flips the sign convention uniformly, which no similarity metric can
+// observe). Dot products reduce to popcounts:
+//
+//	dot(a, b) = D − 2·hamming(a, b)
+//
+// Rotation, bundling and the level ladder work word-wise and require D to be
+// a multiple of 64; GENERIC's native sizes (512 … 8192, sub-norm granularity
+// 128) all satisfy this.
 package hdc
 
 import (
 	"fmt"
 	"math/bits"
+
+	"github.com/edge-hdc/generic/internal/rng"
 )
 
-// BinVec is a sign-binarized hypervector: one bit per dimension packed into
-// uint64 words, bit 1 meaning bipolar +1 and bit 0 meaning −1 — the packed
-// counterpart of a Vec that has been collapsed to its signs (v >= 0 → +1).
-// It is the storage type of the binary inference engine: binarized class
-// memories and binarized queries are BinVecs, and scoring is Hamming
-// distance via XOR + popcount.
+// WordBits is the number of dimensions packed per storage word.
+const WordBits = 64
+
+// BinVec is a binary hypervector: one bit per dimension packed into uint64
+// words, bit 1 meaning bipolar +1 and bit 0 meaning −1. It is the engine's
+// one packed type: level rows, id seeds and encoder window scratch, and the
+// binarized class memories and queries of the binary inference engine, which
+// score by Hamming distance via XOR + popcount. A binarized query or class is
+// the packed counterpart of a Vec collapsed to its signs (v >= 0 → +1).
 //
-// Unlike BitVec (the encoding-side material type, which requires D to be a
-// multiple of 64), BinVec accepts any positive dimensionality. The final
-// storage word is partially used when D is not word-aligned; the unused high
-// bits of that tail word are zero by invariant, which every kernel preserves
-// and Hamming relies on (a ^ b of two masked tails contributes no phantom
-// ones).
+// Any positive dimensionality is accepted. The final storage word is
+// partially used when D is not word-aligned; the unused high bits of that
+// tail word are zero by invariant, which every kernel preserves and Hamming
+// relies on (a ^ b of two masked tails contributes no phantom ones).
 type BinVec struct {
 	d     int
 	words []uint64
 }
 
-// NewBinVec returns an all-zero (all −1 bipolar) binarized hypervector of d
+// NewBinVec returns an all-zero (all −1 bipolar) hypervector of d
 // dimensions. Any positive d is accepted; the tail word is masked.
 func NewBinVec(d int) *BinVec {
 	if d <= 0 {
 		panic(fmt.Sprintf("hdc: BinVec dimensionality %d must be positive", d))
 	}
 	return &BinVec{d: d, words: make([]uint64, binWords(d))}
+}
+
+// RandomBinVec returns a hypervector with i.i.d. uniform random bits.
+func RandomBinVec(d int, r *rng.Rand) *BinVec {
+	v := NewBinVec(d)
+	r.FillBits(v.words)
+	v.words[len(v.words)-1] &= tailMask(d)
+	return v
 }
 
 // binWords returns the number of storage words for d dimensions.
@@ -117,6 +145,62 @@ func (v *BinVec) Equal(o *BinVec) bool {
 		}
 	}
 	return true
+}
+
+// XorInto stores a ⊕ b into dst. All three must share a dimensionality;
+// dst may alias a or b.
+func XorInto(dst, a, b *BinVec) {
+	mustSameDim("XorInto", a.d, dst.d)
+	mustSameDim("XorInto", b.d, dst.d)
+	for i := range dst.words {
+		dst.words[i] = a.words[i] ^ b.words[i]
+	}
+}
+
+// XorAccumulate folds v into dst: dst ^= v.
+func XorAccumulate(dst, v *BinVec) {
+	mustSameDim("XorAccumulate", v.d, dst.d)
+	for i := range dst.words {
+		dst.words[i] ^= v.words[i]
+	}
+}
+
+// RotateInto writes the circular rotation of src by k positions into dst:
+// bit i of src becomes bit (i+k) mod D of dst. This is the permutation ρ(k)
+// used by the permutation and GENERIC encodings and by the id generator.
+// D must be a multiple of 64 (the word shift has no partial tail to wrap),
+// and dst must not alias src unless k == 0.
+func RotateInto(dst, src *BinVec, k int) {
+	mustSameDim("RotateInto", src.d, dst.d)
+	checkDim(src.d)
+	n := len(src.words)
+	k %= src.d
+	if k < 0 {
+		k += src.d
+	}
+	if k == 0 {
+		copy(dst.words, src.words)
+		return
+	}
+	ws, bs := k/WordBits, uint(k%WordBits)
+	if bs == 0 {
+		for w := 0; w < n; w++ {
+			dst.words[w] = src.words[((w-ws)%n+n)%n]
+		}
+		return
+	}
+	for w := 0; w < n; w++ {
+		lo := src.words[((w-ws)%n+n)%n]
+		hi := src.words[((w-ws-1)%n+n)%n]
+		dst.words[w] = lo<<bs | hi>>(WordBits-bs)
+	}
+}
+
+// Rotate returns a freshly allocated rotation of v by k positions.
+func Rotate(v *BinVec, k int) *BinVec {
+	dst := NewBinVec(v.d)
+	RotateInto(dst, v, k)
+	return dst
 }
 
 // PackSigns binarizes src into v: bit i is 1 exactly when src[i] >= 0 — the

@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -196,17 +197,21 @@ func TestHammingPrefixMatchesReference(t *testing.T) {
 func TestBinVecDimensionGuards(t *testing.T) {
 	a, b := NewBinVec(64), NewBinVec(128)
 	for name, f := range map[string]func(){
-		"Hamming":       func() { a.Hamming(b) },
-		"HammingPrefix": func() { a.HammingPrefix(b, 64) },
-		"Dot":           func() { a.Dot(b) },
-		"CopyFrom":      func() { a.CopyFrom(b) },
-		"PackSigns":     func() { a.PackSigns(NewVec(128)) },
-		"Unpack":        func() { a.Unpack(NewVec(128)) },
+		"Hamming":              func() { a.Hamming(b) },
+		"HammingPrefix":        func() { a.HammingPrefix(b, 64) },
+		"Dot":                  func() { a.Dot(b) },
+		"CopyFrom":             func() { a.CopyFrom(b) },
+		"PackSigns":            func() { a.PackSigns(NewVec(128)) },
+		"Unpack":               func() { a.Unpack(NewVec(128)) },
+		"XorInto":              func() { XorInto(a, a, b) },
+		"XorAccumulate":        func() { XorAccumulate(a, b) },
+		"RotateInto":           func() { RotateInto(a, b, 1) },
+		"RotateInto/unaligned": func() { RotateInto(NewBinVec(100), NewBinVec(100), 1) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s across dimensionalities did not panic", name)
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "hdc:") {
+					t.Errorf("%s did not panic with the hdc: prefix (got %q)", name, msg)
 				}
 			}()
 			f()
@@ -253,6 +258,148 @@ func TestBinVecCloneIndependence(t *testing.T) {
 	}
 }
 
+const testD = 1024
+
+func TestXorInvolution(t *testing.T) {
+	r := rng.New(2)
+	a := RandomBinVec(testD, r)
+	b := RandomBinVec(testD, r)
+	x := NewBinVec(testD)
+	XorInto(x, a, b)
+	y := NewBinVec(testD)
+	XorInto(y, x, b) // (a⊕b)⊕b = a
+	if !y.Equal(a) {
+		t.Fatal("XOR bind is not an involution")
+	}
+}
+
+func TestXorAliasingSafe(t *testing.T) {
+	r := rng.New(3)
+	a := RandomBinVec(testD, r)
+	b := RandomBinVec(testD, r)
+	want := NewBinVec(testD)
+	XorInto(want, a, b)
+	got := a.Clone()
+	XorInto(got, got, b)
+	if !got.Equal(want) {
+		t.Fatal("XorInto with dst aliasing a gave wrong result")
+	}
+}
+
+func TestXorAccumulate(t *testing.T) {
+	r := rng.New(4)
+	a := RandomBinVec(testD, r)
+	b := RandomBinVec(testD, r)
+	want := NewBinVec(testD)
+	XorInto(want, a, b)
+	got := a.Clone()
+	XorAccumulate(got, b)
+	if !got.Equal(want) {
+		t.Fatal("XorAccumulate != XorInto")
+	}
+}
+
+func TestRotatePreservesBitsExactPositions(t *testing.T) {
+	r := rng.New(5)
+	v := RandomBinVec(256, r)
+	for _, k := range []int{0, 1, 63, 64, 65, 127, 128, 200, 255, 256, 300, -1, -64} {
+		got := NewBinVec(256)
+		RotateInto(got, v, k)
+		for i := 0; i < 256; i++ {
+			j := ((i+k)%256 + 256) % 256
+			if got.Bit(j) != v.Bit(i) {
+				t.Fatalf("rotate %d: bit %d of src should land at %d", k, i, j)
+			}
+		}
+	}
+}
+
+func TestRotateComposition(t *testing.T) {
+	r := rng.New(6)
+	v := RandomBinVec(testD, r)
+	a := Rotate(Rotate(v, 37), 91)
+	b := Rotate(v, 37+91)
+	if !a.Equal(b) {
+		t.Fatal("ρ(91)∘ρ(37) != ρ(128)")
+	}
+}
+
+func TestRotateFullCycleIsIdentity(t *testing.T) {
+	r := rng.New(7)
+	v := RandomBinVec(testD, r)
+	if !Rotate(v, testD).Equal(v) {
+		t.Fatal("ρ(D) is not the identity")
+	}
+}
+
+func TestRotateInvertible(t *testing.T) {
+	f := func(seed uint64, kRaw int) bool {
+		k := ((kRaw % testD) + testD) % testD
+		v := RandomBinVec(testD, rng.New(seed))
+		return Rotate(Rotate(v, k), testD-k).Equal(v)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRotatePreservesOnesCount(t *testing.T) {
+	f := func(seed uint64, kRaw int) bool {
+		v := RandomBinVec(testD, rng.New(seed))
+		return Rotate(v, kRaw%4096).OnesCount() == v.OnesCount()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestHammingBasics(t *testing.T) {
+	a := NewBinVec(128)
+	b := NewBinVec(128)
+	if a.Hamming(b) != 0 {
+		t.Fatal("hamming of identical vectors != 0")
+	}
+	b.SetBit(5, 1)
+	b.SetBit(100, 1)
+	if h := a.Hamming(b); h != 2 {
+		t.Fatalf("hamming = %d, want 2", h)
+	}
+	if d := a.Dot(b); d != 128-4 {
+		t.Fatalf("dot = %d, want %d", d, 124)
+	}
+}
+
+func TestDotSelfEqualsD(t *testing.T) {
+	v := RandomBinVec(testD, rng.New(8))
+	if v.Dot(v) != testD {
+		t.Fatalf("dot(v,v) = %d, want %d", v.Dot(v), testD)
+	}
+}
+
+func TestRandomVectorsNearOrthogonal(t *testing.T) {
+	r := rng.New(9)
+	const d = 4096
+	for i := 0; i < 20; i++ {
+		dot := RandomBinVec(d, r).Dot(RandomBinVec(d, r))
+		// For random ±1 vectors, dot is ~N(0, D); |dot| > 6σ is a failure.
+		if dot > 6*64 || dot < -6*64 {
+			t.Fatalf("random pair dot = %d, |dot| too large for D=%d", dot, d)
+		}
+	}
+}
+
+func TestRotateRandomStaysOrthogonalToSelf(t *testing.T) {
+	// A random vector and its rotation should be near-orthogonal — the
+	// property that justifies seed-rotated id generation.
+	const d = 4096
+	v := RandomBinVec(d, rng.New(11))
+	for _, k := range []int{1, 2, 17, 64, 1000, d / 2} {
+		if dot := v.Dot(Rotate(v, k)); dot > 6*64 || dot < -6*64 {
+			t.Errorf("dot(v, ρ(%d)v) = %d, expected near-orthogonal", k, dot)
+		}
+	}
+}
+
 func FuzzBinVecPackHamming(f *testing.F) {
 	f.Add(uint64(1), uint64(2), 65)
 	f.Add(uint64(0), uint64(0), 1)
@@ -270,10 +417,24 @@ func FuzzBinVecPackHamming(f *testing.F) {
 		if a.Hamming(b) != b.Hamming(a) {
 			t.Fatalf("D=%d: Hamming not symmetric", d)
 		}
-		// Tail invariant survives packing random signs.
-		tail := a.Words()[len(a.Words())-1]
-		if tail&tailMask(d) != tail {
-			t.Fatalf("D=%d: phantom tail bits after PackSigns", d)
+		// Tail invariant survives packing random signs and random fill.
+		for _, v := range []*BinVec{a, RandomBinVec(d, rng.New(s1))} {
+			if tail := v.Words()[len(v.Words())-1]; tail&tailMask(d) != tail {
+				t.Fatalf("D=%d: phantom tail bits in %v", d, v)
+			}
+		}
+		// XOR binding at any D: the bound vector's popcount is the Hamming
+		// distance, and folding the same vector in twice is the identity.
+		x := NewBinVec(d)
+		XorInto(x, a, b)
+		if x.OnesCount() != a.Hamming(b) {
+			t.Fatalf("D=%d: OnesCount(a⊕b) = %d, Hamming = %d", d, x.OnesCount(), a.Hamming(b))
+		}
+		y := x.Clone()
+		XorAccumulate(y, b)
+		XorAccumulate(y, b)
+		if !y.Equal(x) {
+			t.Fatalf("D=%d: XorAccumulate twice is not the identity", d)
 		}
 	})
 }
@@ -297,5 +458,26 @@ func BenchmarkBinVecPackSigns4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst.PackSigns(src)
+	}
+}
+
+func BenchmarkXor4096(b *testing.B) {
+	r := rng.New(1)
+	x := RandomBinVec(4096, r)
+	y := RandomBinVec(4096, r)
+	dst := NewBinVec(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		XorInto(dst, x, y)
+	}
+}
+
+func BenchmarkRotate4096(b *testing.B) {
+	r := rng.New(1)
+	x := RandomBinVec(4096, r)
+	dst := NewBinVec(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RotateInto(dst, x, 37)
 	}
 }

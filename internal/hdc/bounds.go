@@ -21,6 +21,15 @@ func satBounds(op string, bw int) (lo, hi int32) {
 	return -hi - 1, hi
 }
 
+// checkDim panics unless d is a positive multiple of WordBits — the
+// precondition of the word-wise kernels: rotation, bundling and the level
+// ladder.
+func checkDim(d int) {
+	if d <= 0 || d%WordBits != 0 {
+		panic(fmt.Sprintf("hdc: dimensionality %d must be a positive multiple of %d", d, WordBits))
+	}
+}
+
 // mustSameDim panics in the canonical dimensionality-mismatch shape when
 // got ≠ want. All two-vector kernels lead with it (or with a sibling
 // checker), which generic/dimguard enforces mechanically.

@@ -15,7 +15,7 @@ import (
 type LevelTable struct {
 	d      int
 	bins   int
-	levels []*BitVec
+	levels []*BinVec
 }
 
 // NewLevelTable builds a ladder of bins level hypervectors of d dimensions.
@@ -26,8 +26,8 @@ func NewLevelTable(d, bins int, r *rng.Rand) *LevelTable {
 	if bins < 2 || (bins-1)*2 > d {
 		panic(fmt.Sprintf("hdc: level bins %d out of range for D=%d", bins, d))
 	}
-	t := &LevelTable{d: d, bins: bins, levels: make([]*BitVec, bins)}
-	t.levels[0] = RandomBitVec(d, r)
+	t := &LevelTable{d: d, bins: bins, levels: make([]*BinVec, bins)}
+	t.levels[0] = RandomBinVec(d, r)
 	// Partition a random permutation of the dimensions into bins−1 chunks;
 	// flipping disjoint chunks guarantees the cumulative hamming distance
 	// from ℓ(0) grows linearly up the ladder.
@@ -56,18 +56,18 @@ func (t *LevelTable) Bins() int { return t.bins }
 // callers must not modify it (the fault layer is the sanctioned exception:
 // it corrupts the levels of a private Clone of the table to model memory
 // bit errors and repairs them by regeneration).
-func (t *LevelTable) Level(b int) *BitVec {
+func (t *LevelTable) Level(b int) *BinVec {
 	return t.levels[b]
 }
 
 // Rows exposes the underlying level vectors as memory rows for the fault
 // layer. The slice and its vectors are live, not copies.
-func (t *LevelTable) Rows() []*BitVec { return t.levels }
+func (t *LevelTable) Rows() []*BinVec { return t.levels }
 
 // Clone returns a deep copy of the table, including any in-place mutations
 // (e.g. injected bit errors).
 func (t *LevelTable) Clone() *LevelTable {
-	c := &LevelTable{d: t.d, bins: t.bins, levels: make([]*BitVec, len(t.levels))}
+	c := &LevelTable{d: t.d, bins: t.bins, levels: make([]*BinVec, len(t.levels))}
 	for i, v := range t.levels {
 		c.levels[i] = v.Clone()
 	}
@@ -75,19 +75,22 @@ func (t *LevelTable) Clone() *LevelTable {
 }
 
 // Quantize maps x in [lo, hi] to a bin index in [0, bins); values outside
-// the range clamp to the extreme bins.
+// the range, ±Inf included, clamp to the extreme bins, and NaN maps to bin 0.
+// The clamp runs on the scaled float, before the integer conversion, because
+// Go leaves the result of an overflowing float-to-int conversion to the
+// platform.
 func (t *LevelTable) Quantize(x, lo, hi float64) int {
 	if hi <= lo {
 		return 0
 	}
-	b := int(float64(t.bins) * (x - lo) / (hi - lo))
-	if b < 0 {
-		return 0
-	}
-	if b >= t.bins {
+	f := float64(t.bins) * (x - lo) / (hi - lo)
+	switch {
+	case f >= float64(t.bins):
 		return t.bins - 1
+	case f >= 1:
+		return int(f)
 	}
-	return b
+	return 0 // below the range, or NaN
 }
 
 // IDGenerator produces the per-index id hypervectors used for binding.
@@ -96,18 +99,18 @@ func (t *LevelTable) Quantize(x, lo, hi float64) int {
 // rotation preserves pairwise near-orthogonality, shrinking the id memory
 // 1024× (paper §4.3.1).
 type IDGenerator struct {
-	seed *BitVec
+	seed *BinVec
 }
 
 // NewIDGenerator creates a generator with a random seed of d dimensions.
 func NewIDGenerator(d int, r *rng.Rand) *IDGenerator {
-	return &IDGenerator{seed: RandomBitVec(d, r)}
+	return &IDGenerator{seed: RandomBinVec(d, r)}
 }
 
 // Seed returns the seed hypervector (id 0). Callers must not modify it
 // (the fault layer is the sanctioned exception, on a private Clone; see
 // LevelTable.Level).
-func (g *IDGenerator) Seed() *BitVec { return g.seed }
+func (g *IDGenerator) Seed() *BinVec { return g.seed }
 
 // Clone returns a deep copy of the generator, including any in-place
 // mutations of the seed.
@@ -119,6 +122,6 @@ func (g *IDGenerator) Clone() *IDGenerator {
 func (g *IDGenerator) D() int { return g.seed.d }
 
 // ID writes id(k) = ρ(k)(seed) into dst.
-func (g *IDGenerator) ID(k int, dst *BitVec) {
+func (g *IDGenerator) ID(k int, dst *BinVec) {
 	RotateInto(dst, g.seed, k)
 }

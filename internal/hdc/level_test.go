@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"math"
 	"testing"
 
 	"github.com/edge-hdc/generic/internal/rng"
@@ -13,14 +14,14 @@ func TestLevelLadderMonotoneDistance(t *testing.T) {
 	base := lt.Level(0)
 	prev := -1
 	for b := 1; b < bins; b++ {
-		h := Hamming(base, lt.Level(b))
+		h := base.Hamming(lt.Level(b))
 		if h <= prev {
 			t.Fatalf("ladder distance not strictly increasing at bin %d: %d <= %d", b, h, prev)
 		}
 		prev = h
 	}
 	// Extremes must be near-orthogonal: hamming ≈ D/2.
-	h := Hamming(base, lt.Level(bins-1))
+	h := base.Hamming(lt.Level(bins - 1))
 	if h < d*45/100 || h > d*55/100 {
 		t.Fatalf("extreme levels hamming = %d, want ≈ %d", h, d/2)
 	}
@@ -32,7 +33,7 @@ func TestLevelNeighborsSimilar(t *testing.T) {
 	lt := NewLevelTable(d, bins, r)
 	step := d / (2 * (bins - 1))
 	for b := 1; b < bins; b++ {
-		if h := Hamming(lt.Level(b-1), lt.Level(b)); h != step {
+		if h := lt.Level(b - 1).Hamming(lt.Level(b)); h != step {
 			t.Fatalf("neighbor hamming at bin %d = %d, want %d", b, h, step)
 		}
 	}
@@ -66,6 +67,13 @@ func TestQuantize(t *testing.T) {
 		{5, -10, 10, 6},  // shifted range: (5+10)/20*8 = 6
 		{3, 3, 3, 0},     // degenerate range
 		{7, 9, 3, 0},     // inverted range
+		// Scaled values beyond int64: clamping must happen before the
+		// integer conversion, whose overflow result is platform-defined.
+		{1e18, 0, 0.5, 7},
+		{-1e18, 0, 0.5, 0},
+		{math.Inf(1), 0, 1, 7},
+		{math.Inf(-1), 0, 1, 0},
+		{math.NaN(), 0, 1, 0},
 	}
 	for _, c := range cases {
 		if got := lt.Quantize(c.x, c.lo, c.hi); got != c.want {
@@ -93,14 +101,14 @@ func TestIDGeneratorOrthogonality(t *testing.T) {
 	r := rng.New(4)
 	const d = 4096
 	g := NewIDGenerator(d, r)
-	ids := make([]*BitVec, 16)
+	ids := make([]*BinVec, 16)
 	for k := range ids {
-		ids[k] = NewBitVec(d)
+		ids[k] = NewBinVec(d)
 		g.ID(k*17+1, ids[k])
 	}
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {
-			dot := Dot(ids[i], ids[j])
+			dot := ids[i].Dot(ids[j])
 			if dot > 6*64 || dot < -6*64 {
 				t.Errorf("ids %d,%d dot = %d, expected near-orthogonal", i, j, dot)
 			}
@@ -111,7 +119,7 @@ func TestIDGeneratorOrthogonality(t *testing.T) {
 func TestIDZeroIsSeed(t *testing.T) {
 	r := rng.New(5)
 	g := NewIDGenerator(512, r)
-	got := NewBitVec(512)
+	got := NewBinVec(512)
 	g.ID(0, got)
 	if !got.Equal(g.Seed()) {
 		t.Fatal("ID(0) != seed")
@@ -120,7 +128,7 @@ func TestIDZeroIsSeed(t *testing.T) {
 
 func TestIDDeterministic(t *testing.T) {
 	g := NewIDGenerator(512, rng.New(6))
-	a, b := NewBitVec(512), NewBitVec(512)
+	a, b := NewBinVec(512), NewBinVec(512)
 	g.ID(123, a)
 	g.ID(123, b)
 	if !a.Equal(b) {

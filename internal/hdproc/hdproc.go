@@ -103,7 +103,7 @@ type Processor struct {
 	classes []hdc.Vec
 	norms   []int64
 
-	vregs []*hdc.BitVec
+	vregs []*hdc.BinVec
 	aregs []hdc.Vec
 	sregs []int64
 
@@ -145,9 +145,9 @@ func New(cfg Config) (*Processor, error) {
 		lo:     cfg.Lo,
 		hi:     cfg.Hi,
 	}
-	p.vregs = make([]*hdc.BitVec, VRegs)
+	p.vregs = make([]*hdc.BinVec, VRegs)
 	for i := range p.vregs {
-		p.vregs[i] = hdc.NewBitVec(cfg.D)
+		p.vregs[i] = hdc.NewBinVec(cfg.D)
 	}
 	p.aregs = make([]hdc.Vec, ARegs)
 	for i := range p.aregs {

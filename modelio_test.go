@@ -85,9 +85,7 @@ func TestLoadPipelineGarbage(t *testing.T) {
 
 func TestSaveLoadQuantizedPipeline(t *testing.T) {
 	p, X, Y := trainXor(t)
-	if err := p.Quantize(4); err != nil {
-		t.Fatal(err)
-	}
+	p.Model().Quantize(4)
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)

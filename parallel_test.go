@@ -55,22 +55,22 @@ func TestFitParallelBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		if sa, pa := must(serial.AccuracyWorkers(X, Y, 1)), must(par.AccuracyWorkers(X, Y, workers)); sa != pa {
+		if sa, pa := must(serial.Accuracy(X, Y)), must(par.Accuracy(X, Y, generic.WithWorkers(workers))); sa != pa {
 			t.Fatalf("workers=%d: accuracy %v vs serial %v", workers, pa, sa)
 		}
-		want := must(serial.PredictBatch(X, 1))
-		got := must(par.PredictBatch(X, workers))
+		want := must(serial.PredictAll(X))
+		got := must(par.PredictAll(X, generic.WithWorkers(workers)))
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: PredictBatch sample %d differs", workers, i)
+				t.Fatalf("workers=%d: PredictAll sample %d differs", workers, i)
 			}
 		}
 	}
 }
 
-// Concurrent Predict/PredictReduced on one Pipeline must be safe (the
-// encoder/scratch pool) and agree with the serial answers. Run under
-// -race to verify the safety half. The agreement must survive changes of
+// Concurrent Predict, with and without WithDims, on one Pipeline must be
+// safe (the encoder/scratch pool) and agree with the serial answers. Run
+// under -race to verify the safety half. The agreement must survive changes of
 // the encoder material: level/id fault injection and Scrub install fresh
 // material, and the state pool must be swapped with it. The
 // pool is warmed on the old material first, so a missing swap would hand
@@ -126,8 +126,8 @@ func TestPredictConcurrentSafe(t *testing.T) {
 				if c, m := must2(p.PredictMargin(X[i])); (answer{c, m}) != want[i] {
 					t.Errorf("concurrent PredictMargin(%d) = (%d, %v), want %+v", i, c, m, want[i])
 				}
-				if got := must(p.PredictReduced(X[i], 256)); got != wantRed[i] {
-					t.Errorf("concurrent PredictReduced(%d) = %d, want %d", i, got, wantRed[i])
+				if got := must(p.Predict(X[i], generic.WithDims(256))); got != wantRed[i] {
+					t.Errorf("concurrent Predict(%d, WithDims(256)) = %d, want %d", i, got, wantRed[i])
 				}
 			})
 		})
