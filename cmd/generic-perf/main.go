@@ -135,7 +135,6 @@ func buildSuite() ([]*bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := ds.TestX[0]
 	scratch := make(generic.Hypervector, encSingle.D())
 
 	batch := ds.TrainX[:256]
@@ -170,22 +169,27 @@ func buildSuite() ([]*bench, error) {
 	}
 
 	var buf bytes.Buffer
-	predictIdx := 0
+	// Every single-sample entry rotates through the test set, so branch
+	// history does not overfit one sample and the encode, predict and
+	// accelerator entries measure the same rows.
+	row := 0
+	nextRow := func() []float64 {
+		x := ds.TestX[row%ds.TestLen()]
+		row++
+		return x
+	}
 
 	return []*bench{
 		{name: "encode/generic/single", op: func() {
-			encSingle.Encode(x, scratch)
+			encSingle.Encode(nextRow(), scratch)
 		}},
 		{name: "encode/generic/batch256", op: func() {
 			generic.EncodeWorkers(enc, batch, 0)
 		}},
 		{name: "predict/single", op: func() {
-			// Rotate through the test set so branch history does not
-			// overfit one sample.
-			if _, err := p.Predict(ds.TestX[predictIdx%ds.TestLen()]); err != nil {
+			if _, err := p.Predict(nextRow()); err != nil {
 				fatal(err)
 			}
-			predictIdx++
 		}},
 		{name: "predict/batch256/w1", op: func() {
 			if _, err := p.PredictAll(batch, generic.WithWorkers(1)); err != nil {
@@ -198,10 +202,9 @@ func buildSuite() ([]*bench, error) {
 			}
 		}},
 		{name: "predict/binary/single", op: func() {
-			if _, err := pb.Predict(ds.TestX[predictIdx%ds.TestLen()]); err != nil {
+			if _, err := pb.Predict(nextRow()); err != nil {
 				fatal(err)
 			}
-			predictIdx++
 		}},
 		{name: "predict/binary/batch256", op: func() {
 			// Preallocated destination: the steady state allocates nothing.
@@ -218,7 +221,7 @@ func buildSuite() ([]*bench, error) {
 				generic.TrainOptions{Epochs: 1, Seed: 1, Trainer: "lehdc"})
 		}},
 		{name: "sim/infer", op: func() {
-			acc.Infer(x)
+			acc.Infer(nextRow())
 		}},
 		{name: "modelio/roundtrip", op: func() {
 			buf.Reset()

@@ -326,7 +326,7 @@ type pipeState struct {
 }
 
 // encodeBin writes the sign-binarized encoding of x into the state's packed
-// scratch. Library encoders take their fused binarized path; a foreign
+// scratch. Library encoders take their binarized path; a foreign
 // encoder falls back to packing the signs of its integer encoding, which is
 // the same bits by the BinaryEncoder contract.
 func (st *pipeState) encodeBin(x []float64) {

@@ -80,7 +80,7 @@ func Ops() []Op {
 		Op{Name: "model/adapt_hit", Run: func() { model.Adapt(query, stableLabel) }},
 	)
 
-	// The binary inference engine: binarized encode (fused kernel), packed
+	// The binary inference engine: binarized encode (majority readout), packed
 	// Hamming scoring, and the zero-alloc batch path.
 	bmodel := classifier.Binarize(model)
 	bbatch := make([]*hdc.BinVec, len(batch))

@@ -45,7 +45,7 @@ func (v Vec) Scaled(o Vec, k int32) Vec {
 // Grow is default-hot; the plane append is the sanctioned suppression site.
 func (b *BinVec) Grow(o *BinVec) {
 	if len(b.words) < len(o.words) {
-		//lint:ignore generic/hotalloc fixture: amortized growth mirrors Acc.Add
+		//lint:ignore generic/hotalloc fixture: amortized growth mirrors Acc.Reset's staging
 		b.words = append(b.words, make([]uint64, len(o.words)-len(b.words))...)
 	}
 }

@@ -6,6 +6,12 @@
 // H(x) ∈ ℤᴰ. Level-based encoders quantize each feature into one of Bins
 // level hypervectors and bundle bound/permuted levels; RP projects x through
 // a random bipolar matrix and takes signs.
+//
+// Every encoder also emits the sign-binarized hypervector sign(H(x)) packed
+// into an hdc.BinVec (BinaryEncoder), the query side of the binary inference
+// engine. A level-based encoder stages its bundle once in an hdc.Acc and
+// reads it out either way, so EncodeBin(x) is PackSigns(Encode(x)) by
+// construction; the equivalence tests lock it bit-identically.
 package encoding
 
 import (
@@ -91,6 +97,21 @@ type Encoder interface {
 	Config() Config
 }
 
+// BinaryEncoder is implemented by encoders that can produce a packed
+// sign-binarized hypervector directly. All library encoders implement it.
+type BinaryEncoder interface {
+	Encoder
+	// EncodeBin writes sign(H(x)) into out, which must have dimensionality
+	// D(). The result is bit-identical to packing the signs of Encode(x).
+	EncodeBin(x []float64, out *hdc.BinVec)
+}
+
+// AsBinary reports e's binarized query path, if it has one.
+func AsBinary(e Encoder) (BinaryEncoder, bool) {
+	be, ok := e.(BinaryEncoder)
+	return be, ok
+}
+
 // New constructs an encoder of the given kind. It returns an error for
 // invalid configurations (e.g. fewer features than the window length).
 func New(kind Kind, cfg Config) (Encoder, error) {
@@ -110,7 +131,9 @@ func New(kind Kind, cfg Config) (Encoder, error) {
 	case RP:
 		return newRP(cfg), nil
 	case LevelID:
-		return newLevelID(cfg), nil
+		// Level-id is the windowed encoding at window length 1 with ids; its
+		// Config still reports the caller's N and UseID.
+		return newWindowed(cfg, kind, 1, true), nil
 	case Ngram, Generic:
 		if cfg.N < 1 {
 			return nil, fmt.Errorf("encoding: window length N=%d must be positive", cfg.N)
@@ -118,10 +141,9 @@ func New(kind Kind, cfg Config) (Encoder, error) {
 		if cfg.Features < cfg.N {
 			return nil, fmt.Errorf("encoding: %d features < window length %d", cfg.Features, cfg.N)
 		}
-		if kind == Ngram {
-			return newWindowed(cfg, false, false), nil
-		}
-		return newWindowed(cfg, cfg.UseID, true), nil
+		// Config reports the actual binding state: plain ngram never binds ids.
+		cfg.UseID = kind == Generic && cfg.UseID
+		return newWindowed(cfg, kind, cfg.N, cfg.UseID), nil
 	case Permute:
 		return newPermute(cfg), nil
 	}
@@ -189,10 +211,10 @@ func (e *rpEncoder) D() int         { return e.d }
 func (e *rpEncoder) Kind() Kind     { return RP }
 func (e *rpEncoder) Config() Config { return e.cfg }
 
+// project accumulates the projection Φx into e.acc.
+//
 //generic:hotpath
-func (e *rpEncoder) Encode(x []float64, out hdc.Vec) {
-	start := telemetry.Now()
-	checkEncodeArgs(len(e.rows), e.d, x, out)
+func (e *rpEncoder) project(x []float64) {
 	acc := e.acc
 	for i := range acc {
 		acc[i] = 0
@@ -206,7 +228,14 @@ func (e *rpEncoder) Encode(x []float64, out hdc.Vec) {
 			acc[i] += v * p
 		}
 	}
-	for i, s := range acc {
+}
+
+//generic:hotpath
+func (e *rpEncoder) Encode(x []float64, out hdc.Vec) {
+	start := telemetry.Now()
+	checkEncodeArgs(len(e.rows), e.d, x, out)
+	e.project(x)
+	for i, s := range e.acc {
 		if s >= 0 {
 			out[i] = 1
 		} else {
@@ -216,45 +245,25 @@ func (e *rpEncoder) Encode(x []float64, out hdc.Vec) {
 	telemetry.EncodeNS.ObserveSince(start)
 }
 
-// ---------------------------------------------------------------------------
-
-// levelIDEncoder binds quantized levels with per-index ids (Fig. 2c).
-type levelIDEncoder struct {
-	cfg Config
-	// Material, shared with CloneMaterial copies (see MaterialCloner).
-	levels *hdc.LevelTable
-	idGen  *hdc.IDGenerator
-	ids    []*hdc.BinVec // materialized ρ(m)(seed) per feature index
-	// scratch
-	bound *hdc.BinVec
-	acc   *hdc.Acc
-}
-
-func newLevelID(cfg Config) *levelIDEncoder {
-	e := &levelIDEncoder{
-		cfg:   cfg,
-		bound: hdc.NewBinVec(cfg.D),
-		acc:   hdc.NewAcc(cfg.D),
-	}
-	e.Regenerate()
-	return e
-}
-
-func (e *levelIDEncoder) D() int         { return e.cfg.D }
-func (e *levelIDEncoder) Kind() Kind     { return LevelID }
-func (e *levelIDEncoder) Config() Config { return e.cfg }
-
+// EncodeBin for RP packs the projection signs directly: bit i = 1 exactly
+// when the accumulated projection is >= 0, matching sign(Φx) → ±1 → pack.
+//
 //generic:hotpath
-func (e *levelIDEncoder) Encode(x []float64, out hdc.Vec) {
+func (e *rpEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
 	start := telemetry.Now()
-	checkEncodeArgs(len(e.ids), e.cfg.D, x, out)
-	e.acc.Reset()
-	for m, v := range x {
-		lv := e.levels.Level(e.levels.Quantize(v, e.cfg.Lo, e.cfg.Hi))
-		hdc.XorInto(e.bound, lv, e.ids[m])
-		e.acc.Add(e.bound)
+	checkEncodeBinArgs(len(e.rows), e.d, x, out)
+	e.project(x)
+	words := out.Words()
+	for w := range words {
+		var word uint64
+		base := w * hdc.WordBits
+		for b := 0; b < hdc.WordBits; b++ {
+			if e.acc[base+b] >= 0 {
+				word |= 1 << uint(b)
+			}
+		}
+		words[w] = word
 	}
-	e.acc.Bipolar(out)
 	telemetry.EncodeNS.ObserveSince(start)
 }
 
@@ -264,16 +273,11 @@ func (e *levelIDEncoder) Encode(x []float64, out hdc.Vec) {
 type permuteEncoder struct {
 	cfg    Config
 	levels *hdc.LevelTable // material, shared with CloneMaterial copies
-	rot    *hdc.BinVec
 	acc    *hdc.Acc
 }
 
 func newPermute(cfg Config) *permuteEncoder {
-	e := &permuteEncoder{
-		cfg: cfg,
-		rot: hdc.NewBinVec(cfg.D),
-		acc: hdc.NewAcc(cfg.D),
-	}
+	e := &permuteEncoder{cfg: cfg, acc: hdc.NewAcc(cfg.D)}
 	e.Regenerate()
 	return e
 }
@@ -282,31 +286,48 @@ func (e *permuteEncoder) D() int         { return e.cfg.D }
 func (e *permuteEncoder) Kind() Kind     { return Permute }
 func (e *permuteEncoder) Config() Config { return e.cfg }
 
+// bundle stages ρ(m)(ℓ(x_m)) as row m of e.acc, for every feature m.
+//
+//generic:hotpath
+func (e *permuteEncoder) bundle(x []float64) {
+	e.acc.Reset(len(x))
+	for m, v := range x {
+		lv := e.levels.Level(e.levels.Quantize(v, e.cfg.Lo, e.cfg.Hi))
+		hdc.RotateInto(e.acc.Row(m), lv, m)
+	}
+}
+
 //generic:hotpath
 func (e *permuteEncoder) Encode(x []float64, out hdc.Vec) {
 	start := telemetry.Now()
 	checkEncodeArgs(e.cfg.Features, e.cfg.D, x, out)
-	e.acc.Reset()
-	for m, v := range x {
-		lv := e.levels.Level(e.levels.Quantize(v, e.cfg.Lo, e.cfg.Hi))
-		hdc.RotateInto(e.rot, lv, m)
-		e.acc.Add(e.rot)
-	}
+	e.bundle(x)
 	e.acc.Bipolar(out)
+	telemetry.EncodeNS.ObserveSince(start)
+}
+
+//generic:hotpath
+func (e *permuteEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
+	start := telemetry.Now()
+	checkEncodeBinArgs(e.cfg.Features, e.cfg.D, x, out)
+	e.bundle(x)
+	e.acc.MajorityInto(out)
 	telemetry.EncodeNS.ObserveSince(start)
 }
 
 // ---------------------------------------------------------------------------
 
-// windowedEncoder implements both the ngram encoding and the proposed
-// GENERIC encoding (Eq. 1): every length-n window's levels are permuted by
-// their intra-window offset and XORed; GENERIC additionally XORs a
-// per-window id (generated by rotating a seed id, §4.3.1) to restore the
-// global order of windows. With ids disabled the two coincide.
+// windowedEncoder implements the level-id, ngram and GENERIC encodings
+// (Eq. 1): every length-n window's levels are permuted by their
+// intra-window offset and XORed; with ids on, each window is also XORed
+// with its own id (generated by rotating a seed id, §4.3.1) to restore the
+// global order of windows. Ngram is GENERIC without ids, and level-id
+// (Fig. 2c, H = Σ_m id_m ⊕ ℓ(x_m)) is window length 1 with ids.
 type windowedEncoder struct {
-	cfg     Config
-	generic bool
-	useID   bool
+	cfg   Config
+	kind  Kind
+	n     int // window length: cfg.N, or 1 for level-id
+	useID bool
 	// Material, shared with CloneMaterial copies (see MaterialCloner).
 	// rotLevels[j][bin] = ρ(j)(ℓ(bin)), precomputed for the n offsets.
 	rotLevels [][]*hdc.BinVec
@@ -314,66 +335,88 @@ type windowedEncoder struct {
 	ids       []*hdc.BinVec    // per-window ids (nil when !useID)
 	quant     *hdc.LevelTable
 	// Scratch, private to each encoder.
-	win  *hdc.BinVec
 	acc  *hdc.Acc
-	bins []int       // per-feature quantized levels, reused across calls
-	bin  *binScratch // fused binarized encode kernel; built on the first EncodeBin
+	bins []int // per-feature quantized levels, reused across calls
 }
 
-func newWindowed(cfg Config, useID, generic bool) *windowedEncoder {
-	e := &windowedEncoder{cfg: cfg, generic: generic, useID: useID}
+func newWindowed(cfg Config, kind Kind, n int, useID bool) *windowedEncoder {
+	e := &windowedEncoder{cfg: cfg, kind: kind, n: n, useID: useID}
 	e.initScratch()
 	e.Regenerate()
 	return e
 }
 
-// initScratch gives the encoder its private working set. The 32 KB-class
-// binScratch is left to the first EncodeBin, so a clone that only ever
-// encodes exactly (or never encodes) does not pay for it.
+// initScratch gives the encoder its private working set. The accumulator
+// sizes its staging on the first encode, so a clone that never encodes
+// does not pay for it.
 func (e *windowedEncoder) initScratch() {
-	e.win = hdc.NewBinVec(e.cfg.D)
 	e.acc = hdc.NewAcc(e.cfg.D)
 	e.bins = make([]int, e.cfg.Features)
 }
 
-func (e *windowedEncoder) D() int { return e.cfg.D }
+func (e *windowedEncoder) D() int         { return e.cfg.D }
+func (e *windowedEncoder) Kind() Kind     { return e.kind }
+func (e *windowedEncoder) Config() Config { return e.cfg }
 
-// Config reports the effective configuration (UseID reflects the actual
-// binding state; plain ngram always reports false).
-func (e *windowedEncoder) Config() Config {
-	cfg := e.cfg
-	cfg.UseID = e.useID
-	return cfg
-}
-
-func (e *windowedEncoder) Kind() Kind {
-	if e.generic {
-		return Generic
+// bundle quantizes x and stages window i as row i of e.acc. The served
+// shapes, the default window length 3 and level-id's n = 1 with ids, bind
+// in one pass over the words; other shapes fold in one vector at a time.
+//
+//generic:hotpath
+func (e *windowedEncoder) bundle(x []float64) {
+	n, bins := e.n, e.bins
+	for m, v := range x {
+		bins[m] = e.quant.Quantize(v, e.cfg.Lo, e.cfg.Hi)
 	}
-	return Ngram
+	windows := len(x) - n + 1
+	e.acc.Reset(windows)
+	for i := 0; i < windows; i++ {
+		row := e.acc.Row(i)
+		switch {
+		case n == 3:
+			dst := row.Words()
+			r0 := e.rotLevels[0][bins[i]].Words()[:len(dst)]
+			r1 := e.rotLevels[1][bins[i+1]].Words()[:len(dst)]
+			r2 := e.rotLevels[2][bins[i+2]].Words()[:len(dst)]
+			if e.useID {
+				id := e.ids[i].Words()[:len(dst)]
+				for w := range dst {
+					dst[w] = r0[w] ^ r1[w] ^ r2[w] ^ id[w]
+				}
+			} else {
+				for w := range dst {
+					dst[w] = r0[w] ^ r1[w] ^ r2[w]
+				}
+			}
+		case n == 1 && e.useID:
+			hdc.XorInto(row, e.rotLevels[0][bins[i]], e.ids[i])
+		default:
+			row.CopyFrom(e.rotLevels[0][bins[i]])
+			for j := 1; j < n; j++ {
+				hdc.XorAccumulate(row, e.rotLevels[j][bins[i+j]])
+			}
+			if e.useID {
+				hdc.XorAccumulate(row, e.ids[i])
+			}
+		}
+	}
 }
 
 //generic:hotpath
 func (e *windowedEncoder) Encode(x []float64, out hdc.Vec) {
 	start := telemetry.Now()
 	checkEncodeArgs(e.cfg.Features, e.cfg.D, x, out)
-	e.acc.Reset()
-	n := e.cfg.N
-	bins := e.bins
-	for m, v := range x {
-		bins[m] = e.quant.Quantize(v, e.cfg.Lo, e.cfg.Hi)
-	}
-	for i := 0; i+n <= len(x); i++ {
-		e.win.CopyFrom(e.rotLevels[0][bins[i]])
-		for j := 1; j < n; j++ {
-			hdc.XorAccumulate(e.win, e.rotLevels[j][bins[i+j]])
-		}
-		if e.useID {
-			hdc.XorAccumulate(e.win, e.ids[i])
-		}
-		e.acc.Add(e.win)
-	}
+	e.bundle(x)
 	e.acc.Bipolar(out)
+	telemetry.EncodeNS.ObserveSince(start)
+}
+
+//generic:hotpath
+func (e *windowedEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
+	start := telemetry.Now()
+	checkEncodeBinArgs(e.cfg.Features, e.cfg.D, x, out)
+	e.bundle(x)
+	e.acc.MajorityInto(out)
 	telemetry.EncodeNS.ObserveSince(start)
 }
 
@@ -384,5 +427,15 @@ func checkEncodeArgs(features, d int, x []float64, out hdc.Vec) {
 	}
 	if len(out) != d {
 		panic(fmt.Sprintf("encoding: output length %d, want %d", len(out), d))
+	}
+}
+
+//generic:hotpath
+func checkEncodeBinArgs(features, d int, x []float64, out *hdc.BinVec) {
+	if len(x) != features {
+		panic(fmt.Sprintf("encoding: input has %d features, encoder expects %d", len(x), features))
+	}
+	if out.D() != d {
+		panic(fmt.Sprintf("encoding: binary output dimensionality %d, want %d", out.D(), d))
 	}
 }

@@ -57,40 +57,6 @@ type Faultable interface {
 	Regenerate()
 }
 
-// --- levelIDEncoder ---------------------------------------------------------
-
-func (e *levelIDEncoder) LevelRows() []*hdc.BinVec {
-	e.levels = e.levels.Clone()
-	return e.levels.Rows()
-}
-
-func (e *levelIDEncoder) IDSeed() *hdc.BinVec {
-	e.idGen = e.idGen.Clone()
-	return e.idGen.Seed()
-}
-
-func (e *levelIDEncoder) RebuildDerived() {
-	e.ids = materializeIDs(e.idGen, e.cfg.Features, e.cfg.D)
-}
-
-func (e *levelIDEncoder) Regenerate() {
-	r := rng.New(e.cfg.Seed)
-	e.levels = hdc.NewLevelTable(e.cfg.D, e.cfg.Bins, r.Split())
-	e.idGen = hdc.NewIDGenerator(e.cfg.D, r.Split())
-	e.RebuildDerived()
-}
-
-func (e *levelIDEncoder) CloneMaterial() Encoder {
-	return &levelIDEncoder{
-		cfg:    e.cfg,
-		levels: e.levels,
-		idGen:  e.idGen,
-		ids:    e.ids,
-		bound:  hdc.NewBinVec(e.cfg.D),
-		acc:    hdc.NewAcc(e.cfg.D),
-	}
-}
-
 // materializeIDs builds ids ρ(0)(seed) … ρ(n−1)(seed) into fresh vectors.
 func materializeIDs(g *hdc.IDGenerator, n, d int) []*hdc.BinVec {
 	ids := make([]*hdc.BinVec, n)
@@ -117,12 +83,7 @@ func (e *permuteEncoder) Regenerate() {
 }
 
 func (e *permuteEncoder) CloneMaterial() Encoder {
-	return &permuteEncoder{
-		cfg:    e.cfg,
-		levels: e.levels,
-		rot:    hdc.NewBinVec(e.cfg.D),
-		acc:    hdc.NewAcc(e.cfg.D),
-	}
+	return &permuteEncoder{cfg: e.cfg, levels: e.levels, acc: hdc.NewAcc(e.cfg.D)}
 }
 
 // --- windowedEncoder --------------------------------------------------------
@@ -141,7 +102,7 @@ func (e *windowedEncoder) IDSeed() *hdc.BinVec {
 }
 
 func (e *windowedEncoder) RebuildDerived() {
-	rot := make([][]*hdc.BinVec, e.cfg.N)
+	rot := make([][]*hdc.BinVec, e.n)
 	for j := range rot {
 		rot[j] = make([]*hdc.BinVec, e.cfg.Bins)
 		for b := range rot[j] {
@@ -150,7 +111,7 @@ func (e *windowedEncoder) RebuildDerived() {
 	}
 	e.rotLevels = rot
 	if e.useID {
-		e.ids = materializeIDs(e.idGen, e.cfg.Features-e.cfg.N+1, e.cfg.D)
+		e.ids = materializeIDs(e.idGen, e.cfg.Features-e.n+1, e.cfg.D)
 	}
 }
 
@@ -166,7 +127,8 @@ func (e *windowedEncoder) Regenerate() {
 func (e *windowedEncoder) CloneMaterial() Encoder {
 	c := &windowedEncoder{
 		cfg:       e.cfg,
-		generic:   e.generic,
+		kind:      e.kind,
+		n:         e.n,
 		useID:     e.useID,
 		rotLevels: e.rotLevels,
 		idGen:     e.idGen,

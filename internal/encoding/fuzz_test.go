@@ -7,23 +7,32 @@ import (
 	"github.com/edge-hdc/generic/internal/hdc"
 )
 
-// FuzzGenericEncode drives the GENERIC encoder through adversarial configs
-// and inputs. Invalid configurations must surface as New errors — never
-// panics — and any valid encoder must be deterministic two ways: re-encoding
-// with the same encoder (scratch-state reuse) and encoding with a fresh
-// encoder rebuilt from Config() both reproduce the hypervector bit for bit.
+// FuzzGenericEncode drives the level-based encoders — the kind is picked
+// from the input — through adversarial configs and inputs. Invalid
+// configurations must surface as New errors — never panics — and any valid
+// encoder must match refEncode (Encode exactly, EncodeBin as its packed
+// signs) and be deterministic two ways: re-encoding with the same encoder
+// (scratch-state reuse) and encoding with a fresh encoder rebuilt from
+// Config() both reproduce the hypervector bit for bit.
 func FuzzGenericEncode(f *testing.F) {
-	// Seed corpus: the window edge cases called out in the encoder docs.
-	f.Add(uint64(1), 512, 8, 3, 16, true, []byte{0, 17, 200, 63, 5})   // nominal
-	f.Add(uint64(2), 256, 2, 5, 8, true, []byte{1, 2})                 // window n > feature count
-	f.Add(uint64(3), 100, 6, 3, 8, false, []byte{9, 9, 9})             // d=100 does not divide into 64-bit words
-	f.Add(uint64(4), 256, 0, 3, 8, true, []byte{})                     // zero-feature input
-	f.Add(uint64(5), 256, 6, 6, 8, false, []byte{40, 80, 120})         // id disabled, single full-width window
-	f.Add(uint64(6), 512, 4, 3, -1, true, []byte{7})                   // negative bin count
-	f.Add(uint64(7), 512, 4, -2, 16, true, []byte{7})                  // negative window length
-	f.Add(uint64(8), 512, 5, 3, 16, true, []byte{255, 254, 3, 255, 0}) // NaN / +Inf features
+	// Seed corpus: the window edge cases called out in the encoder docs on
+	// GENERIC (levelKinds[3]), then the other level kinds across a counting
+	// block boundary.
+	const generic = uint8(3)
 
-	f.Fuzz(func(t *testing.T, seed uint64, d, features, n, bins int, useID bool, data []byte) {
+	f.Add(generic, uint64(1), 512, 8, 3, 16, true, []byte{0, 17, 200, 63, 5})   // nominal
+	f.Add(generic, uint64(2), 256, 2, 5, 8, true, []byte{1, 2})                 // window n > feature count
+	f.Add(generic, uint64(3), 100, 6, 3, 8, false, []byte{9, 9, 9})             // d=100 does not divide into 64-bit words
+	f.Add(generic, uint64(4), 256, 0, 3, 8, true, []byte{})                     // zero-feature input
+	f.Add(generic, uint64(5), 256, 6, 6, 8, false, []byte{40, 80, 120})         // id disabled, single full-width window
+	f.Add(generic, uint64(6), 512, 4, 3, -1, true, []byte{7})                   // negative bin count
+	f.Add(generic, uint64(7), 512, 4, -2, 16, true, []byte{7})                  // negative window length
+	f.Add(generic, uint64(8), 512, 5, 3, 16, true, []byte{255, 254, 3, 255, 0}) // NaN / +Inf features
+	f.Add(uint8(0), uint64(9), 64, 9, 3, 33, true, []byte{1, 128, 250})         // level-id, 9 rows: one block + 1
+	f.Add(uint8(1), uint64(10), 128, 20, 4, 8, false, []byte{3, 90, 160})       // ngram, 17 windows
+	f.Add(uint8(2), uint64(11), 256, 17, 2, 12, true, []byte{77, 254, 12})      // permute, 17 rows
+
+	f.Fuzz(func(t *testing.T, kindSel uint8, seed uint64, d, features, n, bins int, useID bool, data []byte) {
 		// Bound only the success-path allocation size; negative and
 		// otherwise-invalid values stay in play so New's validation is
 		// exercised.
@@ -31,7 +40,7 @@ func FuzzGenericEncode(f *testing.F) {
 			t.Skip("config too large for the fuzz harness")
 		}
 		cfg := Config{D: d, Features: features, Bins: bins, Lo: -4, Hi: 4, N: n, UseID: useID, Seed: seed}
-		e, err := New(Generic, cfg)
+		e, err := New(levelKinds[int(kindSel)%len(levelKinds)], cfg)
 		if err != nil {
 			return // invalid configs must error, not panic
 		}
@@ -51,6 +60,7 @@ func FuzzGenericEncode(f *testing.F) {
 			}
 		}
 
+		checkAgainstReference(t, e, x)
 		out := hdc.NewVec(e.D())
 		e.Encode(x, out)
 

@@ -1,161 +1,174 @@
 package hdc
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// Acc bundles binary hypervectors: it counts, per dimension, how many of the
-// added vectors had bit 1. Counts are kept bit-sliced — plane j holds bit j
-// of every dimension's counter — so adding a vector costs a handful of word
-// operations per 64 dimensions instead of 64 integer additions. This mirrors
-// the counter-based bundling datapath of HDC accelerators.
+// Acc is the engine's one bundler: it counts, per dimension, how many rows
+// of a bundle have bit 1 — the counter-based bundling datapath of HDC
+// accelerators (paper Fig. 4).
 //
-// After adding W vectors, the bipolar bundle value of dimension i is
-// 2·count(i) − W, which Bipolar() materializes into an integer vector.
+// A bundle is staged, then read out. Reset(n) starts a bundle of n rows and
+// the caller writes each row in place through Row(i). The two readouts are
+// views of the same counters: Bipolar materializes the exact bundle
+// 2·count − n, and MajorityInto packs its signs. Each readout counts the
+// staged rows once.
+//
+// Counting runs down each 64-lane word of the rows with a Harley-Seal
+// carry-save tree: seven full adders compress eight rows into
+// register-resident weight-1/2/4 counter words plus one weight-8 word, and
+// only that weight-8 word ripples into the bit-sliced high counter planes
+// (count bits 3 and up). One memory-plane visit per eight rows replaces a
+// ripple-carry add per row.
 type Acc struct {
-	d      int
-	n      int // number of vectors added
-	planes [][]uint64
-	carry  []uint64 // scratch for the ripple-carry add
+	d, nw int
+	n     int      // rows in the current bundle
+	rows  []uint64 // row-major staging: row i is rows[i*nw : (i+1)*nw]
+	views []BinVec // views[i] is row i as a BinVec; Row hands these out
+	// cnt holds the counter planes of the word being counted: cnt[k] is bit
+	// k of its 64 lanes' counts. A count of n rows needs bits.Len(n) planes,
+	// and no int needs more than 64.
+	cnt [64]uint64
 }
 
-// NewAcc returns an empty accumulator of d dimensions.
+// NewAcc returns an accumulator of d dimensions. Its staging is sized by
+// the first Reset, so an accumulator that never bundles stays small.
 func NewAcc(d int) *Acc {
 	checkDim(d)
-	return &Acc{d: d}
+	return &Acc{d: d, nw: d / WordBits}
 }
 
-// D returns the dimensionality.
-func (a *Acc) D() int { return a.d }
-
-// Count returns the number of vectors added so far.
-func (a *Acc) Count() int { return a.n }
-
-// Reset empties the accumulator for reuse without reallocating planes.
+// Reset starts a bundle of n rows. Every row must then be written through
+// Row before a readout: the staging is reused, so a row left unwritten
+// holds whatever the previous bundle put there. The staging grows on the
+// first Reset that needs more rows and is reused after.
 //
 //generic:hotpath
-func (a *Acc) Reset() {
-	a.n = 0
-	for _, p := range a.planes {
-		for i := range p {
-			p[i] = 0
-		}
+func (a *Acc) Reset(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("hdc: Acc.Reset with %d rows", n))
+	}
+	if n > len(a.views) {
+		//lint:ignore generic/hotalloc,generic/escapes staging growth is amortized: an encoder's bundles share one size, so it grows once
+		a.grow(n)
+	}
+	a.n = n
+}
+
+// grow sizes the staging for n rows.
+func (a *Acc) grow(n int) {
+	a.rows = make([]uint64, n*a.nw)
+	a.views = make([]BinVec, n)
+	for i := range a.views {
+		lo, hi := i*a.nw, (i+1)*a.nw
+		a.views[i] = BinVec{d: a.d, words: a.rows[lo:hi:hi]}
 	}
 }
 
-// Add bundles v into the accumulator.
-func (a *Acc) Add(v *BinVec) {
-	mustSameDim("Acc.Add", v.d, a.d)
-	a.n++
-	nw := a.d / WordBits
-	// Ripple-carry add of the 1-bit vector into the bit-sliced counters.
-	if a.carry == nil {
-		//lint:ignore generic/escapes one-time carry-buffer growth behind the nil guard above
-		a.carry = make([]uint64, nw)
-	}
-	carry := a.carry
-	copy(carry, v.words)
-	for j := 0; ; j++ {
-		if j == len(a.planes) {
-			//lint:ignore generic/hotalloc,generic/escapes plane growth is amortized: ceil(log2(n)) appends over an accumulator's lifetime, not per call
-			a.planes = append(a.planes, make([]uint64, nw))
-		}
-		plane := a.planes[j]
-		done := true
-		for w := 0; w < nw; w++ {
-			c := carry[w]
-			if c == 0 {
-				continue
-			}
-			old := plane[w]
-			plane[w] = old ^ c
-			carry[w] = old & c
-			if carry[w] != 0 {
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-	}
-}
-
-// CountAt returns the per-dimension count for dimension i.
-func (a *Acc) CountAt(i int) int {
-	c := 0
-	w, b := i/WordBits, uint(i)%WordBits
-	for j, p := range a.planes {
-		c |= int(p[w]>>b&1) << uint(j)
-	}
-	return c
-}
-
-// Counts writes the per-dimension counts into dst, which must have length D.
+// Row returns row i of the current bundle as a view into the staging, for
+// the caller to write. The view stays valid until a Reset grows the staging.
 //
 //generic:hotpath
-func (a *Acc) Counts(dst []int32) {
-	mustSameDim("Acc.Counts", len(dst), a.d)
-	for i := range dst {
-		dst[i] = 0
+func (a *Acc) Row(i int) *BinVec {
+	if i < 0 || i >= a.n {
+		panic(fmt.Sprintf("hdc: Acc.Row index %d out of range [0,%d)", i, a.n))
 	}
-	for j, p := range a.planes {
-		for w, word := range p {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				dst[w*WordBits+b] += 1 << uint(j)
-				word &= word - 1
-			}
-		}
-	}
+	return &a.views[i]
 }
 
-// Bipolar writes the bipolar bundle 2·count − n into dst (length D).
+// csa is a carry-save full adder over 64 lanes: sum = a ^ b ^ c,
+// carry = majority(a, b, c). Small enough to inline into the counting loop.
+func csa(a, b, c uint64) (sum, carry uint64) {
+	u := a ^ b
+	return u ^ c, (a & b) | (u & c)
+}
+
+// count runs the carry-save tree down word w of every staged row and
+// returns the counter planes of that word's 64 lanes, low bit first.
+//
+//generic:hotpath
+func (a *Acc) count(w int) []uint64 {
+	nk := bits.Len(uint(a.n))
+	cnt := &a.cnt
+	for k := 3; k < nk; k++ {
+		cnt[k] = 0
+	}
+	var ones, twos, fours uint64
+	rows, nw := a.rows, a.nw
+	end := a.n * nw
+	i := w
+	for ; i+7*nw < end; i += 8 * nw {
+		var twosA, twosB, foursA, foursB, eights uint64
+		ones, twosA = csa(rows[i], rows[i+nw], ones)
+		ones, twosB = csa(rows[i+2*nw], rows[i+3*nw], ones)
+		twos, foursA = csa(twosA, twosB, twos)
+		ones, twosA = csa(rows[i+4*nw], rows[i+5*nw], ones)
+		ones, twosB = csa(rows[i+6*nw], rows[i+7*nw], ones)
+		twos, foursB = csa(twosA, twosB, twos)
+		fours, eights = csa(foursA, foursB, fours)
+		for k := 3; eights != 0; k++ {
+			cnt[k], eights = cnt[k]^eights, cnt[k]&eights
+		}
+	}
+	for ; i < end; i += nw {
+		v := rows[i]
+		c2 := ones & v
+		ones ^= v
+		c4 := twos & c2
+		twos ^= c2
+		c8 := fours & c4
+		fours ^= c4
+		for k := 3; c8 != 0; k++ {
+			cnt[k], c8 = cnt[k]^c8, cnt[k]&c8
+		}
+	}
+	cnt[0], cnt[1], cnt[2] = ones, twos, fours
+	return cnt[:nk]
+}
+
+// Bipolar writes the exact bundle 2·count − n into dst (length D).
 //
 //generic:hotpath
 func (a *Acc) Bipolar(dst []int32) {
-	a.Counts(dst)
+	mustSameDim("Acc.Bipolar", len(dst), a.d)
 	n := int32(a.n)
-	for i := range dst {
-		dst[i] = 2*dst[i] - n
+	for w := 0; w < a.nw; w++ {
+		out := dst[w*WordBits : (w+1)*WordBits]
+		for b := range out {
+			out[b] = -n
+		}
+		// Each set bit k of a lane's count adds 2·2^k.
+		for k, p := range a.count(w) {
+			inc := int32(2) << uint(k)
+			for ; p != 0; p &= p - 1 {
+				out[bits.TrailingZeros64(p)] += inc
+			}
+		}
 	}
 }
 
-// MajorityInto materializes the sign-binarized bundle directly into out:
-// bit i is 1 exactly when the bipolar bundle value 2·count(i) − n is >= 0,
-// i.e. count(i) >= ceil(n/2) — the same v >= 0 → +1 rule BinVec.PackSigns
-// applies to integer counters, so MajorityInto(out) equals Bipolar(tmp) +
-// PackSigns(tmp) without materializing the integer vector. An empty
-// accumulator yields all ones (sign(0) → +1), matching PackSigns on a zero
-// counter vector.
+// MajorityInto packs the signs of the bundle into out: bit i is 1 exactly
+// when 2·count(i) − n >= 0, i.e. count(i) >= ceil(n/2) — the v >= 0 → +1 rule
+// BinVec.PackSigns applies, so MajorityInto equals Bipolar followed by
+// PackSigns without the integer vector. An empty bundle packs all ones.
 //
-// The comparison runs word-parallel on the bit-sliced counter planes: a
-// borrow-propagating subtraction of the scalar threshold across 64 counters
-// at a time; a lane ends with no borrow exactly when its count reaches the
-// threshold.
+// The comparison is a borrow-propagating subtraction of the threshold from
+// 64 counters at a time; a lane ends with no borrow exactly when its count
+// reaches the threshold. It runs over every counter plane, not just the
+// threshold's bits: with n = 8 the threshold 4 has three bits, but a count
+// of 8 has four.
 //
 //generic:hotpath
 func (a *Acc) MajorityInto(out *BinVec) {
 	mustSameDim("Acc.MajorityInto", out.d, a.d)
 	thr := uint64(a.n+1) / 2
-	// Planes only grow when some counter actually carried that high, so the
-	// threshold may need more bit positions than exist; absent planes are
-	// all-zero counter bits.
-	nk := len(a.planes)
-	if b := bits.Len64(thr); b > nk {
-		nk = b
-	}
 	for w := range out.words {
 		borrow := uint64(0)
-		for k := 0; k < nk; k++ {
-			var c uint64
-			if k < len(a.planes) {
-				c = a.planes[k][w]
-			}
-			var t uint64
-			if thr>>uint(k)&1 == 1 {
-				t = ^uint64(0)
-			}
+		for k, c := range a.count(w) {
+			t := -(thr >> uint(k) & 1) // all ones where the threshold has bit k
 			borrow = ^c&(t|borrow) | t&borrow
 		}
 		out.words[w] = ^borrow
 	}
-	out.words[len(out.words)-1] &= tailMask(out.d)
 }

@@ -7,15 +7,53 @@ import (
 	"github.com/edge-hdc/generic/internal/rng"
 )
 
-// naiveCounts is the reference implementation the bit-sliced Acc must match.
-func naiveCounts(vecs []*BinVec, d int) []int32 {
-	c := make([]int32, d)
+// bundle stages vecs as one bundle in acc.
+func bundle(acc *Acc, vecs []*BinVec) {
+	acc.Reset(len(vecs))
+	for i, v := range vecs {
+		acc.Row(i).CopyFrom(v)
+	}
+}
+
+// naiveBipolar is the reference the bit-sliced Acc must match: per
+// dimension, the sum of each vector's ±1 value.
+func naiveBipolar(vecs []*BinVec, d int) Vec {
+	out := make(Vec, d)
 	for _, v := range vecs {
 		for i := 0; i < d; i++ {
-			c[i] += int32(v.Bit(i))
+			out[i] += int32(v.Bipolar(i))
 		}
 	}
-	return c
+	return out
+}
+
+// checkReadouts compares both readouts of acc against the naive sums of
+// vecs: Bipolar exactly, MajorityInto as PackSigns of the sums.
+func checkReadouts(t *testing.T, acc *Acc, vecs []*BinVec, d int) {
+	t.Helper()
+	want := naiveBipolar(vecs, d)
+	got := make(Vec, d)
+	acc.Bipolar(got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("n=%d dim %d: Bipolar = %d, naive %d", len(vecs), i, got[i], want[i])
+		}
+	}
+	wantBin := NewBinVec(d)
+	wantBin.PackSigns(want)
+	gotBin := NewBinVec(d)
+	acc.MajorityInto(gotBin)
+	if !gotBin.Equal(wantBin) {
+		t.Fatalf("n=%d: MajorityInto != PackSigns(naive)", len(vecs))
+	}
+}
+
+func randomVecs(n, d int, r *rng.Rand) []*BinVec {
+	vecs := make([]*BinVec, n)
+	for i := range vecs {
+		vecs[i] = RandomBinVec(d, r)
+	}
+	return vecs
 }
 
 func TestAccMatchesNaive(t *testing.T) {
@@ -24,23 +62,46 @@ func TestAccMatchesNaive(t *testing.T) {
 		r := rng.New(seed)
 		const d = 256
 		acc := NewAcc(d)
-		vecs := make([]*BinVec, n)
-		for i := range vecs {
-			vecs[i] = RandomBinVec(d, r)
-			acc.Add(vecs[i])
-		}
-		want := naiveCounts(vecs, d)
-		got := make([]int32, d)
-		acc.Counts(got)
+		vecs := randomVecs(n, d, r)
+		bundle(acc, vecs)
+		want := naiveBipolar(vecs, d)
+		got := make(Vec, d)
+		acc.Bipolar(got)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
 			}
 		}
-		return acc.Count() == n
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAccEdgeCases runs bundle sizes around the carry-save tree's edges —
+// empty, one short of a block, one block, one past it, and plane-count
+// boundaries — on one accumulator, so staging and high planes left by a
+// larger bundle must not leak into a smaller one. The 1000-row bundle with
+// a single shared bit drives every count of one lane to 1000, which needs
+// ten planes; the 5-row bundle after it needs none.
+func TestAccEdgeCases(t *testing.T) {
+	const d = 192 // three words: the high planes are reused across words
+	r := rng.New(5)
+	acc := NewAcc(d)
+
+	big := make([]*BinVec, 1000)
+	for i := range big {
+		big[i] = RandomBinVec(d, r)
+		big[i].SetBit(7, 1)
+	}
+	bundle(acc, big)
+	checkReadouts(t, acc, big, d)
+
+	for _, n := range []int{5, 0, 7, 8, 9, 255, 256, 5} {
+		vecs := randomVecs(n, d, r)
+		bundle(acc, vecs)
+		checkReadouts(t, acc, vecs, d)
 	}
 }
 
@@ -51,10 +112,7 @@ func TestAccBipolar(t *testing.T) {
 	for i := 0; i < d; i++ {
 		ones.SetBit(i, 1)
 	}
-	zeros := NewBinVec(d)
-	acc.Add(ones)
-	acc.Add(ones)
-	acc.Add(zeros)
+	bundle(acc, []*BinVec{ones, ones, NewBinVec(d)})
 	out := make([]int32, d)
 	acc.Bipolar(out)
 	for i, v := range out {
@@ -65,46 +123,25 @@ func TestAccBipolar(t *testing.T) {
 	}
 }
 
-func TestAccCountAt(t *testing.T) {
-	const d = 64
-	acc := NewAcc(d)
-	v := NewBinVec(d)
-	v.SetBit(3, 1)
-	for i := 0; i < 9; i++ {
-		acc.Add(v)
-	}
-	if c := acc.CountAt(3); c != 9 {
-		t.Fatalf("CountAt(3) = %d, want 9", c)
-	}
-	if c := acc.CountAt(4); c != 0 {
-		t.Fatalf("CountAt(4) = %d, want 0", c)
-	}
-}
-
 func TestAccReset(t *testing.T) {
 	const d = 128
 	r := rng.New(3)
 	acc := NewAcc(d)
-	for i := 0; i < 10; i++ {
-		acc.Add(RandomBinVec(d, r))
-	}
-	acc.Reset()
-	if acc.Count() != 0 {
-		t.Fatal("Reset did not clear count")
-	}
-	out := make([]int32, d)
-	acc.Counts(out)
-	for i, v := range out {
-		if v != 0 {
-			t.Fatalf("dim %d nonzero after Reset: %d", i, v)
-		}
-	}
-	// Accumulator must be reusable after Reset.
+	bundle(acc, randomVecs(10, d, r))
+	// A smaller bundle reuses the staging; only its own rows count.
 	v := NewBinVec(d)
 	v.SetBit(0, 1)
-	acc.Add(v)
-	if acc.CountAt(0) != 1 {
-		t.Fatal("Acc unusable after Reset")
+	bundle(acc, []*BinVec{v})
+	out := make([]int32, d)
+	acc.Bipolar(out)
+	for i, got := range out {
+		want := int32(-1)
+		if i == 0 {
+			want = 1
+		}
+		if got != want {
+			t.Fatalf("dim %d after Reset(1): %d, want %d", i, got, want)
+		}
 	}
 }
 
@@ -116,14 +153,15 @@ func TestAccMajorityRecovery(t *testing.T) {
 	const d = 4096
 	proto := RandomBinVec(d, r)
 	acc := NewAcc(d)
+	acc.Reset(21)
 	for i := 0; i < 21; i++ {
-		noisy := proto.Clone()
+		noisy := acc.Row(i)
+		noisy.CopyFrom(proto)
 		for j := 0; j < d; j++ {
 			if r.Float64() < 0.2 {
 				noisy.SetBit(j, 1-noisy.Bit(j))
 			}
 		}
-		acc.Add(noisy)
 	}
 	rec := NewBinVec(d)
 	acc.MajorityInto(rec)
@@ -135,37 +173,17 @@ func TestAccMajorityRecovery(t *testing.T) {
 func TestAccLargeCountPlaneGrowth(t *testing.T) {
 	const d = 64
 	acc := NewAcc(d)
-	v := NewBinVec(d)
-	v.SetBit(7, 1)
 	const n = 1000
+	acc.Reset(n)
 	for i := 0; i < n; i++ {
-		acc.Add(v)
+		v := acc.Row(i)
+		v.CopyFrom(NewBinVec(d))
+		v.SetBit(7, 1)
 	}
-	if c := acc.CountAt(7); c != n {
-		t.Fatalf("CountAt(7) = %d, want %d", c, n)
-	}
-}
-
-func BenchmarkAccAdd4096(b *testing.B) {
-	r := rng.New(1)
-	acc := NewAcc(4096)
-	v := RandomBinVec(4096, r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.Add(v)
-	}
-}
-
-func BenchmarkAccCounts4096(b *testing.B) {
-	r := rng.New(1)
-	acc := NewAcc(4096)
-	for i := 0; i < 100; i++ {
-		acc.Add(RandomBinVec(4096, r))
-	}
-	dst := make([]int32, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.Counts(dst)
+	out := make([]int32, d)
+	acc.Bipolar(out)
+	if out[7] != n || out[8] != -n {
+		t.Fatalf("dims 7, 8 = %d, %d, want %d, %d", out[7], out[8], n, -n)
 	}
 }
 
@@ -174,13 +192,11 @@ func TestMajorityIntoMatchesBipolarPackSigns(t *testing.T) {
 	// bipolar bundle, then pack its signs — for even and odd bundle sizes
 	// (ties at n/2 resolve to +1 under the v >= 0 rule).
 	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw) % 70 // 0 included: empty accumulator packs all ones
+		n := int(nRaw) % 70 // 0 included: an empty bundle packs all ones
 		r := rng.New(seed)
 		const d = 256
 		acc := NewAcc(d)
-		for i := 0; i < n; i++ {
-			acc.Add(RandomBinVec(d, r))
-		}
+		bundle(acc, randomVecs(n, d, r))
 		tmp := make(Vec, d)
 		acc.Bipolar(tmp)
 		want := NewBinVec(d)
@@ -202,4 +218,48 @@ func TestMajorityIntoDimGuard(t *testing.T) {
 		}
 	}()
 	acc.MajorityInto(NewBinVec(64))
+}
+
+func TestAccGuards(t *testing.T) {
+	acc := NewAcc(128)
+	acc.Reset(2)
+	for name, f := range map[string]func(){
+		"Bipolar across dimensionalities": func() { acc.Bipolar(make([]int32, 64)) },
+		"Row past the bundle":             func() { acc.Row(2) },
+		"Reset with negative rows":        func() { acc.Reset(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func benchAcc(n int) *Acc {
+	r := rng.New(1)
+	acc := NewAcc(4096)
+	bundle(acc, randomVecs(n, 4096, r))
+	return acc
+}
+
+func BenchmarkAccBipolar4096x128(b *testing.B) {
+	acc := benchAcc(128)
+	dst := make([]int32, 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.Bipolar(dst)
+	}
+}
+
+func BenchmarkAccMajority4096x128(b *testing.B) {
+	acc := benchAcc(128)
+	out := NewBinVec(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.MajorityInto(out)
+	}
 }
