@@ -22,7 +22,7 @@ func TestQualityEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	before := quality.Default.Total()
+	before := quality.Default.Window()
 	for i := 0; i < 20; i++ {
 		if resp, body := postJSON(t, ts.URL+"/predict", map[string]any{"x": X[i%len(X)]}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("predict %d: %d %s", i, resp.StatusCode, body)
@@ -49,9 +49,10 @@ func TestQualityEndpoint(t *testing.T) {
 		t.Error("snapshot_version = 0, want >= 1")
 	}
 	// The process observer is shared, so assert against deltas: this test
-	// alone contributed 20 predicts and 4 labeled adapts.
-	if got := q.Window.Samples - before.Predicts; got < 20 {
-		t.Errorf("window gained %d predicts, want >= 20", got)
+	// alone contributed 20 predicts and 4 labeled adapts, and an adapt is
+	// an accuracy sample, not a margin sample.
+	if got := q.Window.Samples - before.Predicts; got != 20 {
+		t.Errorf("window gained %d predicts, want 20", got)
 	}
 	if q.Window.MarginP10 > q.Window.MarginP50 || q.Window.MarginP50 > q.Window.MarginP90 {
 		t.Errorf("margin quantiles not monotone: p10=%v p50=%v p90=%v",
@@ -66,8 +67,8 @@ func TestQualityEndpoint(t *testing.T) {
 	if q.Window.ClassMix[0]+q.Window.ClassMix[1] <= 0 {
 		t.Error("class_mix sums to zero despite predicts")
 	}
-	if got := q.Adapt.Evals - before.AdaptEvals; got < 4 {
-		t.Errorf("adapt evals gained %d, want >= 4", got)
+	if got := q.Adapt.Evals - before.AdaptEvals; got != 4 {
+		t.Errorf("adapt evals gained %d, want 4", got)
 	}
 	if q.Adapt.Accuracy < 0 || q.Adapt.Accuracy > 1 {
 		t.Errorf("adapt accuracy = %v, want in [0,1]", q.Adapt.Accuracy)
@@ -92,7 +93,7 @@ func TestQualityEndpointBinaryShadow(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	before := quality.Default.Total()
+	before := quality.Default.Window()
 	for i := 0; i < 16; i++ {
 		if resp, body := postJSON(t, ts.URL+"/predict", map[string]any{"x": X[i%len(X)]}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("predict %d: %d %s", i, resp.StatusCode, body)
@@ -112,8 +113,8 @@ func TestQualityEndpointBinaryShadow(t *testing.T) {
 	if q.Shadow.Every != 1 {
 		t.Errorf("shadow.every = %d, want 1", q.Shadow.Every)
 	}
-	if got := q.Shadow.Samples - before.ShadowSamples; got < 16 {
-		t.Errorf("shadow samples gained %d, want >= 16 (every=1)", got)
+	if got := q.Shadow.Samples - before.ShadowSamples; got != 16 {
+		t.Errorf("shadow samples gained %d, want 16 (every=1)", got)
 	}
 	if q.Shadow.Rate < 0 || q.Shadow.Rate > 1 {
 		t.Errorf("shadow rate = %v, want in [0,1]", q.Shadow.Rate)

@@ -52,6 +52,7 @@ import (
 	"github.com/edge-hdc/generic/internal/power"
 	"github.com/edge-hdc/generic/internal/quality"
 	"github.com/edge-hdc/generic/internal/sim"
+	"github.com/edge-hdc/generic/internal/telemetry"
 	"github.com/edge-hdc/generic/internal/trace"
 )
 
@@ -478,13 +479,13 @@ func (p *Pipeline) reprofile() {
 		bv := hdc.NewBinVec(p.bmodel.D())
 		for i, h := range p.calibX {
 			bv.PackSigns(h)
-			_, margins[i] = p.bmodel.MarginDims(bv, p.bmodel.D())
+			_, _, margins[i] = p.bmodel.PredictDimsMargin(bv, p.bmodel.D())
 		}
 		p.profile = quality.BuildProfile(margins, p.calibY, "binary")
 		return
 	}
 	for i, h := range p.calibX {
-		_, margins[i] = p.model.MarginDims(h, p.model.D())
+		_, _, margins[i] = p.model.PredictDimsMargin(h, p.model.D(), true)
 	}
 	p.profile = quality.BuildProfile(margins, p.calibY, "exact")
 }
@@ -604,44 +605,57 @@ func (p *Pipeline) predictOne(op string, x []float64, opts []Option) (int, float
 	}
 	sp := perf.Begin("pipeline.predict")
 	st := p.states.Get().(*pipeState)
-	esp := sp.Child("encode")
-	var c int
-	var margin float64
-	if mode == Binary {
-		st.encodeBin(x)
-		esp.End()
-		ssp := sp.Child("score")
-		c, _, margin = p.bmodel.PredictDimsMargin(st.bin, dims)
-		ssp.End()
-		p.maybeShadow(st, x, dims, c)
-	} else {
-		st.enc.Encode(x, st.scratch)
-		esp.End()
-		ssp := sp.Child("score")
-		c, _, margin = p.model.PredictDimsMargin(st.scratch, dims, true)
-		ssp.End()
-	}
+	c, margin := p.predictSample(sp, st, x, mode, dims)
 	p.states.Put(st)
 	sp.End()
 	return c, margin, nil
 }
 
+// predictSample is the per-sample body of every served predict, single or
+// batch, and the only place one is recorded: encode_ns times the encode,
+// predict_ns the pure kernel's score, and quality.Default gets one predict
+// before the binary path's shadow sample. A tracing sp gains encode and
+// score children.
+func (p *Pipeline) predictSample(sp *perf.Span, st *pipeState, x []float64, mode Mode, dims int) (c int, margin float64) {
+	esp := sp.Child("encode")
+	start := telemetry.Now()
+	if mode == Binary {
+		st.encodeBin(x)
+	} else {
+		st.enc.Encode(x, st.scratch)
+	}
+	encoded := telemetry.Now()
+	esp.End()
+	ssp := sp.Child("score")
+	if mode == Binary {
+		c, _, margin = p.bmodel.PredictDimsMargin(st.bin, dims)
+	} else {
+		c, _, margin = p.model.PredictDimsMargin(st.scratch, dims, true)
+	}
+	ssp.End()
+	telemetry.EncodeNS.Observe(encoded - start)
+	telemetry.PredictNS.ObserveSince(encoded)
+	quality.Default.ObservePredict(c, margin)
+	if mode == Binary {
+		p.maybeShadow(st, x, dims, c)
+	}
+	return c, margin
+}
+
 // maybeShadow re-scores one in shadowEvery binary predicts through the
 // retained integer counters and records whether the representations agree —
-// the production cost probe of the binary fast path. The shadow score uses
-// the non-observing MarginDims, so sampled predicts are not double-counted
-// in the quality aggregates.
+// the production cost probe of the binary fast path.
 func (p *Pipeline) maybeShadow(st *pipeState, x []float64, dims, binPred int) {
 	every := p.shadowEvery
 	if every <= 0 || p.model == nil {
 		return
 	}
-	if quality.ShadowTick()%int64(every) != 0 {
+	if quality.Default.ShadowTick()%int64(every) != 0 {
 		return
 	}
 	st.enc.Encode(x, st.scratch)
-	ec, _ := p.model.MarginDims(st.scratch, dims)
-	quality.ObserveShadow(ec == binPred)
+	ec, _, _ := p.model.PredictDimsMargin(st.scratch, dims, true)
+	quality.Default.ObserveShadow(ec == binPred)
 }
 
 // SetShadowSampling enables shadow-mode disagreement tracking: every'th
@@ -741,14 +755,7 @@ func (p *Pipeline) predictAllInto(dst []int, X [][]float64, mode Mode, o callOpt
 // exclusive-access entry points.
 func (p *Pipeline) predictChunk(st *pipeState, dst []int, X [][]float64, mode Mode, dims int) {
 	for i, x := range X {
-		if mode == Binary {
-			st.encodeBin(x)
-			dst[i], _ = p.bmodel.PredictDims(st.bin, dims)
-			p.maybeShadow(st, x, dims, dst[i])
-			continue
-		}
-		st.enc.Encode(x, st.scratch)
-		dst[i], _ = p.model.PredictDims(st.scratch, dims, true)
+		dst[i], _ = p.predictSample(nil, st, x, mode, dims)
 	}
 }
 
@@ -769,11 +776,19 @@ func (p *Pipeline) Adapt(x []float64, label int) (pred int, updated bool, err er
 	}
 	sp := perf.Begin("pipeline.adapt")
 	st := p.states.Get().(*pipeState)
+	start := telemetry.Now()
 	st.enc.Encode(x, st.scratch)
+	encoded := telemetry.Now()
 	pred, updated = p.model.Adapt(st.scratch, label)
+	telemetry.AdaptNS.ObserveSince(encoded)
+	telemetry.EncodeNS.Observe(encoded - start)
 	p.states.Put(st)
 	sp.End()
+	// The predict-before-apply doubles as a streaming accuracy sample: the
+	// label arrived with the request, so correctness costs nothing extra.
+	quality.Default.ObserveAdapt(label, pred == label)
 	if updated {
+		telemetry.AdaptUpdates.Inc()
 		if p.bmodel != nil {
 			// The update touched exactly the mispredicted and correct
 			// classes; re-derive just their packed vectors.

@@ -16,6 +16,10 @@ import (
 type Op struct {
 	Name string
 	Run  func()
+	// pooled marks an op that takes its working set from a sync.Pool. A
+	// -race build drops a random quarter of a pool's Puts on purpose, so
+	// there such an op allocates by design: it is gated without -race only.
+	pooled bool
 }
 
 // opDims keeps the measurement fixtures small but structurally real: D is a
@@ -117,6 +121,26 @@ func Ops() []Op {
 	}
 	ops = append(ops, Op{Name: "pipeline/clone", Run: func() { pipe.Clone() }})
 
+	// The served per-sample paths, where each predict and adapt is
+	// recorded: exact Predict, binary Predict with every sample shadow
+	// re-scored, and an Adapt whose label is the current prediction, so the
+	// model never changes across runs.
+	px := features(0)
+	bpipe := pipe.Clone()
+	if err := bpipe.Binarize(); err != nil {
+		panic(err)
+	}
+	bpipe.SetShadowSampling(1)
+	hitLabel, err := pipe.Predict(px)
+	if err != nil {
+		panic(err)
+	}
+	ops = append(ops,
+		Op{Name: "pipeline/predict", Run: func() { _, _ = pipe.Predict(px) }, pooled: true},
+		Op{Name: "pipeline/predict_binary", Run: func() { _, _ = bpipe.Predict(px) }, pooled: true},
+		Op{Name: "pipeline/adapt_hit", Run: func() { _, _, _ = pipe.Adapt(px, hitLabel) }, pooled: true},
+	)
+
 	// The hdc kernels under the classifier: bundling update and scoring dot.
 	a, b := hdc.NewVec(opD), hdc.NewVec(opD)
 	for i := range b {
@@ -151,7 +175,7 @@ func Ops() []Op {
 		}},
 	)
 
-	// The model-quality observe paths ride every predict/adapt (margin
+	// The model-quality observe paths ride every served predict/adapt (margin
 	// observe) and the monitor cadence (ring push, drift check): all three
 	// stay allocation-free so observability never costs the hot path.
 	obs := quality.NewObserver()

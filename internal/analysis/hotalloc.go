@@ -34,8 +34,8 @@ const (
 //   - string↔[]byte conversions, which copy
 //   - calls to helpers that are neither hotpath-annotated themselves, nor
 //     small enough to inline, nor in the sanctioned alloc-free call set
-//     (internal/{hdc,telemetry,perf,rng,quality}, math, math/bits,
-//     sync/atomic, time)
+//     (internal/{hdc,telemetry,perf,rng}, math, math/bits, sync/atomic,
+//     time)
 //
 // Guard blocks that end in panic are dead on the hot path and are skipped, so
 // the dimguard-mandated dimension checks (which format a message and panic)
@@ -137,7 +137,7 @@ func hotVectorType(pass *Pass, t types.Type) bool {
 // are alloc-free on their fast paths (and themselves under this analyzer or
 // the alloc-budget gate).
 func sanctionedCallPkg(path string) bool {
-	for _, s := range [...]string{"internal/hdc", "internal/telemetry", "internal/perf", "internal/rng", "internal/quality"} {
+	for _, s := range [...]string{"internal/hdc", "internal/telemetry", "internal/perf", "internal/rng"} {
 		if pathHasSuffix(path, s) {
 			return true
 		}
@@ -271,7 +271,7 @@ func checkHotCall(pass *Pass, name string, call *ast.CallExpr, stack []ast.Node,
 		return true
 	}
 	if !sanctionedCallPkg(fn.Pkg().Path()) {
-		pass.Reportf(call.Pos(), "hotpath %s calls %s.%s outside the sanctioned hot-call set (internal/{hdc,telemetry,perf,rng,quality}, math, math/bits, sync/atomic, time)", name, fn.Pkg().Name(), fn.Name())
+		pass.Reportf(call.Pos(), "hotpath %s calls %s.%s outside the sanctioned hot-call set (internal/{hdc,telemetry,perf,rng}, math, math/bits, sync/atomic, time)", name, fn.Pkg().Name(), fn.Name())
 	}
 	return true
 }

@@ -6,8 +6,6 @@ import (
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
 	"github.com/edge-hdc/generic/internal/perf"
-	"github.com/edge-hdc/generic/internal/quality"
-	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
 // BinaryModel is the packed binary inference representation: one
@@ -109,30 +107,12 @@ func (b *BinaryModel) PredictDims(q *hdc.BinVec, dims int) (class, hamming int) 
 // PredictDimsMargin is PredictDims plus the normalized top-2 confidence
 // margin: the Hamming gap between the two nearest classes over the scored
 // dimension count, the binary-mode analogue of the exact path's score-gap
-// margin. Every observing binary predict funnels through here.
+// margin. The loop tracks the two nearest classes; ties keep the lower
+// class index, matching the historical single-best loop. It records
+// nothing: the Pipeline observes served predicts.
 //
 //generic:hotpath
 func (b *BinaryModel) PredictDimsMargin(q *hdc.BinVec, dims int) (class, hamming int, margin float64) {
-	start := telemetry.Now()
-	best, h1, h2, scored := b.scoreTop2(q, dims)
-	margin = hammingMargin(h1, h2, scored)
-	quality.ObservePredict(best, margin)
-	telemetry.PredictNS.ObserveSince(start)
-	return best, h1, margin
-}
-
-// MarginDims scores the packed query without telemetry or quality
-// observation — the profiling path.
-func (b *BinaryModel) MarginDims(q *hdc.BinVec, dims int) (class int, margin float64) {
-	best, h1, h2, scored := b.scoreTop2(q, dims)
-	return best, hammingMargin(h1, h2, scored)
-}
-
-// scoreTop2 runs the Hamming scoring loop tracking the two nearest classes.
-// Ties keep the lower class index, matching the historical single-best loop.
-//
-//generic:hotpath
-func (b *BinaryModel) scoreTop2(q *hdc.BinVec, dims int) (best, h1, h2, scored int) {
 	if dims > b.d {
 		dims = b.d
 	}
@@ -141,7 +121,7 @@ func (b *BinaryModel) scoreTop2(q *hdc.BinVec, dims int) (best, h1, h2, scored i
 		chunks = 1
 	}
 	dims = chunks * SubNormGranularity
-	best, h1, h2 = 0, b.d+1, b.d+1
+	best, h1, h2 := 0, b.d+1, b.d+1
 	if dims == b.d {
 		for c, cv := range b.classes {
 			if h := q.Hamming(cv); h < h1 {
@@ -159,7 +139,7 @@ func (b *BinaryModel) scoreTop2(q *hdc.BinVec, dims int) (best, h1, h2, scored i
 			}
 		}
 	}
-	return best, h1, h2, dims
+	return best, h1, hammingMargin(h1, h2, dims)
 }
 
 // hammingMargin normalizes a Hamming gap to [0,1] over the scored dimension

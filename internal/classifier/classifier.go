@@ -15,9 +15,7 @@ import (
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
 	"github.com/edge-hdc/generic/internal/perf"
-	"github.com/edge-hdc/generic/internal/quality"
 	"github.com/edge-hdc/generic/internal/rng"
-	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
 // SubNormGranularity is the dimension granularity at which GENERIC stores
@@ -258,33 +256,14 @@ func (m *Model) PredictDims(h hdc.Vec, dims int, updatedNorms bool) (class int, 
 
 // PredictDimsMargin is PredictDims plus the normalized top-2 confidence
 // margin in [0,1] (score gap over combined score magnitude — the quality
-// signal the scoring loop computes for free). Every observing predict path
-// funnels through here; the margin and winner feed internal/quality.
+// signal the scoring loop computes for free). The loop tracks the two
+// highest modified-cosine scores; ties keep the lower class index, so the
+// winner is bit-identical to the historical single-best loop. Like every
+// per-sample kernel here it records nothing: the Pipeline observes served
+// predicts.
 //
 //generic:hotpath
 func (m *Model) PredictDimsMargin(h hdc.Vec, dims int, updatedNorms bool) (class int, score, margin float64) {
-	start := telemetry.Now()
-	best, s1, s2 := m.scoreTop2(h, dims, updatedNorms)
-	margin = normMargin(s1, s2)
-	quality.ObservePredict(best, margin)
-	telemetry.PredictNS.ObserveSince(start)
-	return best, s1, margin
-}
-
-// MarginDims scores the query without telemetry or quality observation —
-// the profiling and shadow-comparison path, which must not count itself as
-// serving traffic.
-func (m *Model) MarginDims(h hdc.Vec, dims int) (class int, margin float64) {
-	best, s1, s2 := m.scoreTop2(h, dims, true)
-	return best, normMargin(s1, s2)
-}
-
-// scoreTop2 runs the scoring loop tracking the two highest modified-cosine
-// scores. Ties keep the lower class index, so the winner is bit-identical
-// to the historical single-best loop.
-//
-//generic:hotpath
-func (m *Model) scoreTop2(h hdc.Vec, dims int, updatedNorms bool) (best int, s1, s2 float64) {
 	if dims > m.d {
 		dims = m.d
 	}
@@ -293,7 +272,7 @@ func (m *Model) scoreTop2(h hdc.Vec, dims int, updatedNorms bool) (best int, s1,
 		chunks = 1
 	}
 	dims = chunks * SubNormGranularity
-	best, s1, s2 = 0, -1e308, -1e308
+	best, s1, s2 := 0, -1e308, -1e308
 	for c, cv := range m.classes {
 		dot := h.DotPrefix(cv, dims)
 		var n2 int64
@@ -309,7 +288,7 @@ func (m *Model) scoreTop2(h hdc.Vec, dims int, updatedNorms bool) (best int, s1,
 			s2 = s
 		}
 	}
-	return best, s1, s2
+	return best, s1, normMargin(s1, s2)
 }
 
 // normMargin normalizes a top-2 score gap to [0,1]: the gap over the
@@ -435,17 +414,11 @@ func (m *Model) InjectBitErrors(ber float64, r *rng.Rand) int {
 //
 //generic:hotpath
 func (m *Model) Adapt(h hdc.Vec, label int) (pred int, updated bool) {
-	start := telemetry.Now()
 	pred, _ = m.Predict(h)
-	// The predict-before-apply doubles as a streaming accuracy sample: the
-	// label arrived with the request, so correctness costs nothing extra.
-	quality.ObserveAdapt(label, pred == label)
 	if pred != label {
 		m.Update(h, label, pred)
 		updated = true
-		telemetry.AdaptUpdates.Inc()
 	}
-	telemetry.AdaptNS.ObserveSince(start)
 	return pred, updated
 }
 
@@ -529,12 +502,8 @@ func Accuracy(m *Model, encoded []hdc.Vec, labels []int, workers int) float64 {
 	return EvaluateDimsBatch(m, encoded, labels, m.d, true, workers)
 }
 
-// EvaluateDims is Accuracy under dimension reduction (see PredictDims).
-func EvaluateDims(m *Model, encoded []hdc.Vec, labels []int, dims int, updatedNorms bool) float64 {
-	return EvaluateDimsBatch(m, encoded, labels, dims, updatedNorms, 1)
-}
-
-// EvaluateDimsBatch is EvaluateDims across workers workers.
+// EvaluateDimsBatch is Accuracy under dimension reduction (see
+// PredictDims).
 func EvaluateDimsBatch(m *Model, encoded []hdc.Vec, labels []int, dims int, updatedNorms bool, workers int) float64 {
 	if len(encoded) == 0 {
 		return 0

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/edge-hdc/generic/internal/hdc"
-	"github.com/edge-hdc/generic/internal/quality"
 )
 
 func TestPredictDimsMarginConsistency(t *testing.T) {
@@ -19,10 +18,6 @@ func TestPredictDimsMarginConsistency(t *testing.T) {
 		if margin < 0 || margin > 1 {
 			t.Fatalf("query %d: margin %v out of [0,1]", i, margin)
 		}
-		mc, mm := m.MarginDims(h, d)
-		if mc != wantC || mm != margin {
-			t.Fatalf("query %d: MarginDims (%d,%v) != observing path (%d,%v)", i, mc, mm, wantC, margin)
-		}
 	}
 }
 
@@ -35,7 +30,7 @@ func TestMarginSeparation(t *testing.T) {
 
 	var sum float64
 	for _, h := range train {
-		_, mg := m.MarginDims(h, d)
+		_, _, mg := m.PredictDimsMargin(h, d, true)
 		sum += mg
 	}
 	if mean := sum / float64(len(train)); mean <= 0 {
@@ -43,7 +38,7 @@ func TestMarginSeparation(t *testing.T) {
 	}
 
 	zero := make(hdc.Vec, d)
-	if _, mg := m.MarginDims(zero, d); mg != 0 {
+	if _, _, mg := m.PredictDimsMargin(zero, d, true); mg != 0 {
 		t.Fatalf("all-zero query margin = %v, want 0 (all scores tie)", mg)
 	}
 }
@@ -62,10 +57,6 @@ func TestBinaryMarginConsistency(t *testing.T) {
 			}
 			if margin < 0 || margin > 1 {
 				t.Fatalf("dims=%d query %d: margin %v out of [0,1]", dims, i, margin)
-			}
-			mc, mm := b.MarginDims(q, dims)
-			if mc != wantC || mm != margin {
-				t.Fatalf("dims=%d query %d: MarginDims (%d,%v) != observing (%d,%v)", dims, i, mc, mm, wantC, margin)
 			}
 		}
 	}
@@ -91,27 +82,5 @@ func TestNormMarginEdgeCases(t *testing.T) {
 	}
 	if got := hammingMargin(10, 513, 512); got != 0 {
 		t.Fatalf("hammingMargin with absent runner-up = %v, want 0", got)
-	}
-}
-
-// TestAdaptFeedsStreamingAccuracy: each labeled adapt must contribute one
-// accuracy sample (predict-before-apply) to the default quality observer.
-func TestAdaptFeedsStreamingAccuracy(t *testing.T) {
-	const d, nC = 512, 4
-	m, train, labels := trainSmall(t, 6, d, nC)
-	before := quality.Default.Total()
-	hits := int64(0)
-	for i, h := range train {
-		pred, _ := m.Adapt(h, labels[i])
-		if pred == labels[i] {
-			hits++
-		}
-	}
-	after := quality.Default.Total()
-	if got := after.AdaptEvals - before.AdaptEvals; got != int64(len(train)) {
-		t.Fatalf("adapt evals delta = %d, want %d", got, len(train))
-	}
-	if got := after.AdaptHits - before.AdaptHits; got != hits {
-		t.Fatalf("adapt hits delta = %d, want %d", got, hits)
 	}
 }

@@ -85,7 +85,7 @@ func TestEvaluateAndPredictBatchMatchSerial(t *testing.T) {
 		}
 		for _, dims := range []int{128, 256} {
 			if got, want := EvaluateDimsBatch(m, queries, qLabels, dims, true, workers),
-				EvaluateDims(m, queries, qLabels, dims, true); got != want {
+				EvaluateDimsBatch(m, queries, qLabels, dims, true, 1); got != want {
 				t.Fatalf("workers=%d dims=%d: %v vs %v", workers, dims, got, want)
 			}
 		}

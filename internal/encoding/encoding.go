@@ -232,7 +232,6 @@ func (e *rpEncoder) project(x []float64) {
 
 //generic:hotpath
 func (e *rpEncoder) Encode(x []float64, out hdc.Vec) {
-	start := telemetry.Now()
 	checkEncodeArgs(len(e.rows), e.d, x, out)
 	e.project(x)
 	for i, s := range e.acc {
@@ -242,7 +241,6 @@ func (e *rpEncoder) Encode(x []float64, out hdc.Vec) {
 			out[i] = -1
 		}
 	}
-	telemetry.EncodeNS.ObserveSince(start)
 }
 
 // EncodeBin for RP packs the projection signs directly: bit i = 1 exactly
@@ -250,7 +248,6 @@ func (e *rpEncoder) Encode(x []float64, out hdc.Vec) {
 //
 //generic:hotpath
 func (e *rpEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
-	start := telemetry.Now()
 	checkEncodeBinArgs(len(e.rows), e.d, x, out)
 	e.project(x)
 	words := out.Words()
@@ -264,7 +261,6 @@ func (e *rpEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
 		}
 		words[w] = word
 	}
-	telemetry.EncodeNS.ObserveSince(start)
 }
 
 // ---------------------------------------------------------------------------
@@ -299,20 +295,16 @@ func (e *permuteEncoder) bundle(x []float64) {
 
 //generic:hotpath
 func (e *permuteEncoder) Encode(x []float64, out hdc.Vec) {
-	start := telemetry.Now()
 	checkEncodeArgs(e.cfg.Features, e.cfg.D, x, out)
 	e.bundle(x)
 	e.acc.Bipolar(out)
-	telemetry.EncodeNS.ObserveSince(start)
 }
 
 //generic:hotpath
 func (e *permuteEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
-	start := telemetry.Now()
 	checkEncodeBinArgs(e.cfg.Features, e.cfg.D, x, out)
 	e.bundle(x)
 	e.acc.MajorityInto(out)
-	telemetry.EncodeNS.ObserveSince(start)
 }
 
 // ---------------------------------------------------------------------------
@@ -404,20 +396,16 @@ func (e *windowedEncoder) bundle(x []float64) {
 
 //generic:hotpath
 func (e *windowedEncoder) Encode(x []float64, out hdc.Vec) {
-	start := telemetry.Now()
 	checkEncodeArgs(e.cfg.Features, e.cfg.D, x, out)
 	e.bundle(x)
 	e.acc.Bipolar(out)
-	telemetry.EncodeNS.ObserveSince(start)
 }
 
 //generic:hotpath
 func (e *windowedEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
-	start := telemetry.Now()
 	checkEncodeBinArgs(e.cfg.Features, e.cfg.D, x, out)
 	e.bundle(x)
 	e.acc.MajorityInto(out)
-	telemetry.EncodeNS.ObserveSince(start)
 }
 
 //generic:hotpath

@@ -1,8 +1,8 @@
 // Package quality is the model-quality observability layer: where
 // internal/telemetry answers "is the engine fast and alive", quality answers
 // "is the model still right". It rides signals the classifier already
-// computes for free — the top-2 score margin of every predict (dot gap in
-// exact mode, Hamming gap in binary mode), the winner class, the
+// computes for free — the top-2 score margin of every served predict (dot
+// gap in exact mode, Hamming gap in binary mode), the winner class, the
 // predict-before-apply outcome of every labeled adapt, and the binary-vs-
 // exact agreement of shadow-sampled predicts — and folds them into:
 //
@@ -181,8 +181,9 @@ func NewObserver() *Observer {
 	return o
 }
 
-// Default is the process-wide observer the classifier records into;
-// cmd/generic-serve rotates and exposes it.
+// Default is the process-wide observer. The Pipeline records each served
+// predict, adapt and shadow sample into it — the classifier kernels record
+// nothing — and cmd/generic-serve rotates and exposes it.
 var Default = NewObserver()
 
 // SetLowMarginThreshold sets the margin below which a predict counts as
@@ -459,26 +460,3 @@ func (s *Stats) ShadowDisagreeRate() (float64, bool) {
 	}
 	return float64(s.ShadowDisagree) / float64(s.ShadowSamples), true
 }
-
-// Package-level wrappers over Default, mirroring telemetry's style.
-
-// ObservePredict records a predict outcome into the default observer.
-//
-//generic:hotpath
-func ObservePredict(class int, margin float64) { Default.ObservePredict(class, margin) }
-
-// ObserveAdapt records a labeled-adapt accuracy sample into the default
-// observer.
-//
-//generic:hotpath
-func ObserveAdapt(label int, correct bool) { Default.ObserveAdapt(label, correct) }
-
-// ObserveShadow records a shadow comparison into the default observer.
-//
-//generic:hotpath
-func ObserveShadow(agree bool) { Default.ObserveShadow(agree) }
-
-// ShadowTick advances the default observer's shadow-sampling sequence.
-//
-//generic:hotpath
-func ShadowTick() int64 { return Default.ShadowTick() }

@@ -1,13 +1,14 @@
 // Package telemetry is the runtime observability layer of the engine: cheap
 // always-on instruments (atomic counters, gauges, fixed-bucket latency
-// histograms) threaded through every hot path — encoding, classification,
-// training, clustering, fault management, and the accelerator simulation —
-// plus a deterministic JSON exposition that cmd/generic-serve publishes on
-// GET /metrics.
+// histograms) at every layer boundary — the Pipeline's served encode, score
+// and adapt, training, clustering, fault management, and the accelerator
+// simulation — plus a deterministic JSON exposition that cmd/generic-serve
+// publishes on GET /metrics. The per-sample encode and score kernels stay
+// pure: their callers time them.
 //
 // The package is stdlib-only and allocation-free on the hot path: an
 // observation is two monotonic-clock reads and a handful of atomic adds, so
-// instrumented kernels stay within the repository's <5% overhead budget.
+// instrumented paths stay within the repository's <5% overhead budget.
 // Every type is safe for concurrent use.
 //
 // Unlike the rest of internal/, telemetry is sanctioned to read the wall
@@ -319,16 +320,18 @@ var Default = NewRegistry()
 // The canonical instruments, one handle per hot path. Metric names are part
 // of the observability contract documented in DESIGN.md §10.
 var (
-	// Encoding: one observation per Encoder.Encode call (every path — the
-	// facade, batch pools, and the accelerator sim — funnels through it),
-	// plus batch-level counters from EncodeAll/EncodeAllWorkers.
+	// Encoding: one observation per sample the Pipeline serves (a predict,
+	// single or batch, or an adapt), timing its encode alone; the encoders
+	// themselves record nothing. Batch-level counters come from
+	// EncodeAll/EncodeAllWorkers and the encoding pool.
 	EncodeNS           = Default.Histogram("encode_ns")
 	EncodeBatches      = Default.Counter("encode_batches_total")
 	EncodeBatchSamples = Default.Counter("encode_batch_samples_total")
 
-	// Classification: per-query scoring latency (Model.PredictDims, which
-	// Predict/PredictBatch and the retraining loop all call), training
-	// passes, and online adaptation.
+	// Classification: scoring latency of each predict the Pipeline serves
+	// (not training's retraining predicts, nor an adapt's
+	// predict-before-apply), training passes, and online adaptation — the
+	// Pipeline's Adapt times Model.Adapt and counts the updates it applies.
 	PredictNS  = Default.Histogram("predict_ns")
 	FitNS      = Default.Histogram("fit_ns")
 	FitEpochs  = Default.Counter("fit_epochs_total")

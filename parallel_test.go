@@ -116,7 +116,7 @@ func TestPredictConcurrentSafe(t *testing.T) {
 			h := make(generic.Hypervector, p.Encoder().D())
 			for i, x := range X {
 				p.Encoder().Encode(x, h)
-				want[i].label, want[i].margin = p.Model().MarginDims(h, p.Model().D())
+				want[i].label, _, want[i].margin = p.Model().PredictDimsMargin(h, p.Model().D(), true)
 				wantRed[i], _ = p.Model().PredictDims(h, 256, true)
 				if c, m := must2(p.PredictMargin(x)); (answer{c, m}) != want[i] {
 					t.Fatalf("serial PredictMargin(%d) = (%d, %v), primary encoder gives %+v", i, c, m, want[i])

@@ -9,6 +9,7 @@ import (
 
 	generic "github.com/edge-hdc/generic"
 	"github.com/edge-hdc/generic/internal/quality"
+	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
 func TestFitCapturesQualityProfile(t *testing.T) {
@@ -77,7 +78,7 @@ func TestShadowSamplingTracksDisagreement(t *testing.T) {
 		t.Fatalf("ShadowEvery = %d, want 1", p.ShadowEvery())
 	}
 
-	before := quality.Default.Total()
+	before, encodes := quality.Default.Total(), telemetry.EncodeNS.Count()
 	const n = 64
 	for _, x := range ds.TestX[:n] {
 		if _, err := p.Predict(x); err != nil {
@@ -87,6 +88,14 @@ func TestShadowSamplingTracksDisagreement(t *testing.T) {
 	after := quality.Default.Total()
 	if got := after.ShadowSamples - before.ShadowSamples; got != n {
 		t.Fatalf("shadow samples delta = %d, want %d", got, n)
+	}
+	// The shadow re-score is not served traffic: it adds no quality predict
+	// and its re-encode is not timed.
+	if got := after.Predicts - before.Predicts; got != n {
+		t.Fatalf("quality predicts delta = %d, want %d (shadow re-scores are not predicts)", got, n)
+	}
+	if got := telemetry.EncodeNS.Count() - encodes; got != n {
+		t.Fatalf("encode_ns delta = %d, want %d (shadow re-encodes are not counted)", got, n)
 	}
 	// Disagreement is bounded by the sample count; the rate on a trained
 	// model should be far from certain disagreement.
@@ -136,5 +145,92 @@ func TestCloneSharesQualityState(t *testing.T) {
 	}
 	if c.ShadowEvery() != 8 {
 		t.Fatalf("clone shadowEvery = %d, want 8", c.ShadowEvery())
+	}
+}
+
+// observed is the served-traffic record: the encode, score and adapt
+// instruments plus the process quality observer's counts.
+type observed struct {
+	encodes, scores, adapts, updates         int64
+	predicts, adaptEvals, adaptHits, shadows int64
+}
+
+func readObserved() observed {
+	q := quality.Default.Total()
+	return observed{
+		encodes:    telemetry.EncodeNS.Count(),
+		scores:     telemetry.PredictNS.Count(),
+		adapts:     telemetry.AdaptNS.Count(),
+		updates:    telemetry.AdaptUpdates.Value(),
+		predicts:   q.Predicts,
+		adaptEvals: q.AdaptEvals,
+		adaptHits:  q.AdaptHits,
+		shadows:    q.ShadowSamples,
+	}
+}
+
+// since returns what was recorded between b and o.
+func (o observed) since(b observed) observed {
+	return observed{
+		encodes:    o.encodes - b.encodes,
+		scores:     o.scores - b.scores,
+		adapts:     o.adapts - b.adapts,
+		updates:    o.updates - b.updates,
+		predicts:   o.predicts - b.predicts,
+		adaptEvals: o.adaptEvals - b.adaptEvals,
+		adaptHits:  o.adaptHits - b.adaptHits,
+		shadows:    o.shadows - b.shadows,
+	}
+}
+
+// TestObservationContract pins where served traffic is recorded: the
+// Pipeline's predict and adapt paths count each sample exactly once, and
+// training, calibration and direct encoder or kernel calls count nothing.
+func TestObservationContract(t *testing.T) {
+	before := readObserved()
+	p, ds := trainedEEG(t)
+	h := make(generic.Hypervector, p.Encoder().D())
+	p.Encoder().Encode(ds.TestX[0], h)
+	p.Model().Predict(h)
+	p.Model().Clone().Adapt(h, ds.TestY[0])
+	if err := p.Clone().Binarize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readObserved().since(before); got != (observed{}) {
+		t.Fatalf("Fit, Binarize and direct encoder/kernel calls recorded %+v, want nothing", got)
+	}
+
+	X, Y := ds.TestX[:16], ds.TestY[:16]
+	before = readObserved()
+	for _, x := range X {
+		must(p.Predict(x))
+	}
+	must(p.PredictAll(X, generic.WithWorkers(4)))
+	if got, want := readObserved().since(before), (observed{encodes: 32, scores: 32, predicts: 32}); got != want {
+		t.Fatalf("16 Predict + PredictAll of 16 recorded %+v, want %+v", got, want)
+	}
+	before = readObserved()
+	must(p.Accuracy(X, Y))
+	if got, want := readObserved().since(before), (observed{encodes: 16, scores: 16, predicts: 16}); got != want {
+		t.Fatalf("Accuracy of 16 recorded %+v, want %+v", got, want)
+	}
+
+	before = readObserved()
+	var hits, updates int64
+	for i, x := range X {
+		pred, updated, err := p.Adapt(x, Y[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred == Y[i] {
+			hits++
+		}
+		if updated {
+			updates++
+		}
+	}
+	want := observed{encodes: 16, adapts: 16, updates: updates, adaptEvals: 16, adaptHits: hits}
+	if got := readObserved().since(before); got != want {
+		t.Fatalf("16 Adapt recorded %+v, want %+v (no predict_ns, no margin sample)", got, want)
 	}
 }
