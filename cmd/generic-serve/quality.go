@@ -173,7 +173,8 @@ type qualityShadow struct {
 }
 
 // handleQuality renders the monitor's rolling window. Reads race freely
-// with observation and rotation — the window math tolerates that by design.
+// with observation and rotation: each window derives its totals from one
+// read of the observer's cells, so samples, quantiles and class mix agree.
 func (s *server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	serveRequests.Inc()
 	m := s.monitor

@@ -59,7 +59,11 @@ func main() {
 		if s.ber > 0 {
 			// Voltage over-scaling corrupts the class memories; HDC's
 			// redundancy absorbs it (Fig. 6).
-			acc.Model().InjectBitErrorsSeeded(s.ber, 99)
+			if _, err := acc.InjectFaults(generic.FaultSpec{
+				Site: generic.FaultSiteClass, Kind: generic.FaultUniform, Rate: s.ber, Seed: 99,
+			}); err != nil {
+				log.Fatal(err)
+			}
 		}
 		acc.ResetStats()
 		preds := acc.InferAll(ds.TestX)

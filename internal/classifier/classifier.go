@@ -3,8 +3,9 @@
 // mispredictions (Fig. 1), inference with the modified cosine metric, plus
 // the model-side hooks for the paper's energy-reduction techniques —
 // bit-width quantization (§4.3.4/Fig. 6), on-demand dimension reduction
-// with per-128-dimension sub-norms (§4.3.3/Fig. 5), and class-memory
-// bit-error injection for voltage over-scaling studies.
+// with per-128-dimension sub-norms (§4.3.3/Fig. 5), and the class-memory
+// write path (MutableClass) that internal/faults corrupts for voltage
+// over-scaling studies.
 package classifier
 
 import (
@@ -15,7 +16,6 @@ import (
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
 	"github.com/edge-hdc/generic/internal/perf"
-	"github.com/edge-hdc/generic/internal/rng"
 )
 
 // SubNormGranularity is the dimension granularity at which GENERIC stores
@@ -362,50 +362,6 @@ func (m *Model) Quantize(bw int) {
 	m.RefreshAllNorms()
 }
 
-// InjectBitErrors flips each stored class-memory bit independently with
-// probability ber, modeling SRAM faults under voltage over-scaling
-// (Fig. 6). Elements are interpreted as bw-bit two's-complement words
-// (sign-magnitude ±1 for bw=1). It returns the number of bits flipped and
-// refreshes norms.
-func (m *Model) InjectBitErrors(ber float64, r *rng.Rand) int {
-	if ber <= 0 {
-		return 0
-	}
-	m.ownAll()
-	flipped := 0
-	if m.bw == 1 {
-		for _, cv := range m.classes {
-			for i := range cv {
-				if r.Float64() < ber {
-					cv[i] = -cv[i]
-					flipped++
-				}
-			}
-		}
-	} else {
-		mask := uint32(1)<<uint(m.bw) - 1
-		signBit := uint32(1) << uint(m.bw-1)
-		for _, cv := range m.classes {
-			for i := range cv {
-				u := uint32(cv[i]) & mask
-				for b := 0; b < m.bw; b++ {
-					if r.Float64() < ber {
-						u ^= 1 << uint(b)
-						flipped++
-					}
-				}
-				// Sign-extend back to int32.
-				if u&signBit != 0 {
-					u |= ^mask
-				}
-				cv[i] = int32(u)
-			}
-		}
-	}
-	m.RefreshAllNorms()
-	return flipped
-}
-
 // Adapt performs one online-learning step on an encoded sample: predict,
 // and on misprediction apply the retraining rule. It returns the prediction
 // made before any update and whether an update occurred. This is the
@@ -420,12 +376,6 @@ func (m *Model) Adapt(h hdc.Vec, label int) (pred int, updated bool) {
 		updated = true
 	}
 	return pred, updated
-}
-
-// InjectBitErrorsSeeded is InjectBitErrors with a self-contained seed, for
-// callers outside the module's internal packages.
-func (m *Model) InjectBitErrorsSeeded(ber float64, seed uint64) int {
-	return m.InjectBitErrors(ber, rng.New(seed))
 }
 
 // Clone returns an independent model in O(classes): the row references are

@@ -33,67 +33,6 @@ func faultModel(t *testing.T, bw int) *Model {
 	return m
 }
 
-func classStateEqual(a, b *Model) bool {
-	for c := 0; c < a.Classes(); c++ {
-		av, bv := a.Class(c), b.Class(c)
-		for i := range av {
-			if av[i] != bv[i] {
-				return false
-			}
-		}
-		if a.Norm2(c) != b.Norm2(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// fig6Sweep is the BER grid of the paper's Fig. 6 VOS experiment.
-var fig6Sweep = []float64{1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 1e-1}
-
-// The determinism contract of InjectBitErrorsSeeded: the same (ber, seed)
-// on clones of the same model corrupts them bit-identically, at every
-// bit-width and at every BER of the Fig. 6 sweep.
-func TestInjectBitErrorsSeededDeterministic(t *testing.T) {
-	for _, bw := range []int{16, 4, 1} {
-		base := faultModel(t, bw)
-		for _, ber := range fig6Sweep {
-			a, b := base.Clone(), base.Clone()
-			na := a.InjectBitErrorsSeeded(ber, 0xfa117)
-			nb := b.InjectBitErrorsSeeded(ber, 0xfa117)
-			if na != nb {
-				t.Fatalf("bw=%d ber=%g: flip counts differ (%d vs %d)", bw, ber, na, nb)
-			}
-			if !classStateEqual(a, b) {
-				t.Fatalf("bw=%d ber=%g: corrupted models diverged", bw, ber)
-			}
-		}
-	}
-}
-
-// Norms must be refreshed at every BER in the sweep: the stored norm2 after
-// injection must equal a from-scratch recompute over the corrupted vectors.
-func TestInjectBitErrorsRefreshesNorms(t *testing.T) {
-	base := faultModel(t, 16)
-	for _, ber := range fig6Sweep {
-		m := base.Clone()
-		m.InjectBitErrorsSeeded(ber, 99)
-		want := make([]int64, m.Classes())
-		for c := range want {
-			var s int64
-			for _, v := range m.Class(c) {
-				s += int64(v) * int64(v)
-			}
-			want[c] = s
-		}
-		for c := range want {
-			if got := m.Norm2(c); got != want[c] {
-				t.Fatalf("ber=%g class %d: stored norm2 %d, recomputed %d", ber, c, got, want[c])
-			}
-		}
-	}
-}
-
 func TestNorm2WordRoundTrip(t *testing.T) {
 	m := faultModel(t, 16)
 	orig := m.Norm2(1)

@@ -7,6 +7,7 @@ import (
 	"github.com/edge-hdc/generic/internal/classifier"
 	"github.com/edge-hdc/generic/internal/dataset"
 	"github.com/edge-hdc/generic/internal/encoding"
+	"github.com/edge-hdc/generic/internal/faults"
 	"github.com/edge-hdc/generic/internal/power"
 	"github.com/edge-hdc/generic/internal/rng"
 )
@@ -67,6 +68,10 @@ func Figure6(cfg Config) (*Fig6Result, error) {
 		})
 		curve := Fig6Curve{Dataset: name}
 		for _, ber := range Fig6BERs {
+			inj, err := faults.Spec{Site: faults.SiteClass, Kind: faults.Uniform, Rate: ber}.Injector()
+			if err != nil {
+				return nil, err
+			}
 			pt := Fig6Point{BER: ber, Accuracy: map[int]float64{}}
 			vos := power.VOSForBER(ber)
 			pt.StaticSaving = 1 / vos.StaticFactor
@@ -74,7 +79,8 @@ func Figure6(cfg Config) (*Fig6Result, error) {
 			for _, bw := range Fig6BitWidths {
 				m := base.Clone()
 				m.Quantize(bw)
-				m.InjectBitErrors(ber, faultRNG)
+				inj.Apply(faults.ClassMem(m), faultRNG)
+				m.RefreshAllNorms()
 				pt.Accuracy[bw] = classifier.Accuracy(m, testH, ds.TestY, cfg.Workers)
 			}
 			curve.Points = append(curve.Points, pt)

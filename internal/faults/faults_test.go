@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -505,6 +506,114 @@ func TestBinaryClassMemInjection(t *testing.T) {
 	for c := 0; c < bm.Classes(); c++ {
 		if !bm.Class(c).Equal(bm2.Class(c)) {
 			t.Fatalf("replayed corruption differs in class %d", c)
+		}
+	}
+}
+
+// fig6Sweep is the class-memory BER grid of the paper's Fig. 6
+// voltage-over-scaling study, plus the fault-free point.
+var fig6Sweep = []float64{0, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 1e-1}
+
+// bitDiff counts the stored class-memory bits in which a and b differ.
+func bitDiff(a, b *classifier.Model) int {
+	ma, mb := ClassMem(a), ClassMem(b)
+	n := 0
+	for row := 0; row < ma.Rows(); row++ {
+		for cell := 0; cell < ma.Cells(); cell++ {
+			for bit := 0; bit < ma.CellBits(); bit++ {
+				if ma.Bit(row, cell, bit) != mb.Bit(row, cell, bit) {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestUniformClassMemInjection is the Fig. 6 injector at every swept
+// bit-width and BER: the uniform model over ClassMem followed by a norm
+// refresh, as experiments.Figure6 runs it, and Controller.Inject, which the
+// accelerator (and so the lowpower example) runs.
+func TestUniformClassMemInjection(t *testing.T) {
+	h := newHarness(t, encoding.Generic, true)
+	hv := make(hdc.Vec, h.enc.D())
+	for _, bw := range []int{16, 8, 4, 1} {
+		base := h.model.Clone()
+		// An equal model in separate storage: corrupting clones of base
+		// must leave base equal to it.
+		ref := newHarness(t, encoding.Generic, true).model
+		if bw != base.BW() {
+			base.Quantize(bw)
+			ref.Quantize(bw)
+		}
+		for _, ber := range fig6Sweep {
+			t.Run(fmt.Sprintf("bw=%d/ber=%g", bw, ber), func(t *testing.T) {
+				spec := Spec{Site: SiteClass, Kind: Uniform, Rate: ber, Seed: 0xfa117}
+				inj, err := spec.Injector()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := base.Clone()
+				n := inj.Apply(ClassMem(m), rng.New(spec.Seed))
+				m.RefreshAllNorms()
+
+				// The same spec through the controller corrupts another
+				// clone bit-identically and refreshes its norms.
+				c := base.Clone()
+				nc, err := NewController(c, nil).Inject(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nc != n || !modelsEqual(c, m) {
+					t.Fatalf("same seed: controller flipped %d bits, direct %d, models equal %v", nc, n, modelsEqual(c, m))
+				}
+				for class := 0; class < c.Classes(); class++ {
+					var want int64
+					for _, v := range c.Class(class) {
+						want += int64(v) * int64(v)
+					}
+					if got := c.Norm2(class); got != want {
+						t.Fatalf("class %d: stored norm2 %d, recomputed %d", class, got, want)
+					}
+				}
+
+				if !modelsEqual(base, ref) {
+					t.Fatal("corrupting a clone changed the original")
+				}
+				if d := bitDiff(m, base); d != n {
+					t.Fatalf("injector reported %d flips, class memory differs in %d bits", n, d)
+				}
+				if ber == 0 && (n != 0 || !modelsEqual(m, base)) {
+					t.Fatalf("zero rate flipped %d bits", n)
+				}
+				if bw == 1 {
+					for class := 0; class < m.Classes(); class++ {
+						for i, v := range m.Class(class) {
+							if v != 1 && v != -1 {
+								t.Fatalf("class %d dim %d = %d, not bipolar", class, i, v)
+							}
+						}
+					}
+				}
+				if ber != 5e-2 {
+					return
+				}
+				if total := m.Classes() * m.D() * bw; n < total*3/100 || n > total*7/100 {
+					t.Errorf("flipped %d of %d bits at 5%% BER", n, total)
+				}
+				// HDC's error resilience at the widths Fig. 6 sweeps; a
+				// 16-bit word loses its high bits and is not expected to.
+				hits := 0
+				for i, x := range h.X {
+					h.enc.Encode(x, hv)
+					if p, _ := m.Predict(hv); p == h.Y[i] {
+						hits++
+					}
+				}
+				if acc := float64(hits) / float64(len(h.X)); bw <= 8 && acc < 0.8 {
+					t.Errorf("accuracy %v at 5%% BER", acc)
+				}
+			})
 		}
 	}
 }

@@ -43,8 +43,8 @@ func (m bitRowsMem) SetBit(row, cell, _, v int) { m.rows[row].SetBit(cell, v) }
 // classMem views the model's class vectors as the accelerator's striped
 // class memories: one row per class, D cells of BW bits each, cell i living
 // in bank i mod Lanes. Elements are bw-bit two's-complement words
-// (sign-magnitude ±1 at bw=1, matching Model.InjectBitErrors). The caller
-// must refresh norms after injection.
+// (sign-magnitude ±1 at bw=1). The caller must refresh norms after
+// injection.
 type classMem struct {
 	m    *classifier.Model
 	bw   int

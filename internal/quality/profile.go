@@ -53,24 +53,26 @@ func BuildProfile(margins []float64, labels []int, mode string) *Profile {
 // path when a loaded model carries no calibration data: the first full
 // serving window becomes the baseline.
 func ProfileFromStats(st *Stats, mode string) *Profile {
-	p := &Profile{Mode: mode, MeanMargin: st.MeanMargin()}
-	total := st.BucketTotal()
-	p.Samples = int(total)
-	if total > 0 {
-		for i := range p.Margin {
-			p.Margin[i] = float64(st.Buckets[i]) / float64(total)
-		}
-	}
-	var classes int64
-	for i := range st.Classes {
-		classes += st.Classes[i]
-	}
-	if classes > 0 {
-		for i := range p.Priors {
-			p.Priors[i] = float64(st.Classes[i]) / float64(classes)
-		}
-	}
+	p := &Profile{Mode: mode}
+	p.fill(st)
 	return p
+}
+
+// fill sets p's sample count, mean margin and distributions from st, both
+// distributions normalized by Predicts (zero when st is empty).
+func (p *Profile) fill(st *Stats) {
+	p.Samples = int(st.Predicts)
+	p.MeanMargin = st.MeanMargin()
+	if st.Predicts == 0 {
+		return
+	}
+	n := float64(st.Predicts)
+	for i := range p.Margin {
+		p.Margin[i] = float64(st.Buckets[i]) / n
+	}
+	for i := range p.Priors {
+		p.Priors[i] = float64(st.Classes[i]) / n
+	}
 }
 
 // psiFloor is the smoothing floor applied to both distributions before the
@@ -190,29 +192,14 @@ func (d *Detector) Check(st *Stats) Verdict {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v := Verdict{Active: d.active}
-	if d.ref == nil || st.Predicts < d.MinSamples {
+	// MinSamples may be 0, so an empty window needs its own guard.
+	if d.ref == nil || st.Predicts == 0 || st.Predicts < d.MinSamples {
 		return v
 	}
-	total := st.BucketTotal()
-	if total == 0 {
-		return v
-	}
-	var cur [MarginBuckets]float64
-	for i := range cur {
-		cur[i] = float64(st.Buckets[i]) / float64(total)
-	}
-	var classes int64
-	for i := range st.Classes {
-		classes += st.Classes[i]
-	}
-	var mix [ClassSlots]float64
-	if classes > 0 {
-		for i := range mix {
-			mix[i] = float64(st.Classes[i]) / float64(classes)
-		}
-	}
-	v.MarginPSI = psi(d.ref.Margin[:], cur[:])
-	v.ClassPSI = psi(d.ref.Priors[:], mix[:])
+	var cur Profile
+	cur.fill(st)
+	v.MarginPSI = psi(d.ref.Margin[:], cur.Margin[:])
+	v.ClassPSI = psi(d.ref.Priors[:], cur.Priors[:])
 	v.PSI = v.MarginPSI
 	if v.ClassPSI > v.PSI {
 		v.PSI = v.ClassPSI

@@ -6,10 +6,11 @@
 // predict-before-apply outcome of every labeled adapt, and the binary-vs-
 // exact agreement of shadow-sampled predicts — and folds them into:
 //
-//   - cumulative lock-free counters (margin sum, sqrt-bucketed margin
-//     distribution, per-class prediction mix, adapt accuracy, shadow
-//     disagreement), observed with a handful of atomic adds per predict;
-//   - a snapshot ring that turns the cumulative counters into rolling-window
+//   - cumulative lock-free cells, one per observed event (winner class ×
+//     sqrt-bucketed margin, adapt label × hit, shadow agree/disagree), from
+//     which every total — margin distribution, class mix, adapt accuracy,
+//     shadow disagreement — is derived;
+//   - a snapshot ring that turns the cumulative cells into rolling-window
 //     aggregates by differencing (no hot-path resets, so concurrent
 //     observation and window rotation can never lose or double-count an
 //     event — aggregates stay exactly equal to a serial oracle);
@@ -88,67 +89,75 @@ func classSlot(class int) int {
 	return class
 }
 
-// counters is one cumulative (or snapshotted) set of quality aggregates.
-// Every field is atomic so the ring can copy a consistent-enough snapshot
-// under concurrent observation without locks; exact cross-field consistency
-// is recovered by the window invariant (see Stats).
+// counters is one cumulative (or snapshotted) set of quality cells. An
+// observed event adds to exactly one cell, plus the margin sum and, below
+// the low-margin threshold, the low-margin count: the threshold is settable
+// and does not line up with bucket edges. Stats derives every other total
+// from one read of the cells (since).
 type counters struct {
-	predicts       atomic.Int64
+	predicts       [ClassSlots][MarginBuckets]atomic.Int64
+	adapts         [ClassSlots][2]atomic.Int64 // [label][0: miss, 1: hit]
+	shadows        [2]atomic.Int64             // [0: agree, 1: disagree]
 	marginSumMicro atomic.Int64
 	lowMargin      atomic.Int64
-	buckets        [MarginBuckets]atomic.Int64
-	classes        [ClassSlots]atomic.Int64
-
-	adaptEvals      atomic.Int64
-	adaptHits       atomic.Int64
-	adaptClassEvals [ClassSlots]atomic.Int64
-	adaptClassHits  [ClassSlots]atomic.Int64
-
-	shadowSamples  atomic.Int64
-	shadowDisagree atomic.Int64
 }
 
-// load copies the counter set into a plain Stats value.
-func (c *counters) load(st *Stats) {
-	st.Predicts = c.predicts.Load()
-	st.MarginSumMicro = c.marginSumMicro.Load()
-	st.LowMargin = c.lowMargin.Load()
-	for i := range c.buckets {
-		st.Buckets[i] = c.buckets[i].Load()
+// emptyCounters is the all-zero base that Total differences against.
+var emptyCounters counters
+
+// since reads every cell once, right after its base cell, and derives the
+// Stats totals from the differences. A base cell is an earlier copy of its
+// cumulative cell (or zero), and cumulative cells only grow, so no
+// difference is negative — even when Rotate is rewriting the base slot and
+// the read mixes two snapshots.
+func (c *counters) since(base *counters) Stats {
+	diff := func(cur, old *atomic.Int64) int64 {
+		o := old.Load() // base first; see above
+		return cur.Load() - o
 	}
-	for i := range c.classes {
-		st.Classes[i] = c.classes[i].Load()
+	var st Stats
+	for k := range c.predicts {
+		for b := range c.predicts[k] {
+			n := diff(&c.predicts[k][b], &base.predicts[k][b])
+			st.Buckets[b] += n
+			st.Classes[k] += n
+			st.Predicts += n
+		}
 	}
-	st.AdaptEvals = c.adaptEvals.Load()
-	st.AdaptHits = c.adaptHits.Load()
-	for i := range c.adaptClassEvals {
-		st.AdaptClassEvals[i] = c.adaptClassEvals[i].Load()
-		st.AdaptClassHits[i] = c.adaptClassHits[i].Load()
+	for k := range c.adapts {
+		miss := diff(&c.adapts[k][0], &base.adapts[k][0])
+		hit := diff(&c.adapts[k][1], &base.adapts[k][1])
+		st.AdaptClassEvals[k] = miss + hit
+		st.AdaptClassHits[k] = hit
+		st.AdaptEvals += miss + hit
+		st.AdaptHits += hit
 	}
-	st.ShadowSamples = c.shadowSamples.Load()
-	st.ShadowDisagree = c.shadowDisagree.Load()
+	agree := diff(&c.shadows[0], &base.shadows[0])
+	st.ShadowDisagree = diff(&c.shadows[1], &base.shadows[1])
+	st.ShadowSamples = agree + st.ShadowDisagree
+	st.MarginSumMicro = diff(&c.marginSumMicro, &base.marginSumMicro)
+	st.LowMargin = diff(&c.lowMargin, &base.lowMargin)
+	return st
 }
 
-// store overwrites the counter set from a plain Stats value (ring slots
-// only; the cumulative set is never stored into).
-func (c *counters) store(st *Stats) {
-	c.predicts.Store(st.Predicts)
-	c.marginSumMicro.Store(st.MarginSumMicro)
-	c.lowMargin.Store(st.LowMargin)
-	for i := range c.buckets {
-		c.buckets[i].Store(st.Buckets[i])
+// copyFrom overwrites c with src cell by cell (ring slots only: nothing
+// but observation writes the cumulative set).
+func (c *counters) copyFrom(src *counters) {
+	for k := range src.predicts {
+		for b := range src.predicts[k] {
+			c.predicts[k][b].Store(src.predicts[k][b].Load())
+		}
 	}
-	for i := range c.classes {
-		c.classes[i].Store(st.Classes[i])
+	for k := range src.adapts {
+		for h := range src.adapts[k] {
+			c.adapts[k][h].Store(src.adapts[k][h].Load())
+		}
 	}
-	c.adaptEvals.Store(st.AdaptEvals)
-	c.adaptHits.Store(st.AdaptHits)
-	for i := range c.adaptClassEvals {
-		c.adaptClassEvals[i].Store(st.AdaptClassEvals[i])
-		c.adaptClassHits[i].Store(st.AdaptClassHits[i])
+	for i := range src.shadows {
+		c.shadows[i].Store(src.shadows[i].Load())
 	}
-	c.shadowSamples.Store(st.ShadowSamples)
-	c.shadowDisagree.Store(st.ShadowDisagree)
+	c.marginSumMicro.Store(src.marginSumMicro.Load())
+	c.lowMargin.Store(src.lowMargin.Load())
 }
 
 // ringSlot is one published snapshot of the cumulative counters.
@@ -204,10 +213,8 @@ func (o *Observer) ObservePredict(class int, margin float64) {
 		margin = 1
 	}
 	mi := int64(margin * 1e6)
-	o.cum.predicts.Add(1)
+	o.cum.predicts[classSlot(class)][MarginBucket(margin)].Add(1)
 	o.cum.marginSumMicro.Add(mi)
-	o.cum.buckets[MarginBucket(margin)].Add(1)
-	o.cum.classes[classSlot(class)].Add(1)
 	if mi < o.lowMarginMicro.Load() {
 		o.cum.lowMargin.Add(1)
 		telemetry.QualityLowMargin.Inc()
@@ -221,15 +228,13 @@ func (o *Observer) ObservePredict(class int, margin float64) {
 //
 //generic:hotpath
 func (o *Observer) ObserveAdapt(label int, correct bool) {
-	s := classSlot(label)
-	o.cum.adaptEvals.Add(1)
-	o.cum.adaptClassEvals[s].Add(1)
 	telemetry.QualityAdaptEvals.Inc()
+	hit := 0
 	if correct {
-		o.cum.adaptHits.Add(1)
-		o.cum.adaptClassHits[s].Add(1)
+		hit = 1
 		telemetry.QualityAdaptHits.Inc()
 	}
+	o.cum.adapts[classSlot(label)][hit].Add(1)
 }
 
 // ObserveShadow records one shadow-mode comparison: agree is whether the
@@ -237,12 +242,13 @@ func (o *Observer) ObserveAdapt(label int, correct bool) {
 //
 //generic:hotpath
 func (o *Observer) ObserveShadow(agree bool) {
-	o.cum.shadowSamples.Add(1)
 	telemetry.QualityShadowSamples.Inc()
+	disagree := 0
 	if !agree {
-		o.cum.shadowDisagree.Add(1)
+		disagree = 1
 		telemetry.QualityShadowDisagree.Inc()
 	}
+	o.cum.shadows[disagree].Add(1)
 }
 
 // ShadowTick advances the global shadow-sampling sequence and returns it;
@@ -251,37 +257,28 @@ func (o *Observer) ObserveShadow(agree bool) {
 //generic:hotpath
 func (o *Observer) ShadowTick() int64 { return o.shadowSeq.Add(1) }
 
-// Rotate publishes a snapshot of the cumulative counters into the ring.
-// Call it from one goroutine at the window cadence; Window then spans at
-// most ringSlots rotation intervals.
+// Rotate publishes a snapshot of the cumulative counters into the ring,
+// copying them cell by cell. Call it from one goroutine at the window
+// cadence; Window then spans at most ringSlots rotation intervals.
 func (o *Observer) Rotate() {
-	var st Stats
-	o.cum.load(&st)
 	h := o.head.Load()
 	slot := &o.ring[h%ringSlots]
-	slot.c.store(&st)
+	slot.c.copyFrom(&o.cum)
 	slot.at.Store(telemetry.Now())
 	o.head.Add(1) // publish: readers only trust slots below head
 }
 
 // Total returns the cumulative aggregates since construction.
-func (o *Observer) Total() Stats {
-	var st Stats
-	o.cum.load(&st)
-	st.At = telemetry.Now()
-	st.SpanNS = st.At - o.bootAt
-	return st
-}
+func (o *Observer) Total() Stats { return o.stats(&emptyCounters, o.bootAt) }
 
 // Window returns the rolling-window aggregates: the cumulative counters
 // minus the oldest live ring snapshot. Before the first rotation the window
 // is everything since construction. Safe to call concurrently with
-// observation and rotation; see sub for the invariants that survive races.
+// observation and rotation (see counters.since).
 func (o *Observer) Window() Stats {
-	cur := o.Total()
 	h := o.head.Load()
 	if h == 0 {
-		return cur
+		return o.Total()
 	}
 	// Oldest live slot: with fewer than ringSlots rotations it is slot 0;
 	// once the ring wraps it is the next slot Rotate will overwrite.
@@ -289,18 +286,28 @@ func (o *Observer) Window() Stats {
 	if h >= ringSlots {
 		idx = h % ringSlots
 	}
-	var base Stats
 	slot := &o.ring[idx]
-	baseAt := slot.at.Load()
-	slot.c.load(&base)
-	return sub(cur, &base, baseAt)
+	return o.stats(&slot.c, slot.at.Load())
+}
+
+// stats returns the cumulative counters minus base, spanning from baseAt.
+func (o *Observer) stats(base *counters, baseAt int64) Stats {
+	st := o.cum.since(base)
+	st.At = telemetry.Now()
+	st.SpanNS = st.At - baseAt
+	return st
 }
 
 // Stats is a plain-value aggregate: either cumulative (Total) or a window
-// difference (Window). Invariants that hold even under racy snapshots:
-// counts are non-negative, Predicts >= sum(Buckets) is within in-flight
-// observations of equality, and ratios are computed against the matching
-// denominators.
+// difference (Window). Every total is derived from one read of the
+// observer's cells, so each snapshot — even one torn by concurrent
+// writers, and every window difference — satisfies:
+//
+//   - Predicts == Σ Buckets == Σ Classes;
+//   - AdaptEvals == Σ AdaptClassEvals, AdaptHits == Σ AdaptClassHits, and
+//     hits never exceed evals, in total or per class;
+//   - 0 <= ShadowDisagree <= ShadowSamples;
+//   - every count is non-negative.
 type Stats struct {
 	At     int64 // telemetry.Now at the fresh edge
 	SpanNS int64 // window span in nanoseconds
@@ -320,41 +327,8 @@ type Stats struct {
 	ShadowDisagree int64
 }
 
-// sub returns cur minus base, clamping each field at zero: a ring slot
-// written concurrently with observation can be fresher field-by-field than
-// the cumulative load that preceded it, and a clamped zero beats a negative
-// count in every downstream ratio.
-func sub(cur Stats, base *Stats, baseAt int64) Stats {
-	d := Stats{At: cur.At, SpanNS: cur.At - baseAt}
-	d.Predicts = clamp0(cur.Predicts - base.Predicts)
-	d.MarginSumMicro = clamp0(cur.MarginSumMicro - base.MarginSumMicro)
-	d.LowMargin = clamp0(cur.LowMargin - base.LowMargin)
-	for i := range d.Buckets {
-		d.Buckets[i] = clamp0(cur.Buckets[i] - base.Buckets[i])
-	}
-	for i := range d.Classes {
-		d.Classes[i] = clamp0(cur.Classes[i] - base.Classes[i])
-	}
-	d.AdaptEvals = clamp0(cur.AdaptEvals - base.AdaptEvals)
-	d.AdaptHits = clamp0(cur.AdaptHits - base.AdaptHits)
-	for i := range d.AdaptClassEvals {
-		d.AdaptClassEvals[i] = clamp0(cur.AdaptClassEvals[i] - base.AdaptClassEvals[i])
-		d.AdaptClassHits[i] = clamp0(cur.AdaptClassHits[i] - base.AdaptClassHits[i])
-	}
-	d.ShadowSamples = clamp0(cur.ShadowSamples - base.ShadowSamples)
-	d.ShadowDisagree = clamp0(cur.ShadowDisagree - base.ShadowDisagree)
-	return d
-}
-
-func clamp0(v int64) int64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// BucketTotal returns the number of predicts in the margin histogram — the
-// quantile denominator (preferred over Predicts under racy snapshots).
+// BucketTotal returns the number of predicts in the margin histogram. It
+// always equals Predicts (see Stats).
 func (s *Stats) BucketTotal() int64 {
 	var t int64
 	for i := range s.Buckets {
@@ -367,8 +341,7 @@ func (s *Stats) BucketTotal() int64 {
 // the upper bound of the bucket holding the rank-⌈q·n⌉ observation. Zero
 // when the window is empty.
 func (s *Stats) MarginQuantile(q float64) float64 {
-	total := s.BucketTotal()
-	if total == 0 {
+	if s.Predicts == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -376,23 +349,17 @@ func (s *Stats) MarginQuantile(q float64) float64 {
 	} else if q > 1 {
 		q = 1
 	}
-	rank := int64(math.Ceil(q * float64(total)))
+	rank := int64(math.Ceil(q * float64(s.Predicts)))
 	if rank < 1 {
 		rank = 1
 	}
 	var cum int64
-	last := 0
-	for i := range s.Buckets {
-		n := s.Buckets[i]
-		if n == 0 {
-			continue
-		}
-		last = i
-		if cum += n; cum >= rank {
+	for i := 0; i < MarginBuckets-1; i++ {
+		if cum += s.Buckets[i]; cum >= rank {
 			return BucketUpper(i)
 		}
 	}
-	return BucketUpper(last)
+	return BucketUpper(MarginBuckets - 1)
 }
 
 // MeanMargin returns the window's mean normalized margin, or 0 when empty.
@@ -421,15 +388,11 @@ func (s *Stats) ClassMix(n int) []float64 {
 		n = ClassSlots
 	}
 	mix := make([]float64, n)
-	var total int64
-	for i := range s.Classes {
-		total += s.Classes[i]
-	}
-	if total == 0 {
+	if s.Predicts == 0 {
 		return mix
 	}
-	for i := 0; i < n; i++ {
-		mix[i] = float64(s.Classes[i]) / float64(total)
+	for i := range mix {
+		mix[i] = float64(s.Classes[i]) / float64(s.Predicts)
 	}
 	return mix
 }

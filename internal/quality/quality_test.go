@@ -1,7 +1,9 @@
 package quality
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -85,6 +87,95 @@ func TestObserverRaceDeterministic(t *testing.T) {
 	}
 	if w.Predicts != classes {
 		t.Fatalf("window predicts %d != class total %d", w.Predicts, classes)
+	}
+}
+
+// checkInvariants returns an error when st breaks a Stats invariant.
+func checkInvariants(st *Stats) error {
+	for i, n := range st.Buckets {
+		if n < 0 {
+			return fmt.Errorf("bucket %d holds %d predicts", i, n)
+		}
+	}
+	var classes, classEvals, classHits int64
+	for i := range st.Classes {
+		if st.Classes[i] < 0 || st.AdaptClassHits[i] < 0 || st.AdaptClassHits[i] > st.AdaptClassEvals[i] {
+			return fmt.Errorf("class %d: %d predicts, %d adapt hits of %d evals", i, st.Classes[i], st.AdaptClassHits[i], st.AdaptClassEvals[i])
+		}
+		classes += st.Classes[i]
+		classEvals += st.AdaptClassEvals[i]
+		classHits += st.AdaptClassHits[i]
+	}
+	switch {
+	case st.Predicts != st.BucketTotal() || st.Predicts != classes:
+		return fmt.Errorf("predicts %d, bucket total %d, class total %d", st.Predicts, st.BucketTotal(), classes)
+	case st.AdaptEvals != classEvals || st.AdaptHits != classHits:
+		return fmt.Errorf("adapt evals %d/hits %d, per-class sums %d/%d", st.AdaptEvals, st.AdaptHits, classEvals, classHits)
+	case st.AdaptHits > st.AdaptEvals:
+		return fmt.Errorf("adapt hits %d > evals %d", st.AdaptHits, st.AdaptEvals)
+	case st.ShadowDisagree < 0 || st.ShadowDisagree > st.ShadowSamples:
+		return fmt.Errorf("shadow disagree %d outside [0, %d]", st.ShadowDisagree, st.ShadowSamples)
+	case st.LowMargin < 0 || st.MarginSumMicro < 0:
+		return fmt.Errorf("low margin %d, margin sum %d", st.LowMargin, st.MarginSumMicro)
+	}
+	return nil
+}
+
+// TestWindowInvariantsUnderRotation reads windows while writers observe and
+// a rotator spins — the monitor tick running beside GET /quality. Every
+// window, including one whose base slot Rotate is rewriting, must satisfy
+// the Stats invariants exactly.
+func TestWindowInvariantsUnderRotation(t *testing.T) {
+	const (
+		rounds  = 50
+		writers = 4
+		perW    = 2000
+	)
+	for round := 0; round < rounds; round++ {
+		obs := NewObserver()
+		var stop atomic.Bool
+		var wg, bg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perW; i++ {
+					class, margin := obsFor(g, i)
+					obs.ObservePredict(class, margin)
+					if i%3 == 0 {
+						obs.ObserveAdapt(class, i%2 == 0)
+					}
+					if i%5 == 0 {
+						obs.ObserveShadow(i%4 == 0)
+					}
+				}
+			}(g)
+		}
+		bg.Add(2)
+		go func() {
+			defer bg.Done()
+			for !stop.Load() {
+				obs.Rotate()
+			}
+		}()
+		var readErr error
+		go func() {
+			defer bg.Done()
+			for !stop.Load() && readErr == nil {
+				w := obs.Window()
+				readErr = checkInvariants(&w)
+			}
+		}()
+		wg.Wait()
+		stop.Store(true)
+		bg.Wait()
+		if readErr != nil {
+			t.Fatalf("round %d: window read during rotation: %v", round, readErr)
+		}
+		w := obs.Window()
+		if err := checkInvariants(&w); err != nil {
+			t.Fatalf("round %d: window after writers joined: %v", round, err)
+		}
 	}
 }
 

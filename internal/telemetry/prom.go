@@ -60,18 +60,18 @@ func appendPromScalar(b []byte, name, typ string, v int64) []byte {
 	return append(b, '\n')
 }
 
-// appendProm renders the histogram as the cumulative Prometheus series.
-// Count is loaded first, like appendJSON, and the le="+Inf" bucket reports
-// the loaded count so the series is always self-consistent.
+// appendProm renders the histogram as the cumulative Prometheus series. The
+// buckets, le="+Inf" and _count all come from one read of the buckets, so
+// the cumulative counts never decrease and le="+Inf" equals _count.
 func (h *Histogram) appendProm(b []byte, name string) []byte {
-	count := h.count.Load()
+	n, count := h.load()
 	sum := h.sum.Load()
 	b = append(b, "# TYPE "...)
 	b = append(b, name...)
 	b = append(b, " histogram\n"...)
 	var cum int64
 	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
+		cum += n[i]
 		b = append(b, name...)
 		b = append(b, `_bucket{le="`...)
 		b = strconv.AppendInt(b, BucketBound(i), 10)

@@ -1,8 +1,12 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -54,6 +58,77 @@ func TestPromGoldenSnapshot(t *testing.T) {
 	// Scrape determinism: two renders of an untouched registry are equal.
 	if again := string(r.AppendProm(nil)); again != got {
 		t.Fatal("second render differs from first")
+	}
+}
+
+// checkPromHistogram returns an error unless the rendered histogram's
+// cumulative buckets never decrease (le="+Inf" included) and le="+Inf"
+// equals _count.
+func checkPromHistogram(text, name string) error {
+	var prev, inf int64
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if strings.HasPrefix(line, "#") || strings.HasPrefix(line, name+"_sum ") {
+			continue
+		}
+		v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			return fmt.Errorf("line %q: %v", line, err)
+		}
+		switch {
+		case strings.HasPrefix(line, name+"_bucket{"):
+			if v < prev {
+				return fmt.Errorf("%s below previous %d", line, prev)
+			}
+			prev, inf = v, v
+		case strings.HasPrefix(line, name+"_count "):
+			if v != inf {
+				return fmt.Errorf(`_count %d != le="+Inf" %d`, v, inf)
+			}
+		}
+	}
+	return nil
+}
+
+// TestHistogramSnapshotsConsistentUnderObserve renders one histogram while
+// writers observe into it. Every render is a self-consistent snapshot: the
+// Prometheus series passes checkPromHistogram and the JSON count equals the
+// sum of the listed buckets.
+func TestHistogramSnapshotsConsistentUnderObserve(t *testing.T) {
+	const writers, renders = 4, 2000
+	var h Histogram
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				h.Observe(int64(i%4096) << (3 * w)) // spread over ~13 buckets
+			}
+		}(w)
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for r := 0; r < renders; r++ {
+		if err := checkPromHistogram(string(h.appendProm(nil, "h")), "h"); err != nil {
+			t.Fatalf("render %d: %v", r, err)
+		}
+		var snap struct {
+			Count   int64
+			Buckets []struct{ N int64 }
+		}
+		if err := json.Unmarshal(h.appendJSON(nil), &snap); err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, b := range snap.Buckets {
+			sum += b.N
+		}
+		if snap.Count != sum {
+			t.Fatalf("render %d: JSON count %d != bucket sum %d", r, snap.Count, sum)
+		}
 	}
 }
 

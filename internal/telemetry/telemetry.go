@@ -6,8 +6,8 @@
 // publishes on GET /metrics. The per-sample encode and score kernels stay
 // pure: their callers time them.
 //
-// The package is stdlib-only and allocation-free on the hot path: an
-// observation is two monotonic-clock reads and a handful of atomic adds, so
+// The package is stdlib-only and allocation-free on the hot path: a timed
+// observation is two monotonic-clock reads and two atomic adds, so
 // instrumented paths stay within the repository's <5% overhead budget.
 // Every type is safe for concurrent use.
 //
@@ -89,9 +89,11 @@ const (
 )
 
 // A Histogram is a fixed-bucket latency histogram over nanosecond
-// durations. Observations are lock-free atomic adds.
+// durations. Observations are lock-free atomic adds: one to the sum and one
+// to the observation's bucket. There is no separate count: every reader
+// takes it from one read of the buckets (load), so a snapshot taken beside
+// concurrent observations still has a count equal to its bucket total.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets + 1]atomic.Int64
 }
@@ -118,7 +120,6 @@ func (h *Histogram) Observe(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(ns)
 	h.buckets[bucketIndex(ns)].Add(1)
 }
@@ -128,8 +129,23 @@ func (h *Histogram) Observe(ns int64) {
 //generic:hotpath
 func (h *Histogram) ObserveSince(start int64) { h.Observe(Now() - start) }
 
-// Count returns the number of observations; SumNanos their total duration.
-func (h *Histogram) Count() int64    { return h.count.Load() }
+// load reads every bucket once and returns the counts with their total, the
+// observation count of that read.
+func (h *Histogram) load() (n [histBuckets + 1]int64, count int64) {
+	for i := range h.buckets {
+		n[i] = h.buckets[i].Load()
+		count += n[i]
+	}
+	return n, count
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	_, count := h.load()
+	return count
+}
+
+// SumNanos returns the total observed duration.
 func (h *Histogram) SumNanos() int64 { return h.sum.Load() }
 
 // BucketBound returns bucket i's inclusive upper bound in nanoseconds, or -1
@@ -148,7 +164,7 @@ func BucketBound(i int) int64 {
 // derives at read time. Returns 0 when the histogram is empty and -1 when
 // the quantile lands in the overflow bucket (beyond ~4.3 s).
 func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
+	n, total := h.load()
 	if total == 0 {
 		return 0
 	}
@@ -162,36 +178,27 @@ func (h *Histogram) Quantile(q float64) int64 {
 		rank = 1
 	}
 	var cum int64
-	last := 0 // highest populated bucket seen, for the racy-snapshot fallback
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		last = i
-		if cum += n; cum >= rank {
+	for i := 0; i < histBuckets; i++ {
+		if cum += n[i]; cum >= rank {
 			return BucketBound(i)
 		}
 	}
-	// count was read before the buckets, so a concurrent Observe can leave
-	// the scan short of rank; the highest populated bucket bounds the tail.
-	return BucketBound(last)
+	return BucketBound(histBuckets)
 }
 
 // appendJSON renders {"count":N,"sum_ns":S,"buckets":[{"le_ns":B,"n":K},...]}
 // listing only populated buckets. The overflow bucket reports le_ns -1.
-// Count is loaded first so a concurrent Observe can never yield a snapshot
-// whose bucket total exceeds its count by more than in-flight observations.
+// The count is the total of the listed buckets.
 func (h *Histogram) appendJSON(b []byte) []byte {
+	n, count := h.load()
 	b = append(b, `{"count":`...)
-	b = strconv.AppendInt(b, h.count.Load(), 10)
+	b = strconv.AppendInt(b, count, 10)
 	b = append(b, `,"sum_ns":`...)
 	b = strconv.AppendInt(b, h.sum.Load(), 10)
 	b = append(b, `,"buckets":[`...)
 	first := true
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
+	for i := range n {
+		if n[i] == 0 {
 			continue
 		}
 		if !first {
@@ -201,7 +208,7 @@ func (h *Histogram) appendJSON(b []byte) []byte {
 		b = append(b, `{"le_ns":`...)
 		b = strconv.AppendInt(b, BucketBound(i), 10)
 		b = append(b, `,"n":`...)
-		b = strconv.AppendInt(b, n, 10)
+		b = strconv.AppendInt(b, n[i], 10)
 		b = append(b, '}')
 	}
 	return append(b, `]}`...)
@@ -211,7 +218,6 @@ func (h *Histogram) appendJSON(b []byte) []byte {
 func (h *Histogram) String() string { return string(h.appendJSON(nil)) }
 
 func (h *Histogram) reset() {
-	h.count.Store(0)
 	h.sum.Store(0)
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
