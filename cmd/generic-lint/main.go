@@ -1,8 +1,10 @@
 // Command generic-lint runs this repository's custom determinism,
 // performance, and concurrency analyzers (internal/analysis) over Go
-// packages. It is built purely on the standard library: package metadata
-// comes from `go list -json`, syntax and types from go/ast, go/parser,
-// go/token, and go/types.
+// packages. It is built purely on the standard library and the go command:
+// package metadata comes from `go list -json`, syntax and types from
+// go/ast, go/parser, go/token, and go/types, and the heap escapes that
+// generic/hotalloc reports from `go build -gcflags=-m=1`, run over the
+// loaded packages on every invocation.
 //
 // Usage:
 //
@@ -10,27 +12,24 @@
 //	generic-lint ./internal/hdc
 //	generic-lint -analyzers detrand,hotalloc ./...
 //	generic-lint -json ./...        # machine-readable findings for CI
-//	generic-lint -escapes ./...     # reconcile against go build -gcflags=-m=1
 //	generic-lint -list
 //
 // Findings print one per line as file:line:col: generic/<analyzer>: message,
 // or with -json as an array of {file,line,col,analyzer,message} objects.
 // The exit status is 0 when the tree is clean, 1 when findings were
-// reported, and 2 when loading or type-checking failed — including a
-// partial failure, where the packages that did load are still analyzed and
-// reported but the run must not pass. Individual findings can be
-// suppressed, with a mandatory reason, by a directive on the same or the
+// reported, and 2 when loading, type-checking or compiling failed —
+// including a partial failure, where the packages that did load are still
+// analyzed and reported but the run must not pass. Individual findings can
+// be suppressed, with a mandatory reason, by a directive on the same or the
 // preceding line:
 //
 //	//lint:ignore generic/<analyzer> <reason>
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 
 	"github.com/edge-hdc/generic/internal/analysis"
 )
@@ -40,7 +39,6 @@ func main() {
 		names   = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		list    = flag.Bool("list", false, "list the available analyzers and exit")
 		jsonOut = flag.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message)")
-		escapes = flag.Bool("escapes", false, "cross-check go build -gcflags=-m=1 escape diagnostics against hotpath regions")
 	)
 	flag.Parse()
 
@@ -67,18 +65,6 @@ func main() {
 	}
 	findings := analysis.Run(pkgs, analyzers)
 
-	if *escapes {
-		diags, err := escapeDiags(patterns)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "generic-lint: -escapes:", err)
-			os.Exit(2)
-		}
-		extra := analysis.ReconcileEscapes(pkgs, diags, findings)
-		extra = analysis.FilterSuppressed(pkgs, extra)
-		findings = append(findings, extra...)
-		analysis.SortFindings(findings)
-	}
-
 	if *jsonOut {
 		if err := analysis.WriteJSON(os.Stdout, findings); err != nil {
 			fmt.Fprintln(os.Stderr, "generic-lint:", err)
@@ -98,22 +84,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "generic-lint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	case 2:
-		fmt.Fprintf(os.Stderr, "generic-lint: %d finding(s); %d package(s) failed to load — partial analysis\n", len(findings), len(loadErrs))
+		fmt.Fprintf(os.Stderr, "generic-lint: %d finding(s); %d package(s) failed to load or compile — partial analysis\n", len(findings), len(loadErrs))
 		os.Exit(2)
 	}
-}
-
-// escapeDiags compiles the patterns with -gcflags=-m=1 and parses the heap
-// diagnostics. The build cache replays compiler output, so repeated runs
-// stay cheap and still see the full diagnostic stream. A non-zero build
-// exit is an error: escape output from a failed compile proves nothing.
-func escapeDiags(patterns []string) ([]analysis.EscapeDiag, error) {
-	args := append([]string{"build", "-gcflags=-m=1"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go build -gcflags=-m=1: %v\n%s", err, stderr.Bytes())
-	}
-	return analysis.ParseEscapes(stderr.Bytes()), nil
 }

@@ -140,3 +140,51 @@ func Scaled(v Vec, k int32) Vec {
 		}
 	})
 }
+
+// TestCompileFailureExits2 extends the exit-code contract to the compiler
+// leg: a package that type-checks but does not compile fails the run with
+// exit 2, while the escapes found in the packages that did compile are
+// still reported.
+func TestCompileFailureExits2(t *testing.T) {
+	bin := buildLint(t)
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module example.com/y\n\ngo 1.22\n",
+		"internal/hdc/vec.go": `package hdc
+
+type Vec []int32
+
+func Scaled(v Vec, k int32) Vec {
+	out := make(Vec, len(v))
+	for i, x := range v {
+		out[i] = x * k
+	}
+	return out
+}
+`,
+		"nobody/nobody.go": "package nobody\n\nfunc Missing()\n",
+	})
+	code, stdout, stderr := runLint(t, bin, dir, "./...")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "generic/hotalloc") || !strings.Contains(stdout, "inside hotpath Scaled") {
+		t.Fatalf("compile failure dropped the other package's escape finding:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "example.com/y/nobody") || !strings.Contains(stderr, "missing function body") {
+		t.Fatalf("stderr does not surface the package that failed to compile:\n%s", stderr)
+	}
+}
+
+// TestListAndRetiredFlag pins the CLI surface: six analyzers, and no
+// -escapes flag, since the compiler leg runs on every invocation.
+func TestListAndRetiredFlag(t *testing.T) {
+	bin := buildLint(t)
+	dir := writeModule(t, map[string]string{"go.mod": "module example.com/z\n\ngo 1.22\n"})
+	code, stdout, _ := runLint(t, bin, dir, "-list")
+	if lines := strings.Split(strings.TrimSpace(stdout), "\n"); code != 0 || len(lines) != 6 {
+		t.Fatalf("-list exit %d, %d analyzers:\n%s", code, len(lines), stdout)
+	}
+	if code, _, stderr := runLint(t, bin, dir, "-escapes", "./..."); code != 2 || !strings.Contains(stderr, "-escapes") {
+		t.Fatalf("-escapes exit %d, stderr %q; want the flag rejected", code, stderr)
+	}
+}

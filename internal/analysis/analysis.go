@@ -4,9 +4,10 @@
 // any worker count must produce bit-identical models, predictions, and
 // assignments, and all randomness must be explicit and replayable.
 //
-// The engine is built purely on the standard library (go/ast, go/parser,
-// go/token, go/types; package metadata via `go list -json`), so go.mod stays
-// dependency-free. One analyzer exists per contract:
+// The engine is built purely on the standard library and the go command
+// (go/ast, go/parser, go/token, go/types; package metadata via
+// `go list -json`, escape analysis via `go build -gcflags=-m=1`), so go.mod
+// stays dependency-free. One analyzer exists per contract:
 //
 //   - detrand:    no math/rand, no time.Now, no map-range iteration in
 //     model-state-affecting code under internal/ — randomness flows
@@ -19,17 +20,18 @@
 //   - dimguard:   exported internal/hdc kernels taking two hypervectors
 //     begin with a dimensionality check that panics with the
 //     "hdc:" prefix.
-//   - hotalloc:   //generic:hotpath functions (and default-hot internal/hdc
-//     kernels) do not allocate: no escaping literals, bare make/append,
-//     defer, closures, interface boxing, or unvetted helper calls. See
-//     DESIGN.md "Performance contract".
+//   - hotalloc:   the compiler leg of the hot-path allocation contract:
+//     `go build -gcflags=-m=1` heap escapes inside //generic:hotpath
+//     functions and default-hot internal/hdc kernels. See DESIGN.md
+//     "Performance contract".
 //   - lockshape:  in the lock-heavy serving packages, no mixed
-//     atomic/direct field access, mutex value copies, RLock→Lock
-//     upgrades, or sync.Pool use-after-Put.
+//     atomic/direct field access, RLock→Lock upgrades, or sync.Pool
+//     use-after-Put. Mutex value copies are go vet's copylocks check.
 //
-// A third performance check is not an analyzer: the alloc-budget gate
+// The contract's measured leg is not an analyzer: the alloc-budget gate
 // (internal/analysis/budget) measures real allocs/op with
-// testing.AllocsPerRun against the committed ALLOC_BUDGET.json.
+// testing.AllocsPerRun against the committed ALLOC_BUDGET.json, and binds
+// what escape analysis cannot see (append growth, allocations in callees).
 //
 // Findings can be suppressed with a staticcheck-style directive on the line
 // of, or the line immediately above, the offending node:
@@ -109,6 +111,7 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
+	escapes  []escapeDiag // the compiler's heap diagnostics, see Package
 	analyzer *Analyzer
 	report   func(Finding)
 }
@@ -139,8 +142,9 @@ func (p *Pass) InternalPkg(skip ...string) bool {
 }
 
 // Run applies each analyzer to each package, filters suppressed findings,
-// and returns the rest sorted by file position. Malformed suppression
-// directives are reported under the pseudo-analyzer "directive".
+// and returns the rest sorted by file position, then analyzer name.
+// Malformed suppression directives are reported under the pseudo-analyzer
+// "directive".
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {
@@ -156,19 +160,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			pass := &Pass{
 				Module: pkg.Module, Path: pkg.ImportPath,
 				Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Pkg, Info: pkg.Info,
-				analyzer: a, report: collect,
+				escapes: pkg.escapes, analyzer: a, report: collect,
 			}
 			a.Run(pass)
 		}
 	}
-	SortFindings(findings)
-	return findings
-}
-
-// SortFindings orders findings by file position then analyzer name — the
-// engine's canonical output order. Exported so callers merging extra
-// findings (the -escapes mode) can restore it.
-func SortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -182,26 +178,7 @@ func SortFindings(findings []Finding) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-}
-
-// FilterSuppressed drops findings covered by lint:ignore directives in pkgs.
-// Run applies this internally; findings produced outside Run (escape
-// reconciliation) go through here so directives work uniformly.
-func FilterSuppressed(pkgs []*Package, findings []Finding) []Finding {
-	sup := suppressions{}
-	for _, pkg := range pkgs {
-		s, _ := directives(pkg.Fset, pkg.Files)
-		for k, v := range s {
-			sup[k] = v
-		}
-	}
-	out := findings[:0]
-	for _, f := range findings {
-		if !sup.suppressed(f) {
-			out = append(out, f)
-		}
-	}
-	return out
+	return findings
 }
 
 // ignorePrefix is the directive form this suite honors. The "lint:" vocabulary

@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,6 +20,10 @@ import (
 func loadFixture(t *testing.T, dir, importPath string) *Package {
 	t.Helper()
 	full := filepath.Join("testdata", "src", dir)
+	abs, err := filepath.Abs(full)
+	if err != nil {
+		t.Fatal(err)
+	}
 	entries, err := os.ReadDir(full)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +47,7 @@ func loadFixture(t *testing.T, dir, importPath string) *Package {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)
 	}
 	return &Package{
-		Module: "example.com/m", ImportPath: importPath, Dir: full,
+		Module: "example.com/m", ImportPath: importPath, Dir: abs,
 		Fset: fset, Files: files, Pkg: pkg, Info: info,
 	}
 }
@@ -80,7 +85,8 @@ func gotFindings(findings []Finding) []string {
 
 // TestAnalyzersOnFixtures is the golden-fixture table: each analyzer must
 // fire exactly on its seeded violations and stay silent on the sanctioned
-// patterns, with suppression directives honored.
+// patterns, with suppression directives honored. The hotalloc rows compile
+// their fixture first, so their wants are the compiler's own escapes.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -114,6 +120,14 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pkg := loadFixture(t, tc.dir, tc.path)
+			if slices.Contains(tc.analyzers, HotAlloc) {
+				if errs := compile(".", []*Package{pkg}); errs != nil {
+					t.Fatalf("compiling fixture %s: %v", tc.dir, errs)
+				}
+				if len(pkg.escapes) == 0 {
+					t.Fatalf("compiling fixture %s attached no escapes", tc.dir)
+				}
+			}
 			want := tc.extraWant
 			// Out-of-scope runs reuse a fixture under a path the analyzer
 			// must ignore: every want comment is expected to stay silent.

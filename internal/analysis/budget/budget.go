@@ -1,8 +1,10 @@
-// Package budget is the third leg of the performance contract (DESIGN.md
-// "Performance contract"): where generic/hotalloc reasons about syntax and
-// -escapes about compiler analysis, this package measures what the hot paths
-// actually allocate, with testing.AllocsPerRun, and gates the result against
-// the committed ALLOC_BUDGET.json at the repository root.
+// Package budget is the measured leg of the performance contract
+// (DESIGN.md "Performance contract"): where generic/hotalloc reports the
+// compiler's heap escapes inside hot functions, this package measures what
+// the hot paths actually allocate, with testing.AllocsPerRun, and gates the
+// result against the committed ALLOC_BUDGET.json at the repository root. It
+// binds what escape analysis cannot see: append growth, which -m=1 does not
+// print, and allocations inside a callee, which it reports at the callee.
 //
 // The budget file is regenerated the same way BENCH_GENERIC.json is:
 //

@@ -66,23 +66,41 @@ func TestAllocBudget(t *testing.T) {
 
 // TestGateCatchesInjectedAlloc proves the gate actually fires: an op that
 // allocates once per call against a zero budget must come back over-budget.
+// The last two inputs allocate where the compiler leg (generic/hotalloc)
+// sees nothing: -m=1 prints no diagnostic for append growth, and it reports
+// a noinline callee's allocation inside the callee, outside any hot region
+// of its caller.
 func TestGateCatchesInjectedAlloc(t *testing.T) {
 	var sink []byte
-	leaky := Op{Name: "test/leaky", Run: func() { sink = make([]byte, 1024) }}
-	_ = sink
-	got := testing.AllocsPerRun(100, leaky.Run)
-	if got < 1 {
-		t.Fatalf("injected alloc measured %.1f allocs/op; harness cannot see allocations", got)
+	var grown []float64
+	for _, leaky := range []Op{
+		{Name: "test/leaky", Run: func() { sink = make([]byte, 1024) }},
+		{Name: "test/append_growth", Run: func() {
+			var s []float64
+			grown = append(s, 1)
+		}},
+		{Name: "test/callee_alloc", Run: func() { sink = freshSlice() }},
+	} {
+		got := testing.AllocsPerRun(100, leaky.Run)
+		if got < 1 {
+			t.Fatalf("%s measured %.1f allocs/op; harness cannot see allocations", leaky.Name, got)
+		}
+		f := File{Schema: SchemaVersion, Entries: []Entry{{Name: leaky.Name, MaxAllocsPerOp: 0}}}
+		vs := Check(f, map[string]float64{leaky.Name: got})
+		if len(vs) != 1 || vs[0].Kind != "over-budget" {
+			t.Fatalf("gate did not flag %s: %v", leaky.Name, vs)
+		}
+		if !strings.Contains(vs[0].Detail, "budget 0.0") {
+			t.Errorf("%s violation detail = %q", leaky.Name, vs[0].Detail)
+		}
 	}
-	f := File{Schema: SchemaVersion, Entries: []Entry{{Name: "test/leaky", MaxAllocsPerOp: 0}}}
-	vs := Check(f, map[string]float64{"test/leaky": got})
-	if len(vs) != 1 || vs[0].Kind != "over-budget" {
-		t.Fatalf("gate did not flag the injected allocation: %v", vs)
-	}
-	if !strings.Contains(vs[0].Detail, "budget 0.0") {
-		t.Errorf("violation detail = %q", vs[0].Detail)
-	}
+	_, _ = sink, grown
 }
+
+// freshSlice returns a new slice on every call, out of line.
+//
+//go:noinline
+func freshSlice() []byte { return make([]byte, 64) }
 
 // TestCheckMissingAndStale covers the other two failure modes: a new hot op
 // with no ratified budget, and a budget entry whose op was deleted.

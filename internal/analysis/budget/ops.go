@@ -45,16 +45,27 @@ func features(phase int) []float64 {
 func Ops() []Op {
 	cfg := encoding.Config{D: opD, Features: opFeatures, Lo: 0, Hi: 1, Seed: 42, UseID: true}
 
+	// Every encoder, and every path through the windowed encoder's bundle:
+	// generic is n = 3 with ids, ngram n = 3 without (the id-less shape
+	// EEG serves), levelid n = 1 with ids, and generic_n4 the general XOR
+	// fold. Append growth in a bundle shows only here: escape analysis
+	// does not report it.
 	var ops []Op
-	for _, k := range []encoding.Kind{encoding.RP, encoding.LevelID, encoding.Permute, encoding.Generic} {
-		enc := encoding.MustNew(k, cfg)
-		x := features(int(k))
+	n4 := cfg
+	n4.N = 4
+	for _, e := range []struct {
+		name string
+		kind encoding.Kind
+		cfg  encoding.Config
+	}{
+		{"rp", encoding.RP, cfg}, {"levelid", encoding.LevelID, cfg},
+		{"ngram", encoding.Ngram, cfg}, {"permute", encoding.Permute, cfg},
+		{"generic", encoding.Generic, cfg}, {"generic_n4", encoding.Generic, n4},
+	} {
+		enc := encoding.MustNew(e.kind, e.cfg)
+		x := features(int(e.kind))
 		out := hdc.NewVec(enc.D())
-		name := "encode/" + map[encoding.Kind]string{
-			encoding.RP: "rp", encoding.LevelID: "levelid",
-			encoding.Permute: "permute", encoding.Generic: "generic",
-		}[k]
-		ops = append(ops, Op{Name: name, Run: func() { enc.Encode(x, out) }})
+		ops = append(ops, Op{Name: "encode/" + e.name, Run: func() { enc.Encode(x, out) }})
 	}
 
 	// A small trained model and a batch of encoded queries for the scoring

@@ -1,102 +1,223 @@
 package analysis
 
 import (
+	"bufio"
+	"bytes"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"strconv"
 	"strings"
 )
 
-// Function-level directives recognized by the hotalloc analyzer. They live in
-// the doc comment directly above the function, staticcheck-directive style:
+// hotpathDirective marks a hot function. It lives in the doc comment
+// directly above the function, staticcheck-directive style:
 //
 //	//generic:hotpath
 //	func (e *rpEncoder) Encode(x []float64, out hdc.Vec) { ... }
-//
-// //generic:coldpath opts an internal/hdc kernel out of the default-hot rule.
-const (
-	hotpathDirective  = "generic:hotpath"
-	coldpathDirective = "generic:coldpath"
-)
+const hotpathDirective = "generic:hotpath"
 
-// HotAlloc enforces the hot-path performance contract: a function annotated
-// //generic:hotpath (or an exported internal/hdc kernel taking a hypervector,
-// hot by default) runs on the per-sample encode/predict/update path and must
-// not allocate. The analyzer flags, inside such functions:
+// HotAlloc is the compiler leg of the hot-path allocation contract: a
+// function annotated //generic:hotpath (or an exported internal/hdc kernel
+// taking a hypervector, hot by default) runs on the per-sample
+// encode/predict/update path, and the compiler's escape analysis must find
+// no heap allocation inside it. Load compiles every loaded package with
+// `go build -gcflags=-m=1`; this analyzer reports each "escapes to heap" or
+// "moved to heap" diagnostic that falls inside a hot function's line span.
 //
-//   - heap-escaping composite literals (&T{...}, slice and map literals)
-//   - make/new — per-call buffer allocation (a make guarded by a nil/len/cap
-//     check is sanctioned lazy init)
-//   - append without provably preallocated capacity
-//   - defer, closures, and go statements
-//   - interface boxing: concrete values passed to interface parameters or
-//     converted to interface types
-//   - string↔[]byte conversions, which copy
-//   - calls to helpers that are neither hotpath-annotated themselves, nor
-//     small enough to inline, nor in the sanctioned alloc-free call set
-//     (internal/{hdc,telemetry,perf,rng}, math, math/bits, sync/atomic,
-//     time)
-//
-// Guard blocks that end in panic are dead on the hot path and are skipped, so
-// the dimguard-mandated dimension checks (which format a message and panic)
-// do not trip the contract. The optional generic-lint -escapes mode
-// reconciles this heuristic view with the compiler's escape analysis.
+// Guard blocks that end in panic are dead on the hot path and are skipped,
+// so the dimguard-mandated dimension checks (which format a message and
+// panic) do not trip the contract. What the compiler cannot see here —
+// append growth, and allocations inside a callee it does not inline — is
+// bound by the measured alloc-budget gate (internal/analysis/budget).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "forbid allocation in //generic:hotpath functions and default-hot internal/hdc kernels",
+	Doc:  "report compiler heap escapes (go build -gcflags=-m=1) in //generic:hotpath functions and default-hot internal/hdc kernels",
 	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) {
-	hot, decls := hotFuncs(pass)
+	for _, r := range hotRegions(pass) {
+		tf := pass.Fset.File(r.pos)
+		reported := map[int]bool{}
+		for _, d := range pass.escapes {
+			if d.File != r.File || d.Line < r.StartLine || d.Line > r.EndLine || reported[d.Line] {
+				continue
+			}
+			if r.coldLine(d.Line) || coldMessage(d.Message) {
+				continue
+			}
+			reported[d.Line] = true
+			pos := tf.LineStart(d.Line)
+			if d.Col > 0 {
+				pos += token.Pos(d.Col - 1)
+			}
+			pass.Reportf(pos, "compiler escape analysis: %s inside hotpath %s; keep the value on the stack or in reused scratch", d.Message, r.Func)
+		}
+	}
+}
+
+// An escapeDiag is one heap diagnostic from `go build -gcflags=-m=1`.
+type escapeDiag struct {
+	File    string // as printed by the compiler until attachEscapes rewrites it
+	Line    int
+	Col     int
+	Message string
+}
+
+// parseEscapes extracts heap diagnostics ("escapes to heap", "moved to
+// heap") from compiler -m output, ignoring inlining chatter and the
+// "# pkgpath" group headers.
+func parseEscapes(out []byte) []escapeDiag {
+	var diags []escapeDiag
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.Contains(line, "escapes to heap") && !strings.Contains(line, "moved to heap") {
+			continue
+		}
+		// file.go:line:col: message
+		parts := strings.SplitN(line, ":", 4)
+		if len(parts) != 4 {
+			continue
+		}
+		ln, err1 := strconv.Atoi(parts[1])
+		col, err2 := strconv.Atoi(parts[2])
+		if err1 != nil || err2 != nil {
+			continue
+		}
+		diags = append(diags, escapeDiag{
+			File: parts[0], Line: ln, Col: col,
+			Message: strings.TrimSpace(parts[3]),
+		})
+	}
+	return diags
+}
+
+// attachEscapes hands each diagnostic to the package that owns its file,
+// rewriting the compiler-printed path (usually relative to the build
+// directory) to the package's FileSet name so regions, directives and
+// sorting compare file names exactly. Diagnostics for files outside pkgs
+// are dropped.
+func attachEscapes(pkgs []*Package, diags []escapeDiag) {
+	type owner struct {
+		pkg  *Package
+		name string
+	}
+	byBase := map[string][]owner{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			name := pkg.Fset.Position(f.Pos()).Filename
+			byBase[filepath.Base(name)] = append(byBase[filepath.Base(name)], owner{pkg, name})
+		}
+	}
+	for _, d := range diags {
+		for _, o := range byBase[filepath.Base(d.File)] {
+			if sameFile(d.File, o.name) {
+				d.File = o.name
+				o.pkg.escapes = append(o.pkg.escapes, d)
+				break
+			}
+		}
+	}
+}
+
+// A hotRegion is the line span of one hot function, for matching compiler
+// diagnostics against the contract's scope.
+type hotRegion struct {
+	File      string // as recorded in the package's FileSet
+	Func      string
+	StartLine int
+	EndLine   int
+	// Cold holds [start, end] line spans inside the function that are dead
+	// on the hot path — panic-guard bodies, panic arguments, and calls to
+	// pure guard helpers. Escapes there (error-message formatting, mostly)
+	// are the cold price of failing, not a hot-path cost.
+	Cold [][2]int
+	pos  token.Pos // the declaration, for resolving diagnostic positions
+}
+
+// coldLine reports whether line falls in one of the region's cold spans.
+func (r hotRegion) coldLine(line int) bool {
+	for _, span := range r.Cold {
+		if line >= span[0] && line <= span[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// hotRegions returns the spans of the package's hot functions: those whose
+// doc comment carries //generic:hotpath, and the default-hot internal/hdc
+// kernels.
+func hotRegions(pass *Pass) []hotRegion {
+	decls := map[types.Object]*ast.FuncDecl{}
+	var hot []*ast.FuncDecl
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if obj := pass.Info.Defs[fd.Name]; obj != nil && hot[obj] {
-				checkHotFunc(pass, fd, hot, decls)
+			if obj := pass.Info.Defs[fd.Name]; obj != nil {
+				decls[obj] = fd
+			}
+			if hotpathAnnotated(fd) || defaultHotKernel(pass, fd) {
+				hot = append(hot, fd)
 			}
 		}
 	}
-}
-
-// hotFuncs selects the package's hot functions and indexes every top-level
-// declaration so hot callers can vet package-local callees.
-func hotFuncs(pass *Pass) (hot map[types.Object]bool, decls map[types.Object]*ast.FuncDecl) {
-	hot = map[types.Object]bool{}
-	decls = map[types.Object]*ast.FuncDecl{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj := pass.Info.Defs[fd.Name]
-			if obj == nil {
-				continue
-			}
-			decls[obj] = fd
-			if hasDirective(fd, coldpathDirective) {
-				continue
-			}
-			if hasDirective(fd, hotpathDirective) || defaultHotKernel(pass, fd) {
-				hot[obj] = true
-			}
+	var regions []hotRegion
+	for _, fd := range hot {
+		start := pass.Fset.Position(fd.Pos())
+		region := hotRegion{
+			File: start.Filename, Func: fd.Name.Name,
+			StartLine: start.Line, EndLine: pass.Fset.Position(fd.End()).Line,
+			pos: fd.Pos(),
 		}
+		span := func(n ast.Node) {
+			region.Cold = append(region.Cold, [2]int{
+				pass.Fset.Position(n.Pos()).Line,
+				pass.Fset.Position(n.End()).Line,
+			})
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				if blockEndsInPanic(pass, n.Body) {
+					span(n.Body)
+				}
+			case *ast.CallExpr:
+				if isBuiltinCall(pass, n, "panic") {
+					span(n)
+					break
+				}
+				// Calls to pure guard helpers (mustSameDim and kin) are
+				// cold too: the compiler inlines them, so their panic-path
+				// escapes — the message and its arguments — are attributed
+				// to the call line rather than to any panic block.
+				if callee := calleeFunc(pass, n); callee != nil {
+					if gd, ok := decls[callee]; ok && pureGuard(pass, gd) {
+						span(n)
+					}
+				}
+			}
+			return true
+		})
+		regions = append(regions, region)
 	}
-	return hot, decls
+	return regions
 }
 
-// hasDirective reports whether the function's doc comment carries the given
-// machine directive (exact line, no leading space after //).
-func hasDirective(fd *ast.FuncDecl, directive string) bool {
+// hotpathAnnotated reports whether the function's doc comment carries the
+// //generic:hotpath directive (exact line, no leading space after //).
+func hotpathAnnotated(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false
 	}
 	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == "//"+directive {
+		if strings.TrimSpace(c.Text) == "//"+hotpathDirective {
 			return true
 		}
 	}
@@ -108,7 +229,7 @@ func hasDirective(fd *ast.FuncDecl, directive string) bool {
 // or Acc) is a kernel on the per-sample path. Receivers alone do not qualify
 // — constructors and cold maintenance methods live on the same types — and
 // allocating constructors (New*, Clone*, Random*) and String are exempt by
-// name. //generic:coldpath opts out explicitly.
+// name.
 func defaultHotKernel(pass *Pass, fd *ast.FuncDecl) bool {
 	if !pathHasSuffix(pass.Path, "internal/hdc") || !fd.Name.IsExported() {
 		return false
@@ -119,161 +240,12 @@ func defaultHotKernel(pass *Pass, fd *ast.FuncDecl) bool {
 		return false
 	}
 	for _, field := range fd.Type.Params.List {
-		if hotVectorType(pass, pass.Info.TypeOf(field.Type)) {
+		t := pass.Info.TypeOf(field.Type)
+		if isVectorType(pass, t) || hdcTypeName(pass, t) == "Acc" {
 			return true
 		}
 	}
 	return false
-}
-
-// hotVectorType is dimguard's isVectorType plus Acc: the parameter types
-// that make an exported internal/hdc function a default-hot kernel.
-func hotVectorType(pass *Pass, t types.Type) bool {
-	return isVectorType(pass, t) || hdcTypeName(pass, t) == "Acc"
-}
-
-// sanctionedCallPkg lists the packages hotpath code may call into: the HDC
-// kernels themselves plus the instrumentation and math layers, all of which
-// are alloc-free on their fast paths (and themselves under this analyzer or
-// the alloc-budget gate).
-func sanctionedCallPkg(path string) bool {
-	for _, s := range [...]string{"internal/hdc", "internal/telemetry", "internal/perf", "internal/rng"} {
-		if pathHasSuffix(path, s) {
-			return true
-		}
-	}
-	switch path {
-	case "math", "math/bits", "sync/atomic", "time":
-		return true
-	}
-	return false
-}
-
-// checkHotFunc walks one hot function body with an ancestor stack, skipping
-// cold regions (blocks that end in panic, and panic arguments).
-func checkHotFunc(pass *Pass, fd *ast.FuncDecl, hot map[types.Object]bool, decls map[types.Object]*ast.FuncDecl) {
-	name := fd.Name.Name
-	prealloc := preallocatedLocals(pass, fd.Body)
-	cold := coldRegions(pass, fd.Body)
-	var stack []ast.Node
-	coldDepth := 0
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if cold[top] {
-				coldDepth--
-			}
-			return true
-		}
-		stack = append(stack, n)
-		if cold[n] {
-			coldDepth++
-		}
-		if coldDepth > 0 {
-			return true
-		}
-		// prune pops the node Inspect will not send a nil for when we
-		// decline to descend.
-		prune := func() bool {
-			stack = stack[:len(stack)-1]
-			if cold[n] {
-				coldDepth--
-			}
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			pass.Reportf(n.Pos(), "hotpath %s uses defer: the deferred frame is per-call overhead and delays the epilogue; restructure without defer", name)
-			return prune()
-		case *ast.GoStmt:
-			pass.Reportf(n.Pos(), "hotpath %s spawns a goroutine: fan-out belongs on the batch layer, not in a per-sample kernel", name)
-			return prune()
-		case *ast.FuncLit:
-			pass.Reportf(n.Pos(), "hotpath %s allocates a closure: a func literal here escapes per call; hoist it or pass state explicitly", name)
-			return prune()
-		case *ast.CompositeLit:
-			if len(stack) >= 2 {
-				if u, ok := stack[len(stack)-2].(*ast.UnaryExpr); ok && u.Op == token.AND {
-					pass.Reportf(u.Pos(), "hotpath %s heap-allocates &%s per call; reuse a struct field or pool entry", name, types.ExprString(n.Type))
-					return prune()
-				}
-			}
-			switch pass.Info.TypeOf(n).Underlying().(type) {
-			case *types.Slice:
-				pass.Reportf(n.Pos(), "hotpath %s allocates a slice literal per call; preallocate the backing store outside the hot path", name)
-			case *types.Map:
-				pass.Reportf(n.Pos(), "hotpath %s allocates a map literal per call; preallocate outside the hot path", name)
-			}
-		case *ast.CallExpr:
-			if !checkHotCall(pass, name, n, stack, hot, decls, prealloc) {
-				return prune()
-			}
-		}
-		return true
-	})
-}
-
-// checkHotCall applies the call-site checks: conversions, allocating
-// builtins, helper-call vetting, and interface boxing. It returns false to
-// prune the subtree (the caller reports nothing further inside it).
-func checkHotCall(pass *Pass, name string, call *ast.CallExpr, stack []ast.Node,
-	hot map[types.Object]bool, decls map[types.Object]*ast.FuncDecl, prealloc map[types.Object]bool) bool {
-
-	// Type conversions: T(x).
-	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		dst := tv.Type
-		src := pass.Info.TypeOf(call.Args[0])
-		switch {
-		case stringBytesConv(dst, src):
-			pass.Reportf(call.Pos(), "hotpath %s converts between string and []byte, which copies per call; keep one representation end to end", name)
-		case boxes(dst, src):
-			pass.Reportf(call.Pos(), "hotpath %s converts concrete %s to interface %s: boxing allocates; use the concrete type", name, src, dst)
-		}
-		return true
-	}
-
-	// Builtins.
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if b, ok := pass.Info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append":
-				if !appendsToPrealloc(pass, call, prealloc) {
-					pass.Reportf(call.Pos(), "hotpath %s appends without preallocated capacity: growth reallocates and copies; size the buffer up front with make(T, len, cap)", name)
-				}
-			case "make":
-				if !lazyInitGuarded(stack) {
-					pass.Reportf(call.Pos(), "hotpath %s allocates with make per call; move the buffer into a struct scratch field or sync.Pool (lazy init behind a nil/len/cap guard is fine)", name)
-				}
-			case "new":
-				pass.Reportf(call.Pos(), "hotpath %s heap-allocates with new per call; reuse a struct field or pool entry", name)
-			}
-			return true
-		}
-	}
-
-	fn := calleeFunc(pass, call)
-	if fn == nil || fn.Pkg() == nil {
-		// Func values, method expressions, universe-scope methods
-		// (error.Error): nothing to vet statically.
-		return true
-	}
-	boxingAtCall(pass, name, call)
-	if fn.Pkg() == pass.Pkg {
-		obj := types.Object(fn)
-		if hot[obj] {
-			return true
-		}
-		if decl := decls[obj]; decl != nil && inlinable(decl) {
-			return true
-		}
-		pass.Reportf(call.Pos(), "hotpath %s calls %s, which is neither //generic:hotpath nor small enough to inline; annotate the helper (it will then be checked too) or shrink it", name, fn.Name())
-		return true
-	}
-	if !sanctionedCallPkg(fn.Pkg().Path()) {
-		pass.Reportf(call.Pos(), "hotpath %s calls %s.%s outside the sanctioned hot-call set (internal/{hdc,telemetry,perf,rng}, math, math/bits, sync/atomic, time)", name, fn.Pkg().Name(), fn.Name())
-	}
-	return true
 }
 
 // calleeFunc resolves a call's static target, or nil for func values and
@@ -293,166 +265,19 @@ func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// boxingAtCall flags concrete values passed to interface parameters: each
-// such argument is boxed, which allocates unless the compiler can prove
-// otherwise (the -escapes mode confirms).
-func boxingAtCall(pass *Pass, name string, call *ast.CallExpr) {
-	sig, ok := pass.Info.TypeOf(call.Fun).(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			if call.Ellipsis.IsValid() {
-				continue // the slice is passed through whole
-			}
-			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
-		case i < params.Len():
-			pt = params.At(i).Type()
-		}
-		if pt == nil || !boxes(pt, pass.Info.TypeOf(arg)) {
-			continue
-		}
-		pass.Reportf(arg.Pos(), "hotpath %s passes concrete %s to an interface parameter: boxing allocates per call", name, pass.Info.TypeOf(arg))
-	}
-}
-
-// boxes reports whether assigning a src value to a dst location is a
-// concrete-to-interface conversion.
-func boxes(dst, src types.Type) bool {
-	if dst == nil || src == nil || !types.IsInterface(dst) || types.IsInterface(src) {
+// pureGuard reports whether fd's body consists solely of if-blocks that end
+// in panic — a validation helper with no hot-path work of its own.
+func pureGuard(pass *Pass, fd *ast.FuncDecl) bool {
+	if len(fd.Body.List) == 0 {
 		return false
 	}
-	if b, ok := src.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
-		return false
-	}
-	return true
-}
-
-// stringBytesConv reports a string↔[]byte conversion in either direction.
-func stringBytesConv(dst, src types.Type) bool {
-	if dst == nil || src == nil {
-		return false
-	}
-	isStr := func(t types.Type) bool {
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsString != 0
-	}
-	isBytes := func(t types.Type) bool {
-		s, ok := t.Underlying().(*types.Slice)
-		if !ok {
+	for _, stmt := range fd.Body.List {
+		ifs, ok := stmt.(*ast.IfStmt)
+		if !ok || !blockEndsInPanic(pass, ifs.Body) {
 			return false
 		}
-		b, ok := s.Elem().Underlying().(*types.Basic)
-		return ok && b.Kind() == types.Byte
 	}
-	return (isStr(dst) && isBytes(src)) || (isBytes(dst) && isStr(src))
-}
-
-// preallocatedLocals collects locals initialized from a make with an explicit
-// capacity (make([]T, len, cap)); appending to those is sanctioned — the
-// capacity was sized up front, so growth never reallocates.
-func preallocatedLocals(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok {
-			return
-		}
-		call, ok := rhs.(*ast.CallExpr)
-		if !ok || len(call.Args) < 3 {
-			return
-		}
-		if fid, ok := call.Fun.(*ast.Ident); ok {
-			if b, ok := pass.Info.Uses[fid].(*types.Builtin); ok && b.Name() == "make" {
-				if obj := pass.Info.ObjectOf(id); obj != nil {
-					out[obj] = true
-				}
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					record(n.Lhs[i], n.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			if len(n.Names) == len(n.Values) {
-				for i := range n.Names {
-					record(n.Names[i], n.Values[i])
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// appendsToPrealloc reports whether the append's destination is a local with
-// provably preallocated capacity.
-func appendsToPrealloc(pass *Pass, call *ast.CallExpr, prealloc map[types.Object]bool) bool {
-	if len(call.Args) == 0 {
-		return false
-	}
-	id, ok := call.Args[0].(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := pass.Info.ObjectOf(id)
-	return obj != nil && prealloc[obj]
-}
-
-// lazyInitGuarded reports whether the node sits inside an if whose condition
-// inspects storage state (nil, len, cap) — the sanctioned amortized-growth
-// pattern: allocate once, on first use or on capacity exhaustion.
-func lazyInitGuarded(stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		ifs, ok := stack[i].(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		found := false
-		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				switch id.Name {
-				case "nil", "len", "cap":
-					found = true
-				}
-			}
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-// coldRegions marks subtrees dead on the hot path: bodies of if statements
-// that end in panic (guard blocks), and panic calls themselves (their
-// message formatting runs only when the contract is already violated).
-func coldRegions(pass *Pass, body *ast.BlockStmt) map[ast.Node]bool {
-	cold := map[ast.Node]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.IfStmt:
-			if blockEndsInPanic(pass, n.Body) {
-				cold[n.Body] = true
-			}
-		case *ast.CallExpr:
-			if isBuiltinCall(pass, n, "panic") {
-				cold[n] = true
-			}
-		}
-		return true
-	})
-	return cold
+	return true
 }
 
 func blockEndsInPanic(pass *Pass, b *ast.BlockStmt) bool {
@@ -476,24 +301,23 @@ func isBuiltinCall(pass *Pass, call *ast.CallExpr, name string) bool {
 	return ok && b.Name() == name
 }
 
-// inlinable approximates the compiler's inlining budget: a helper with no
-// loops, defers, goroutines, selects, or closures and a handful of
-// statements is assumed to inline into its hot caller, costing no frame. The
-// -escapes mode reconciles this approximation against the compiler.
-func inlinable(fd *ast.FuncDecl) bool {
-	if fd.Body == nil {
-		return false
+// coldMessage reports whether a diagnostic describes panic/error-message
+// material rather than hot-path data. Guard helpers the compiler inlines
+// can attribute their panic-argument escapes to lines outside any
+// syntactic cold span; the escaping values are recognizable instead:
+// quoted string constants and fmt.Sprintf calls, which hot-path data
+// (slices, structs, boxed scalars) never prints as.
+func coldMessage(msg string) bool {
+	return strings.HasPrefix(msg, `"`) || strings.Contains(msg, "fmt.Sprintf(")
+}
+
+// sameFile matches a compiler-printed path (usually relative) against a
+// FileSet path (usually absolute): equal after cleaning, or one is a
+// path-boundary suffix of the other.
+func sameFile(a, b string) bool {
+	a, b = filepath.ToSlash(filepath.Clean(a)), filepath.ToSlash(filepath.Clean(b))
+	if a == b {
+		return true
 	}
-	stmts := 0
-	ok := true
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt, *ast.DeferStmt, *ast.GoStmt, *ast.SelectStmt, *ast.FuncLit:
-			ok = false
-		case ast.Stmt:
-			stmts++
-		}
-		return ok
-	})
-	return ok && stmts <= 8
+	return strings.HasSuffix(a, "/"+b) || strings.HasSuffix(b, "/"+a)
 }

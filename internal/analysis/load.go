@@ -11,6 +11,7 @@ import (
 	"go/types"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // A Package is one parsed and type-checked package ready for analysis.
@@ -22,6 +23,10 @@ type Package struct {
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
+
+	// escapes holds the compiler's heap diagnostics for the package's
+	// files, attached by compile; generic/hotalloc reads them.
+	escapes []escapeDiag
 }
 
 // listPackage is the subset of `go list -json` output the loader consumes.
@@ -32,10 +37,10 @@ type listPackage struct {
 	Module     *struct{ Path string }
 }
 
-// A LoadError records one listed package that could not be parsed or
-// type-checked. Loading continues past it so the rest of the tree is still
-// analyzed, but the caller must surface the failure: findings from a partial
-// load are a lower bound, not a clean bill.
+// A LoadError records one listed package that could not be parsed,
+// type-checked or compiled. Loading continues past it so the rest of the
+// tree is still analyzed, but the caller must surface the failure: findings
+// from a partial load are a lower bound, not a clean bill.
 type LoadError struct {
 	ImportPath string
 	Err        error
@@ -46,16 +51,18 @@ func (e LoadError) Error() string {
 }
 
 // Load resolves patterns (e.g. "./...") to packages via `go list -json`,
-// parses their non-test files, and type-checks them with the stdlib source
-// importer. dir is the working directory for the go command and must lie
-// inside the module under analysis. Test files are skipped by construction:
-// the contracts bind library code, and tests routinely violate them on
-// purpose to prove the guarantees hold.
+// parses their non-test files, type-checks them with the stdlib source
+// importer, and compiles them with escape analysis on (see compile). dir is
+// the working directory for the go command and must lie inside the module
+// under analysis. Test files are skipped by construction: the contracts
+// bind library code, and tests routinely violate them on purpose to prove
+// the guarantees hold.
 //
-// A package that fails to parse or type-check does not abort the load: it is
-// reported in the returned LoadError slice and the remaining packages are
-// still analyzed. The error return is reserved for failures of the load
-// itself (go list, output decoding).
+// A package that fails to parse, type-check or compile does not abort the
+// load: it is reported in the returned LoadError slice and the remaining
+// packages are still analyzed. Packages that fail to type-check are not
+// compiled. The error return is reserved for failures of the load itself
+// (go list, output decoding).
 func Load(dir string, patterns []string) ([]*Package, []LoadError, error) {
 	args := append([]string{"list", "-json", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -92,7 +99,46 @@ func Load(dir string, patterns []string) ([]*Package, []LoadError, error) {
 		}
 		pkgs = append(pkgs, p)
 	}
-	return pkgs, loadErrs, nil
+	return pkgs, append(loadErrs, compile(dir, pkgs)...), nil
+}
+
+// compile builds pkgs, named by directory, with `go build -gcflags=-m=1` in
+// dir and attaches each package's heap diagnostics. The build cache replays
+// compiler output, so repeat runs stay cheap and still see every
+// diagnostic. Each package that does not compile becomes a LoadError: its
+// escape analysis never ran, so its hot regions prove nothing.
+func compile(dir string, pkgs []*Package) []LoadError {
+	if len(pkgs) == 0 {
+		return nil
+	}
+	dirs := make([]string, len(pkgs))
+	for i, p := range pkgs {
+		dirs[i] = p.Dir
+	}
+	out, err := goBuild(dir, append([]string{"-gcflags=-m=1"}, dirs...))
+	attachEscapes(pkgs, parseEscapes(out))
+	if err == nil {
+		return nil
+	}
+	// The -m chatter buries the compile errors; a plain build of the same
+	// packages prints only them, one "# importpath" block per failure.
+	plain, _ := goBuild(dir, dirs)
+	var errs []LoadError
+	for _, block := range strings.Split("\n"+string(plain), "\n# ")[1:] {
+		path, msg, _ := strings.Cut(block, "\n")
+		errs = append(errs, LoadError{ImportPath: path, Err: fmt.Errorf("analysis: compiling: %s", strings.TrimSpace(msg))})
+	}
+	if len(errs) == 0 {
+		errs = append(errs, LoadError{ImportPath: "go build -gcflags=-m=1", Err: err})
+	}
+	return errs
+}
+
+// goBuild runs `go build args...` in dir and returns its combined output.
+func goBuild(dir string, args []string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"build"}, args...)...)
+	cmd.Dir = dir
+	return cmd.CombinedOutput()
 }
 
 // ExitCode maps a run's outcome to generic-lint's exit-status contract:

@@ -107,3 +107,36 @@ func TestWriteJSON(t *testing.T) {
 		t.Errorf("decoded finding = %+v", d)
 	}
 }
+
+// TestLoadCompileFailure is the compile half of the exit-code contract: a
+// package that type-checks but does not compile (a body-less function is
+// legal to go/types, not to the compiler) becomes a LoadError, while the
+// packages that did compile still carry their escape diagnostics.
+func TestLoadCompileFailure(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module example.com/nocompile\n\ngo 1.22\n",
+		"ok/ok.go": `package ok
+
+func Grow(n int) []int { return make([]int, n) }
+`,
+		"bad/bad.go": "package bad\n\nfunc Missing()\n\nfunc Call() { Missing() }\n",
+	})
+	pkgs, loadErrs, err := Load(dir, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages, want both to type-check", len(pkgs))
+	}
+	if len(loadErrs) != 1 || loadErrs[0].ImportPath != "example.com/nocompile/bad" || !strings.Contains(loadErrs[0].Error(), "missing function body") {
+		t.Fatalf("load errors = %v, want one compile error for example.com/nocompile/bad", loadErrs)
+	}
+	for _, p := range pkgs {
+		if p.ImportPath == "example.com/nocompile/ok" && len(p.escapes) != 1 {
+			t.Errorf("ok package carries %d escapes, want its one make: %+v", len(p.escapes), p.escapes)
+		}
+	}
+	if ExitCode(len(pkgs), 0, len(loadErrs)) != 2 {
+		t.Error("a compile failure must exit 2")
+	}
+}

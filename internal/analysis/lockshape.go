@@ -9,23 +9,25 @@ import (
 
 // LockShape enforces the concurrency-shape contract in the packages that mix
 // locks, atomics, and pools on the serving path: internal/telemetry,
-// internal/faults, and cmd/generic-serve. Four shapes are flagged:
+// internal/faults, internal/serve, internal/quality, and cmd/generic-serve.
+// Three shapes are flagged:
 //
 //   - mixed discipline: a struct field updated via sync/atomic (passed as
 //     &x.f to an atomic function) that is also read or written directly —
 //     the direct access races with the atomic one whether or not a mutex
 //     guards it, because the atomic side does not take the mutex.
-//   - mutex value copies: assigning, ranging over, or passing by value any
-//     type that transitively contains a sync.Mutex or sync.RWMutex.
 //   - read-lock upgrade: code holding mu.RLock() that calls mu.Lock() or a
 //     package-local function that takes mu.Lock() on the same mutex field —
 //     sync.RWMutex is not upgradable; this deadlocks under contention.
 //   - pool reuse-after-Put: statements after sync.Pool.Put(x) in the same
 //     block that still read x — the pointee may already be handed to
 //     another goroutine.
+//
+// By-value copies of lock-holding types are go vet's copylocks check, which
+// CI runs over the whole module.
 var LockShape = &Analyzer{
 	Name: "lockshape",
-	Doc:  "flag atomic/direct mixed field access, mutex copies, RLock upgrade deadlocks, and sync.Pool use-after-Put",
+	Doc:  "flag atomic/direct mixed field access, RLock upgrade deadlocks, and sync.Pool use-after-Put",
 	Run:  runLockShape,
 }
 
@@ -34,7 +36,6 @@ func runLockShape(pass *Pass) {
 		return
 	}
 	checkMixedAtomic(pass)
-	checkMutexCopies(pass)
 	checkRLockUpgrades(pass)
 	checkPoolPutReuse(pass)
 }
@@ -107,106 +108,6 @@ func fieldObject(pass *Pass, sel *ast.SelectorExpr) types.Object {
 		return nil
 	}
 	return s.Obj()
-}
-
-// checkMutexCopies flags by-value movement of mutex-containing types.
-func checkMutexCopies(pass *Pass) {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkFieldListCopies(pass, n.Recv, "receiver")
-				checkFieldListCopies(pass, n.Type.Params, "parameter")
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					if copiesMutexValue(pass, rhs) {
-						pass.Reportf(rhs.Pos(), "copies %s by value; it contains a sync mutex, and the copy's lock state diverges from the original — use a pointer", pass.Info.TypeOf(rhs))
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value == nil {
-					return true
-				}
-				if t := pass.Info.TypeOf(n.Value); t != nil && containsMutex(t) {
-					pass.Reportf(n.Value.Pos(), "range copies %s elements by value; they contain a sync mutex — iterate by index or store pointers", t)
-				}
-			}
-			return true
-		})
-	}
-}
-
-func checkFieldListCopies(pass *Pass, fl *ast.FieldList, kind string) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		t := pass.Info.TypeOf(field.Type)
-		if t == nil {
-			continue
-		}
-		if _, ptr := t.(*types.Pointer); ptr {
-			continue
-		}
-		if containsMutex(t) {
-			pass.Reportf(field.Type.Pos(), "%s takes %s by value; it contains a sync mutex, so every call copies the lock — use a pointer", kind, t)
-		}
-	}
-}
-
-// copiesMutexValue reports whether evaluating rhs copies an existing
-// mutex-containing value: reading a variable, field, dereference, or index.
-// Construction (composite literals) and call results are the producer's
-// responsibility, not a copy of live lock state.
-func copiesMutexValue(pass *Pass, rhs ast.Expr) bool {
-	switch rhs.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return false
-	}
-	t := pass.Info.TypeOf(rhs)
-	if t == nil {
-		return false
-	}
-	if _, ptr := t.(*types.Pointer); ptr {
-		return false
-	}
-	return containsMutex(t)
-}
-
-// containsMutex reports whether t transitively holds a sync.Mutex or
-// sync.RWMutex by value.
-func containsMutex(t types.Type) bool {
-	return containsMutexRec(t, map[types.Type]bool{})
-}
-
-// containsMutexRec is containsMutex with a cycle guard; the guard is per
-// top-level query so one type's answer never shadows another's.
-func containsMutexRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex":
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsMutexRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsMutexRec(u.Elem(), seen)
-	}
-	return false
 }
 
 // mutexEvent is one lock-relevant action in a function body, in source order.

@@ -127,7 +127,6 @@ func NewModel(d, nC, bw int) *Model {
 //generic:hotpath
 func (m *Model) own(c int) {
 	if !m.owned[c] {
-		//lint:ignore generic/hotalloc copy-on-write runs once per row after a Clone, never in the steady state
 		m.copyRow(c)
 	}
 }

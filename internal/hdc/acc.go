@@ -50,7 +50,7 @@ func (a *Acc) Reset(n int) {
 		panic(fmt.Sprintf("hdc: Acc.Reset with %d rows", n))
 	}
 	if n > len(a.views) {
-		//lint:ignore generic/hotalloc,generic/escapes staging growth is amortized: an encoder's bundles share one size, so it grows once
+		//lint:ignore generic/hotalloc staging growth is amortized: an encoder's bundles share one size, so it grows once
 		a.grow(n)
 	}
 	a.n = n

@@ -119,7 +119,7 @@ func (t *Tracer) Begin(name string) *Span {
 	if !t.enabled.Load() {
 		return nil
 	}
-	//lint:ignore generic/hotalloc,generic/escapes span allocation happens only when tracing is enabled; the disabled path above is the hot one and costs one atomic load
+	//lint:ignore generic/hotalloc span allocation happens only when tracing is enabled; the disabled path above is the hot one and costs one atomic load
 	return &Span{tracer: t, name: name, id: t.nextID(), start: telemetry.Now()}
 }
 
@@ -131,7 +131,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	//lint:ignore generic/hotalloc,generic/escapes child spans exist only when tracing is enabled; disabled-path calls return nil above
+	//lint:ignore generic/hotalloc child spans exist only when tracing is enabled; disabled-path calls return nil above
 	return &Span{tracer: s.tracer, name: name, id: s.tracer.nextID(), parent: s.id, start: telemetry.Now()}
 }
 
@@ -172,14 +172,13 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	//lint:ignore generic/hotalloc,generic/escapes the record is the span's output and exists only when tracing is enabled (End on a nil span returned above)
+	//lint:ignore generic/hotalloc the record is the span's output and exists only when tracing is enabled (End on a nil span returned above)
 	rec := &Record{Name: s.name, ID: s.id, Parent: s.parent,
 		Start: s.start, Dur: telemetry.Now() - s.start}
 	t := s.tracer
 	i := t.cursor.Add(1) - 1
 	t.slots[i%uint64(len(t.slots))].Store(rec)
 	if s.prevCtx != nil {
-		//lint:ignore generic/hotalloc label restore runs only for Start-created (request-scoped) spans, never on the Begin/Child fast path
 		pprof.SetGoroutineLabels(s.prevCtx)
 	}
 }
