@@ -1,10 +1,12 @@
 // Command generic-lint runs this repository's custom determinism,
 // performance, and concurrency analyzers (internal/analysis) over Go
 // packages. It is built purely on the standard library and the go command:
-// package metadata comes from `go list -json`, syntax and types from
-// go/ast, go/parser, go/token, and go/types, and the heap escapes that
-// generic/hotalloc reports from `go build -gcflags=-m=1`, run over the
-// loaded packages on every invocation.
+// package metadata and the dependencies' export data come from
+// `go list -json -export -deps`, syntax and types from go/ast, go/parser,
+// go/token, and go/types (imports read through the gc export-data
+// importer), and the heap escapes that generic/hotalloc reports from
+// `go build -gcflags=-m=1`, run over the loaded packages on every
+// invocation.
 //
 // Usage:
 //

@@ -117,7 +117,7 @@ type bench struct {
 }
 
 // buildSuite constructs the registered suite over shared fixtures: the EEG
-// benchmark (128 features, 6 classes) at D=2048, the paper's default
+// benchmark (128 features, 2 classes) at D=2048, the paper's default
 // GENERIC encoding. Fixture construction is excluded from measurement.
 func buildSuite() ([]*bench, error) {
 	const d = 2048

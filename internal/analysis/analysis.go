@@ -5,9 +5,10 @@
 // assignments, and all randomness must be explicit and replayable.
 //
 // The engine is built purely on the standard library and the go command
-// (go/ast, go/parser, go/token, go/types; package metadata via
-// `go list -json`, escape analysis via `go build -gcflags=-m=1`), so go.mod
-// stays dependency-free. One analyzer exists per contract:
+// (go/ast, go/parser, go/token, go/types; package metadata and the
+// dependencies' export data via `go list -json -export -deps`, escape
+// analysis via `go build -gcflags=-m=1`), so go.mod stays dependency-free.
+// One analyzer exists per contract:
 //
 //   - detrand:    no math/rand, no time.Now, no map-range iteration in
 //     model-state-affecting code under internal/ — randomness flows

@@ -9,6 +9,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -34,6 +36,8 @@ type listPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
+	Export     string // compiled export data in the build cache
+	DepOnly    bool   // listed only as a dependency of a matched package
 	Module     *struct{ Path string }
 }
 
@@ -51,12 +55,12 @@ func (e LoadError) Error() string {
 }
 
 // Load resolves patterns (e.g. "./...") to packages via `go list -json`,
-// parses their non-test files, type-checks them with the stdlib source
-// importer, and compiles them with escape analysis on (see compile). dir is
-// the working directory for the go command and must lie inside the module
-// under analysis. Test files are skipped by construction: the contracts
-// bind library code, and tests routinely violate them on purpose to prove
-// the guarantees hold.
+// parses their non-test files, type-checks them against the compiler's
+// export data for every import, and compiles them with escape analysis on
+// (see compile). dir is the working directory for the go command and must
+// lie inside the module under analysis. Test files are skipped by
+// construction: the contracts bind library code, and tests routinely violate
+// them on purpose to prove the guarantees hold.
 //
 // A package that fails to parse, type-check or compile does not abort the
 // load: it is reported in the returned LoadError slice and the remaining
@@ -64,7 +68,11 @@ func (e LoadError) Error() string {
 // compiled. The error return is reserved for failures of the load itself
 // (go list, output decoding).
 func Load(dir string, patterns []string) ([]*Package, []LoadError, error) {
-	args := append([]string{"list", "-json", "--"}, patterns...)
+	// -export builds every listed package and its dependencies (the build
+	// cache keeps this cheap) and names each export data file. -e lists a
+	// package that does not compile, without export data, instead of
+	// failing the whole listing; its type-check or compile below reports it.
+	args := append([]string{"list", "-e", "-json", "-export", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -74,24 +82,38 @@ func Load(dir string, patterns []string) ([]*Package, []LoadError, error) {
 		return nil, nil, fmt.Errorf("analysis: go list %v: %v\n%s", patterns, err, stderr.Bytes())
 	}
 
-	fset := token.NewFileSet()
-	// The source importer type-checks transitive imports (stdlib included)
-	// from source, so no compiled export data is needed. It caches packages
-	// internally; sharing one instance across the whole load keeps the cost
-	// of common dependencies (fmt, sort, ...) to a single check.
-	imp := importer.ForCompiler(fset, "source", nil)
-
-	var pkgs []*Package
-	var loadErrs []LoadError
+	var matched []listPackage
+	exports := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for dec.More() {
 		var lp listPackage
 		if err := dec.Decode(&lp); err != nil {
 			return nil, nil, fmt.Errorf("analysis: decoding go list output: %v", err)
 		}
-		if len(lp.GoFiles) == 0 {
-			continue
+		if lp.Export != "" {
+			exports[lp.ImportPath] = lp.Export
 		}
+		if !lp.DepOnly && len(lp.GoFiles) > 0 {
+			matched = append(matched, lp)
+		}
+	}
+
+	fset := token.NewFileSet()
+	// The gc importer reads each import's types from the export data the go
+	// command just listed, so no dependency (the standard library included)
+	// is type-checked from source. It caches packages internally; sharing
+	// one instance across the whole load reads each export file once.
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+
+	var pkgs []*Package
+	var loadErrs []LoadError
+	for _, lp := range matched {
 		p, err := check(fset, imp, lp)
 		if err != nil {
 			loadErrs = append(loadErrs, LoadError{ImportPath: lp.ImportPath, Err: err})

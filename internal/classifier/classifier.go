@@ -216,10 +216,7 @@ func (m *Model) refreshNorms(c int) {
 	var acc int64
 	sub := m.subNorm2[c]
 	for k := range sub {
-		end := (k + 1) * SubNormGranularity
-		for i := k * SubNormGranularity; i < end; i++ {
-			acc += int64(v[i]) * int64(v[i])
-		}
+		acc += v[k*SubNormGranularity : (k+1)*SubNormGranularity].Norm2()
 		sub[k] = acc
 	}
 	m.norm2[c] = acc

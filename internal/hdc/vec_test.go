@@ -38,9 +38,6 @@ func TestVecPrefixOps(t *testing.T) {
 	if d := a.DotPrefix(b, 2); d != 3 {
 		t.Fatalf("DotPrefix(2) = %d, want 3", d)
 	}
-	if n := a.Norm2Prefix(3); n != 14 {
-		t.Fatalf("Norm2Prefix(3) = %d, want 14", n)
-	}
 	if d := a.DotPrefix(b, 4); d != a.Dot(b) {
 		t.Fatal("full prefix dot != Dot")
 	}
