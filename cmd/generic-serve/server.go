@@ -28,7 +28,7 @@ var (
 
 // maxBodyBytes bounds request payloads; a 32 MiB cap fits batches of tens of
 // thousands of samples while keeping a malformed client from exhausting
-// memory.
+// memory. The whole body is read, so bytes after the JSON object count too.
 const maxBodyBytes = 32 << 20
 
 // errOverloaded is the shed response body; it never reaches statusFor (the
@@ -143,23 +143,12 @@ func (s *server) chaosDelay(ctx context.Context) error {
 	}
 }
 
-// predictRequest accepts a single sample (x) or a batch (xs) — exactly one.
-type predictRequest struct {
-	X  []float64   `json:"x,omitempty"`
-	Xs [][]float64 `json:"xs,omitempty"`
-}
-
 // predictResponse carries "label" for single-sample requests and "labels"
 // for batches. Label is a pointer so class 0 still serializes ("label":0
 // would be dropped by omitempty on a plain int).
 type predictResponse struct {
 	Label  *int  `json:"label,omitempty"`
 	Labels []int `json:"labels,omitempty"`
-}
-
-type adaptRequest struct {
-	X     []float64 `json:"x"`
-	Label int       `json:"label"`
 }
 
 type adaptResponse struct {
@@ -183,11 +172,13 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.predictGate.Release()
-	var req predictRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	// A single sample (x) or a batch (xs), exactly one.
+	req, err := decodeRequest(w, r, serve.PredictBody)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	defer req.Release()
 	if err := s.chaosDelay(r.Context()); err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -238,12 +229,13 @@ func (s *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.adaptGate.Release()
-	var req adaptRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	req, err := decodeRequest(w, r, serve.AdaptBody)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.X == nil {
+	defer req.Release()
+	if req.X == nil || !req.HasLabel {
 		writeError(w, http.StatusBadRequest, errors.New(`body needs "x" and "label"`))
 		return
 	}
@@ -421,13 +413,20 @@ func statusFor(err error) int {
 // the connection before the response; there is no one left to answer.
 const statusClientClosedRequest = 499
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
+// decodeRequest reads the body, capped at maxBodyBytes, into a pooled
+// request and decodes it as kind (see serve.Request.Decode for the
+// contract). The caller releases the request once its reply is written.
+func decodeRequest(w http.ResponseWriter, r *http.Request, kind serve.Body) (*serve.Request, error) {
+	req := serve.GetRequest()
+	body, err := req.ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = req.Decode(body, kind)
 	}
-	return nil
+	if err != nil {
+		req.Release()
+		return nil, fmt.Errorf("decoding request body: %w", err)
+	}
+	return req, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -59,6 +59,12 @@ func testServer(t *testing.T, p *generic.Pipeline, cfg serverConfig) (*server, *
 	return newServer(core, cfg), core
 }
 
+// adaptRequest is the /adapt body the tests send.
+type adaptRequest struct {
+	X     []float64 `json:"x"`
+	Label int       `json:"label"`
+}
+
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	raw, err := json.Marshal(body)
@@ -276,6 +282,54 @@ func TestEndpointsRoundTrip(t *testing.T) {
 	if resp, _ := get(t, ts.URL+"/debug/pprof/"); resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof index: %d", resp.StatusCode)
 	}
+}
+
+// TestAdaptRequiresLabel sends /adapt bodies whose label is missing or
+// null to a daemon with a WAL: each is a 400, and neither the snapshot nor
+// the WAL moves. Such bodies used to train class 0.
+func TestAdaptRequiresLabel(t *testing.T) {
+	p, X, _ := testPipeline(t)
+	core, err := serve.Open(p, serve.Options{Dir: t.TempDir(), Sync: serve.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { core.Close() })
+	ts := httptest.NewServer(newServer(core, serverConfig{}).routes())
+	defer ts.Close()
+
+	v0, appends0 := core.Current().Version, walAppends(t, ts.URL)
+	for _, body := range []any{
+		map[string]any{"x": X[0]},
+		map[string]any{"x": X[0], "label": nil},
+	} {
+		resp, out := postJSON(t, ts.URL+"/adapt", body)
+		var e errorResponse
+		if err := json.Unmarshal(out, &e); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Error != `body needs "x" and "label"` {
+			t.Errorf("adapt %v: %d %q, want 400 naming the label", body, resp.StatusCode, e.Error)
+		}
+	}
+	if v := core.Current().Version; v != v0 {
+		t.Errorf("snapshot version %d after refused adapts, want %d", v, v0)
+	}
+	if n := walAppends(t, ts.URL); n != appends0 {
+		t.Errorf("wal_appends_total %d after refused adapts, want %d", n, appends0)
+	}
+}
+
+// walAppends reads wal_appends_total from /metrics.
+func walAppends(t *testing.T, url string) int64 {
+	t.Helper()
+	_, body := get(t, url+"/metrics")
+	var m struct {
+		N *int64 `json:"wal_appends_total"`
+	}
+	if err := json.Unmarshal(body, &m); err != nil || m.N == nil {
+		t.Fatalf("wal_appends_total missing from /metrics (%v)", err)
+	}
+	return *m.N
 }
 
 // TestMethodRestrictions pins every endpoint to its one verb: anything else

@@ -1,12 +1,16 @@
 package budget
 
 import (
+	"bytes"
+	"encoding/json"
+
 	generic "github.com/edge-hdc/generic"
 	"github.com/edge-hdc/generic/internal/classifier"
 	"github.com/edge-hdc/generic/internal/encoding"
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/quality"
+	"github.com/edge-hdc/generic/internal/serve"
 	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
@@ -150,6 +154,38 @@ func Ops() []Op {
 		Op{Name: "pipeline/predict", Run: func() { _, _ = pipe.Predict(px) }, pooled: true},
 		Op{Name: "pipeline/predict_binary", Run: func() { _, _ = bpipe.Predict(px) }, pooled: true},
 		Op{Name: "pipeline/adapt_hit", Run: func() { _, _, _ = pipe.Adapt(px, hitLabel) }, pooled: true},
+	)
+
+	// Request decoding: every served /predict and /adapt body is read into
+	// a pooled serve.Request and parsed there. The bodies carry 128
+	// features, as ISOLET rows do, written by encoding/json: some literals
+	// take the exact fast path, the 17-digit ones strconv.ParseFloat.
+	x128 := make([]float64, 128)
+	for i := range x128 {
+		x128[i] = float64((i*37)%101)/101 - 0.5
+	}
+	decode := func(kind serve.Body, v any) func() {
+		b, err := json.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		rd := bytes.NewReader(b)
+		return func() {
+			rd.Reset(b)
+			req := serve.GetRequest()
+			body, err := req.ReadBody(rd)
+			if err == nil {
+				err = req.Decode(body, kind)
+			}
+			if err != nil {
+				panic(err)
+			}
+			req.Release()
+		}
+	}
+	ops = append(ops,
+		Op{Name: "serve/decode_predict", Run: decode(serve.PredictBody, map[string]any{"x": x128}), pooled: true},
+		Op{Name: "serve/decode_adapt", Run: decode(serve.AdaptBody, map[string]any{"x": x128, "label": 3}), pooled: true},
 	)
 
 	// The hdc kernels under the classifier: bundling update and scoring dot.

@@ -206,7 +206,7 @@ func decodeRecord(p []byte) (Record, bool) {
 	seq := le.Uint64(p)
 	label := int(int32(le.Uint32(p[8:])))
 	nFeat := le.Uint32(p[12:])
-	if int(16+8*nFeat) != len(p) {
+	if 16+8*uint64(nFeat) != uint64(len(p)) { // in uint32, 2^29+1 features would claim 24 bytes
 		return Record{}, false
 	}
 	x := make([]float64, nFeat)
