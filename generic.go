@@ -81,7 +81,9 @@ const (
 // defaults (D=4096, Bins=64, N=3).
 type EncoderConfig = encoding.Config
 
-// Encoder maps feature vectors to integer hypervectors.
+// Encoder maps feature vectors to integer hypervectors. Encoder values come
+// only from NewEncoder (and EncoderForDataset): model files, fault repair and
+// pipeline clones rebuild or share material that only the library makes.
 type Encoder = encoding.Encoder
 
 // Hypervector is an integer hypervector (an encoded query or a class
@@ -98,21 +100,11 @@ func Encode(e Encoder, X [][]float64) []Hypervector {
 	return encoding.EncodeAll(e, X)
 }
 
-// EncodeWorkers encodes a batch across workers parallel encoders cloned
-// from e's configuration (workers ≤ 0 means GOMAXPROCS, 1 is serial).
-// Outputs are bit-identical to Encode.
+// EncodeWorkers encodes a batch across workers parallel clones of e
+// (workers ≤ 0 means GOMAXPROCS, 1 is serial). Outputs are bit-identical to
+// Encode.
 func EncodeWorkers(e Encoder, X [][]float64, workers int) []Hypervector {
 	return encoding.EncodeAllWorkers(e, X, workers)
-}
-
-// EncoderPool encodes batches concurrently (one encoder per worker, same
-// hypervector material, bit-identical outputs).
-type EncoderPool = encoding.Pool
-
-// NewEncoderPool builds a concurrent encoding pool; workers ≤ 0 means
-// GOMAXPROCS.
-func NewEncoderPool(kind EncodingKind, cfg EncoderConfig, workers int) (*EncoderPool, error) {
-	return encoding.NewPool(kind, cfg, workers)
 }
 
 // Model is a trained HDC classification model.
@@ -326,19 +318,6 @@ type pipeState struct {
 	bin     *hdc.BinVec
 }
 
-// encodeBin writes the sign-binarized encoding of x into the state's packed
-// scratch. Library encoders take their binarized path; a foreign
-// encoder falls back to packing the signs of its integer encoding, which is
-// the same bits by the BinaryEncoder contract.
-func (st *pipeState) encodeBin(x []float64) {
-	if be, ok := encoding.AsBinary(st.enc); ok {
-		be.EncodeBin(x, st.bin)
-		return
-	}
-	st.enc.Encode(x, st.scratch)
-	st.bin.PackSigns(st.scratch)
-}
-
 // PipelineOption configures a Pipeline at construction.
 type PipelineOption func(*Pipeline)
 
@@ -364,22 +343,11 @@ func NewPipeline(enc Encoder, classes int, opts ...PipelineOption) *Pipeline {
 // go stale. The pool clones a private prototype taken now rather than
 // p.enc, whose material later writers replace.
 func (p *Pipeline) resetStates() {
-	proto := cloneEncoder(p.enc)
+	proto := p.enc.CloneMaterial()
 	d := proto.D()
 	p.states = &sync.Pool{New: func() any {
-		return &pipeState{enc: cloneEncoder(proto), scratch: hdc.NewVec(d), bin: hdc.NewBinVec(d)}
+		return &pipeState{enc: proto.CloneMaterial(), scratch: hdc.NewVec(d), bin: hdc.NewBinVec(d)}
 	}}
-}
-
-// cloneEncoder returns an encoder with private scratch and e's current
-// material: shared through CloneMaterial for library encoders, rebuilt from
-// Kind and Config (whose contract guarantees identical material) for
-// foreign ones.
-func cloneEncoder(e Encoder) Encoder {
-	if mc, ok := e.(encoding.MaterialCloner); ok {
-		return mc.CloneMaterial()
-	}
-	return encoding.MustNew(e.Kind(), e.Config())
 }
 
 // Encoder returns the pipeline's encoder; Model its trained model (nil
@@ -514,7 +482,7 @@ func (p *Pipeline) Trainer() string { return p.trainer }
 // inference on p but not beside a mutator (or another Clone) of p.
 func (p *Pipeline) Clone() *Pipeline {
 	c := *p
-	c.enc = cloneEncoder(p.enc)
+	c.enc = p.enc.CloneMaterial()
 	if p.model != nil {
 		c.model = p.model.Clone()
 	}
@@ -620,7 +588,7 @@ func (p *Pipeline) predictSample(sp *perf.Span, st *pipeState, x []float64, mode
 	esp := sp.Child("encode")
 	start := telemetry.Now()
 	if mode == Binary {
-		st.encodeBin(x)
+		st.enc.EncodeBin(x, st.bin)
 	} else {
 		st.enc.Encode(x, st.scratch)
 	}

@@ -15,7 +15,7 @@
 //     through internal/rng, iteration order is fixed.
 //   - encshare:   an encoder captured by a `go` closure or a parallel.For
 //     body is an error — encoders carry window scratch state; fan out
-//     through encoding.Pool or per-worker clones.
+//     through per-worker clones.
 //   - mergeorder: per-worker partial results are combined by worker index,
 //     never by channel-arrival order.
 //   - dimguard:   exported internal/hdc kernels taking two hypervectors

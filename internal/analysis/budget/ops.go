@@ -94,29 +94,21 @@ func Ops() []Op {
 
 	ops = append(ops,
 		Op{Name: "model/predict_dims", Run: func() { model.PredictDims(query, opD, true) }},
-		Op{Name: "model/predict_batch_w1", Run: func() { model.PredictBatch(batch, 1) }},
+		Op{Name: "model/predict_batch_w1", Run: func() { model.PredictDimsBatch(batch, opD, true, 1) }},
 		Op{Name: "model/update", Run: func() { updModel.Update(query, 0, 1) }},
 		Op{Name: "model/adapt_hit", Run: func() { model.Adapt(query, stableLabel) }},
 	)
 
-	// The binary inference engine: binarized encode (majority readout), packed
-	// Hamming scoring, and the zero-alloc batch path.
+	// The binary inference engine: binarized encode (majority readout) and
+	// packed Hamming scoring.
 	bmodel := classifier.Binarize(model)
-	bbatch := make([]*hdc.BinVec, len(batch))
-	for i, h := range batch {
-		bv := hdc.NewBinVec(opD)
-		bv.PackSigns(h)
-		bbatch[i] = bv
-	}
-	bquery := bbatch[0]
+	bquery := hdc.NewBinVec(opD)
+	bquery.PackSigns(query)
 	bout := hdc.NewBinVec(opD)
-	benc, _ := encoding.AsBinary(enc)
 	bx := features(0)
-	bdst := make([]int, len(bbatch))
 	ops = append(ops,
-		Op{Name: "encode/generic_bin", Run: func() { benc.EncodeBin(bx, bout) }},
+		Op{Name: "encode/generic_bin", Run: func() { enc.EncodeBin(bx, bout) }},
 		Op{Name: "model/binary_predict", Run: func() { bmodel.Predict(bquery) }},
-		Op{Name: "model/binary_predict_batch_w1", Run: func() { bmodel.PredictBatchInto(bdst, bbatch, 1) }},
 	)
 
 	// Snapshot cloning: the serving layer clones the live pipeline on every
@@ -136,10 +128,11 @@ func Ops() []Op {
 	}
 	ops = append(ops, Op{Name: "pipeline/clone", Run: func() { pipe.Clone() }})
 
-	// The served per-sample paths, where each predict and adapt is
-	// recorded: exact Predict, binary Predict with every sample shadow
-	// re-scored, and an Adapt whose label is the current prediction, so the
-	// model never changes across runs.
+	// The served paths, where each predict and adapt is recorded: exact
+	// Predict, binary Predict with every sample shadow re-scored, an Adapt
+	// whose label is the current prediction, so the model never changes
+	// across runs, and the batch PredictAllInto behind a {"xs"} /predict in
+	// both modes.
 	px := features(0)
 	bpipe := pipe.Clone()
 	if err := bpipe.Binarize(); err != nil {
@@ -150,10 +143,13 @@ func Ops() []Op {
 	if err != nil {
 		panic(err)
 	}
+	pdst := make([]int, len(pX))
 	ops = append(ops,
 		Op{Name: "pipeline/predict", Run: func() { _, _ = pipe.Predict(px) }, pooled: true},
 		Op{Name: "pipeline/predict_binary", Run: func() { _, _ = bpipe.Predict(px) }, pooled: true},
 		Op{Name: "pipeline/adapt_hit", Run: func() { _, _, _ = pipe.Adapt(px, hitLabel) }, pooled: true},
+		Op{Name: "pipeline/predict_all_w1", Run: func() { _ = pipe.PredictAllInto(pdst, pX) }, pooled: true},
+		Op{Name: "pipeline/predict_all_binary_w1", Run: func() { _ = bpipe.PredictAllInto(pdst, pX) }, pooled: true},
 	)
 
 	// Request decoding: every served /predict and /adapt body is read into

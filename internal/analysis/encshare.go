@@ -8,16 +8,17 @@ import (
 // EncShare guards the encoder-sharing contract. Encoders carry per-call
 // scratch state (window buffers, bundling accumulators), so one encoder
 // touched from two goroutines corrupts encodings silently — the results are
-// plausible hypervectors, just wrong ones. The sanctioned fan-out vehicles
-// are encoding.Pool and per-worker clones built inside the worker body.
+// plausible hypervectors, just wrong ones. The sanctioned fan-out vehicle
+// is a per-worker clone (CloneMaterial), built before the fan-out and
+// indexed by worker, or built inside the worker body.
 //
 // The analyzer flags any identifier of an encoder type (anything with an
 // Encode([]float64, <int32-slice vector>) method, including the
 // encoding.Encoder interface) that a function literal captures from an
 // enclosing scope when that literal is either launched by a `go` statement
 // or handed to parallel.For / ForChunks / ForErr. Encoders obtained inside
-// the literal (pool lookup, clone, sync.Pool Get) are declared in the
-// literal's own scope and pass.
+// the literal (per-worker slice index, clone, sync.Pool Get) are declared
+// in the literal's own scope and pass.
 var EncShare = &Analyzer{
 	Name: "encshare",
 	Doc:  "forbid capturing a shared encoder in go statements or parallel.For bodies",
@@ -98,7 +99,7 @@ func checkCapturedEncoders(pass *Pass, lit *ast.FuncLit, context string) {
 		if !isEncoderType(v.Type()) {
 			return true
 		}
-		pass.Reportf(id.Pos(), "encoder %q is captured by %s: encoders carry window scratch state and are not concurrency-safe; fan out through encoding.Pool or a per-worker clone built inside the closure", id.Name, context)
+		pass.Reportf(id.Pos(), "encoder %q is captured by %s: encoders carry window scratch state and are not concurrency-safe; fan out through per-worker clones (CloneMaterial)", id.Name, context)
 		return true
 	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
-	"github.com/edge-hdc/generic/internal/perf"
 )
 
 // BinaryModel is the packed binary inference representation: one
@@ -155,37 +154,6 @@ func hammingMargin(h1, h2, dims int) float64 {
 		m = 1
 	}
 	return m
-}
-
-// PredictBatch classifies every packed query across workers workers (<= 0
-// means GOMAXPROCS, 1 is serial) and returns predictions in input order.
-// Scoring only reads the model, so any worker count yields identical
-// results.
-func (b *BinaryModel) PredictBatch(encoded []*hdc.BinVec, workers int) []int {
-	out := make([]int, len(encoded))
-	b.PredictBatchInto(out, encoded, workers)
-	return out
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-provided slice —
-// the zero-allocation batch scoring path. dst must have len(encoded).
-func (b *BinaryModel) PredictBatchInto(dst []int, encoded []*hdc.BinVec, workers int) {
-	if len(dst) != len(encoded) {
-		panic(fmt.Sprintf("classifier: PredictBatchInto dst length %d, want %d", len(dst), len(encoded)))
-	}
-	sp := perf.Begin("score.batch")
-	defer sp.End()
-	if parallel.Workers(workers) == 1 {
-		// Serial fast path: no closures, so steady-state batch scoring is
-		// allocation-free (the alloc-budget gate binds this at zero).
-		for i, q := range encoded {
-			dst[i], _ = b.Predict(q)
-		}
-		return
-	}
-	parallel.For(workers, len(encoded), func(_, i int) {
-		dst[i], _ = b.Predict(encoded[i])
-	})
 }
 
 // Clone returns an independent binary model in O(classes), sharing the

@@ -129,14 +129,6 @@ func TestBinaryBatchMatchesSingle(t *testing.T) {
 	for i, q := range queries {
 		want[i], _ = b.Predict(q)
 	}
-	for _, workers := range []int{1, 2, 4, 0} {
-		got := b.PredictBatch(queries, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d query %d: batch %d, single %d", workers, i, got[i], want[i])
-			}
-		}
-	}
 	// BinaryAccuracy agrees with counting single predictions.
 	correct := 0
 	for i := range want {
@@ -150,18 +142,6 @@ func TestBinaryBatchMatchesSingle(t *testing.T) {
 			t.Fatalf("workers=%d: BinaryAccuracy %v, want %v", workers, acc, wantAcc)
 		}
 	}
-}
-
-func TestBinaryPredictBatchIntoGuard(t *testing.T) {
-	m, train, _ := trainSmall(t, 6, 256, 2)
-	b := Binarize(m)
-	queries := packAll(train[:4], 256)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PredictBatchInto with short dst did not panic")
-		}
-	}()
-	b.PredictBatchInto(make([]int, 3), queries, 1)
 }
 
 func TestBinaryCloneIndependence(t *testing.T) {

@@ -418,16 +418,11 @@ func TrainEncodedResult(encoded []hdc.Vec, labels []int, nC int, opt Options) (*
 	return m, res
 }
 
-// PredictBatch classifies every encoded query across workers workers
-// (<= 0 means GOMAXPROCS, 1 is serial) and returns the predictions in input
-// order. Scoring only reads the model, so any worker count yields identical
+// PredictDimsBatch classifies every encoded query on its first dims
+// dimensions (see PredictDims) across workers workers (<= 0 means
+// GOMAXPROCS, 1 is serial) and returns the predictions in input order.
+// Scoring only reads the model, so any worker count yields identical
 // results; the model must not be mutated concurrently.
-func (m *Model) PredictBatch(encoded []hdc.Vec, workers int) []int {
-	return m.PredictDimsBatch(encoded, m.d, true, workers)
-}
-
-// PredictDimsBatch is PredictBatch under dimension reduction (see
-// PredictDims).
 func (m *Model) PredictDimsBatch(encoded []hdc.Vec, dims int, updatedNorms bool, workers int) []int {
 	sp := perf.Begin("score.batch")
 	defer sp.End()

@@ -72,12 +72,12 @@ func TestEvaluateAndPredictBatchMatchSerial(t *testing.T) {
 	queries, qLabels := synthEncoded(t, 157, 512, 5, 13)
 
 	wantAcc := Accuracy(m, queries, qLabels, 1)
-	wantPreds := m.PredictBatch(queries, 1)
+	wantPreds := m.PredictDimsBatch(queries, m.D(), true, 1)
 	for _, workers := range []int{2, 4, 7} {
 		if acc := Accuracy(m, queries, qLabels, workers); acc != wantAcc {
 			t.Fatalf("workers=%d: Accuracy %v, serial %v", workers, acc, wantAcc)
 		}
-		preds := m.PredictBatch(queries, workers)
+		preds := m.PredictDimsBatch(queries, m.D(), true, workers)
 		for i := range preds {
 			if preds[i] != wantPreds[i] {
 				t.Fatalf("workers=%d: prediction %d differs: %d vs %d", workers, i, preds[i], wantPreds[i])

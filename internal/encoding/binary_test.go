@@ -36,16 +36,12 @@ func randomInput(n int, r *rng.Rand) []float64 {
 	return x
 }
 
-// TestEncodeBinEquivalence locks the BinaryEncoder contract: EncodeBin(x)
+// TestEncodeBinEquivalence locks the EncodeBin contract: EncodeBin(x)
 // is bit-identical to PackSigns(Encode(x)) for every library encoder.
 func TestEncodeBinEquivalence(t *testing.T) {
 	for _, tc := range binTestConfigs {
 		t.Run(fmt.Sprintf("%v_F%d_N%d_id%v", tc.kind, tc.cfg.Features, tc.cfg.N, tc.cfg.UseID), func(t *testing.T) {
 			e := MustNew(tc.kind, tc.cfg)
-			be, ok := AsBinary(e)
-			if !ok {
-				t.Fatalf("%v encoder does not implement BinaryEncoder", tc.kind)
-			}
 			cfg := tc.cfg.Default()
 			r := rng.New(tc.cfg.Seed * 1000003)
 			ref := hdc.NewVec(cfg.D)
@@ -55,7 +51,7 @@ func TestEncodeBinEquivalence(t *testing.T) {
 				x := randomInput(cfg.Features, r)
 				e.Encode(x, ref)
 				want.PackSigns(ref)
-				be.EncodeBin(x, got)
+				e.EncodeBin(x, got)
 				if !got.Equal(want) {
 					t.Fatalf("trial %d: EncodeBin != PackSigns(Encode)", trial)
 				}
@@ -70,24 +66,15 @@ func TestEncodeBinEquivalence(t *testing.T) {
 func TestEncodeBinCloneMaterial(t *testing.T) {
 	for _, tc := range binTestConfigs {
 		e := MustNew(tc.kind, tc.cfg)
-		mc, ok := e.(MaterialCloner)
-		if !ok {
-			continue
-		}
-		clone := mc.CloneMaterial()
-		be, _ := AsBinary(e)
-		bc, ok := AsBinary(clone)
-		if !ok {
-			t.Fatalf("%v: CloneMaterial clone lost the binarized path", tc.kind)
-		}
+		clone := e.CloneMaterial()
 		cfg := tc.cfg.Default()
 		r := rng.New(99)
 		a := hdc.NewBinVec(cfg.D)
 		b := hdc.NewBinVec(cfg.D)
 		for trial := 0; trial < 5; trial++ {
 			x := randomInput(cfg.Features, r)
-			be.EncodeBin(x, a)
-			bc.EncodeBin(x, b)
+			e.EncodeBin(x, a)
+			clone.EncodeBin(x, b)
 			if !a.Equal(b) {
 				t.Fatalf("%v trial %d: clone EncodeBin differs from primary", tc.kind, trial)
 			}
@@ -97,14 +84,13 @@ func TestEncodeBinCloneMaterial(t *testing.T) {
 
 func TestEncodeBinArgGuards(t *testing.T) {
 	e := MustNew(Generic, Config{D: 512, Features: 16, Lo: 0, Hi: 1, Seed: 1})
-	be, _ := AsBinary(e)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("EncodeBin with wrong feature count did not panic")
 			}
 		}()
-		be.EncodeBin(make([]float64, 7), hdc.NewBinVec(512))
+		e.EncodeBin(make([]float64, 7), hdc.NewBinVec(512))
 	}()
 	func() {
 		defer func() {
@@ -112,7 +98,7 @@ func TestEncodeBinArgGuards(t *testing.T) {
 				t.Error("EncodeBin with wrong output dimensionality did not panic")
 			}
 		}()
-		be.EncodeBin(make([]float64, 16), hdc.NewBinVec(256))
+		e.EncodeBin(make([]float64, 16), hdc.NewBinVec(256))
 	}()
 }
 
@@ -120,16 +106,15 @@ func TestEncodeBinArgGuards(t *testing.T) {
 // on one encoder (scratch reuse must not leak state between calls).
 func TestEncodeBinDeterministic(t *testing.T) {
 	e := MustNew(Generic, Config{D: 1024, Features: 32, N: 3, Lo: 0, Hi: 1, Seed: 21, UseID: true})
-	be, _ := AsBinary(e)
 	r := rng.New(5)
 	x1 := randomInput(32, r)
 	x2 := randomInput(32, r)
 	first := hdc.NewBinVec(1024)
-	be.EncodeBin(x1, first)
+	e.EncodeBin(x1, first)
 	scratch := hdc.NewBinVec(1024)
-	be.EncodeBin(x2, scratch) // interleave a different input to dirty scratch
+	e.EncodeBin(x2, scratch) // interleave a different input to dirty scratch
 	again := hdc.NewBinVec(1024)
-	be.EncodeBin(x1, again)
+	e.EncodeBin(x1, again)
 	if !first.Equal(again) {
 		t.Fatal("EncodeBin not deterministic across interleaved calls")
 	}
@@ -157,11 +142,10 @@ func BenchmarkEncodeExact(b *testing.B) {
 func BenchmarkEncodeBin(b *testing.B) {
 	cfg := Config{D: 2048, Features: 128, Lo: 0, Hi: 1, Seed: 1, UseID: true}
 	e := MustNew(Generic, cfg)
-	be, _ := AsBinary(e)
 	x := benchInput(128)
 	out := hdc.NewBinVec(2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		be.EncodeBin(x, out)
+		e.EncodeBin(x, out)
 	}
 }

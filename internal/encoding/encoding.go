@@ -8,7 +8,7 @@
 // a random bipolar matrix and takes signs.
 //
 // Every encoder also emits the sign-binarized hypervector sign(H(x)) packed
-// into an hdc.BinVec (BinaryEncoder), the query side of the binary inference
+// into an hdc.BinVec (EncodeBin), the query side of the binary inference
 // engine. A level-based encoder stages its bundle once in an hdc.Acc and
 // reads it out either way, so EncodeBin(x) is PackSigns(Encode(x)) by
 // construction; the equivalence tests lock it bit-identically.
@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"github.com/edge-hdc/generic/internal/hdc"
+	"github.com/edge-hdc/generic/internal/parallel"
 	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/rng"
 	"github.com/edge-hdc/generic/internal/telemetry"
@@ -84,10 +85,17 @@ func (c Config) Default() Config {
 	return c
 }
 
-// Encoder maps feature vectors into integer hypervectors.
+// Encoder maps feature vectors into integer hypervectors. It is the one
+// encoder contract, and only New implements it: an encoder's configuration
+// determines its material (the level and id memories regenerate from the
+// seed, §4.1), and model files, fault regeneration and clones rebuild or
+// share material that only New makes.
 type Encoder interface {
 	// Encode writes H(x) into out, which must have length D().
 	Encode(x []float64, out hdc.Vec)
+	// EncodeBin writes sign(H(x)) into out, which must have dimensionality
+	// D(). The result is bit-identical to packing the signs of Encode(x).
+	EncodeBin(x []float64, out *hdc.BinVec)
 	// D returns the dimensionality of produced hypervectors.
 	D() int
 	// Kind identifies the encoding family.
@@ -95,25 +103,63 @@ type Encoder interface {
 	// Config returns the (defaulted) configuration the encoder was built
 	// with, sufficient to reconstruct an identical encoder.
 	Config() Config
+	// CloneMaterial returns an independent encoder with its own scratch that
+	// shares the receiver's current material, including any injected
+	// corruption. The share is safe because material is never written in
+	// place (see Faultable): a later write on either encoder replaces that
+	// encoder's material and leaves the other's untouched. Cloning only
+	// reads the receiver, so it may run concurrently with encodes on it, but
+	// not with its Faultable writers.
+	CloneMaterial() Encoder
+	// library closes the interface to this package.
+	library()
 }
 
-// BinaryEncoder is implemented by encoders that can produce a packed
-// sign-binarized hypervector directly. All library encoders implement it.
-type BinaryEncoder interface {
-	Encoder
-	// EncodeBin writes sign(H(x)) into out, which must have dimensionality
-	// D(). The result is bit-identical to packing the signs of Encode(x).
-	EncodeBin(x []float64, out *hdc.BinVec)
-}
+// BinaryEncoder is Encoder.
+//
+// Deprecated: every Encoder has EncodeBin.
+type BinaryEncoder = Encoder
 
-// AsBinary reports e's binarized query path, if it has one.
-func AsBinary(e Encoder) (BinaryEncoder, bool) {
-	be, ok := e.(BinaryEncoder)
-	return be, ok
+// AsBinary returns e, which always has a binarized query path.
+//
+// Deprecated: call e.EncodeBin.
+func AsBinary(e Encoder) (BinaryEncoder, bool) { return e, true }
+
+// maxFootprint caps the bytes of material and scratch one encoder may hold,
+// so a configuration read from a model file cannot ask for an unbounded
+// allocation. The widest encoder the repository builds, RP over 256
+// features at D = 4096, holds 8 MiB; the level-based ones stay under 1 MiB.
+const maxFootprint = 64 << 20
+
+// footprint estimates the bytes that building an encoder of cfg and its
+// first encodes allocate: RP's Features projection rows of D float64s and
+// its accumulator; for the level-based kinds, every packed vector (level
+// table, rotated levels, ids and accumulator staging rows, each with its
+// header), the ladder's D-entry permutation and the windowed encoder's
+// per-feature bins scratch. n and useID are the windowed encoder's window
+// length and id binding. It counts in float64 so no configuration
+// overflows it.
+func footprint(kind Kind, cfg Config, n int, useID bool) float64 {
+	d, f := float64(cfg.D), float64(cfg.Features)
+	if kind == RP {
+		return f*(d*8+24) + d*8
+	}
+	vec := d/8 + 48 // words, BinVec header and the pointer to it
+	levels := float64(cfg.Bins)
+	if kind == Permute {
+		return (levels+f)*vec + d*8 // levels, staging, permutation
+	}
+	windows := f - float64(n) + 1
+	vecs := levels*float64(1+n) + windows // levels, rotated levels, staging
+	if useID {
+		vecs += windows
+	}
+	return vecs*vec + d*8 + f*8
 }
 
 // New constructs an encoder of the given kind. It returns an error for
-// invalid configurations (e.g. fewer features than the window length).
+// invalid configurations (e.g. fewer features than the window length) and
+// for one whose material and scratch would exceed 64 MiB.
 func New(kind Kind, cfg Config) (Encoder, error) {
 	cfg = cfg.Default()
 	if cfg.Features <= 0 {
@@ -127,13 +173,11 @@ func New(kind Kind, cfg Config) (Encoder, error) {
 	if kind != RP && (cfg.Bins < 2 || (cfg.Bins-1)*2 > cfg.D) {
 		return nil, fmt.Errorf("encoding: Bins=%d outside the level-ladder range [2, D/2+1] for D=%d", cfg.Bins, cfg.D)
 	}
+	// Level-id is the windowed encoding at window length 1 with ids; its
+	// Config still reports the caller's N and UseID.
+	n, useID := 1, true
 	switch kind {
-	case RP:
-		return newRP(cfg), nil
-	case LevelID:
-		// Level-id is the windowed encoding at window length 1 with ids; its
-		// Config still reports the caller's N and UseID.
-		return newWindowed(cfg, kind, 1, true), nil
+	case RP, LevelID, Permute:
 	case Ngram, Generic:
 		if cfg.N < 1 {
 			return nil, fmt.Errorf("encoding: window length N=%d must be positive", cfg.N)
@@ -143,11 +187,21 @@ func New(kind Kind, cfg Config) (Encoder, error) {
 		}
 		// Config reports the actual binding state: plain ngram never binds ids.
 		cfg.UseID = kind == Generic && cfg.UseID
-		return newWindowed(cfg, kind, cfg.N, cfg.UseID), nil
+		n, useID = cfg.N, cfg.UseID
+	default:
+		return nil, fmt.Errorf("encoding: unknown kind %v", kind)
+	}
+	if fp := footprint(kind, cfg, n, useID); fp > maxFootprint {
+		return nil, fmt.Errorf("encoding: %v with D=%d and %d features needs %.0f MiB of material, limit %d MiB",
+			kind, cfg.D, cfg.Features, fp/(1<<20), maxFootprint>>20)
+	}
+	switch kind {
+	case RP:
+		return newRP(cfg), nil
 	case Permute:
 		return newPermute(cfg), nil
 	}
-	return nil, fmt.Errorf("encoding: unknown kind %v", kind)
+	return newWindowed(cfg, kind, n, useID), nil
 }
 
 // MustNew is New that panics on error, for tests and examples.
@@ -159,17 +213,34 @@ func MustNew(kind Kind, cfg Config) Encoder {
 	return e
 }
 
-// EncodeAll encodes every row of X into a slice of fresh hypervectors.
-func EncodeAll(e Encoder, X [][]float64) []hdc.Vec {
+// EncodeAll encodes every row of X serially with e into a slice of fresh
+// hypervectors.
+func EncodeAll(e Encoder, X [][]float64) []hdc.Vec { return EncodeAllWorkers(e, X, 1) }
+
+// EncodeAllWorkers encodes every row of X into a slice of fresh
+// hypervectors across workers encoders (workers ≤ 0 means GOMAXPROCS), each
+// a CloneMaterial copy of e that encodes one contiguous chunk of the batch.
+// Every row therefore sees e's current material, and the result is
+// bit-identical to EncodeAll. One worker, or a batch too small to amortize
+// the clones, encodes serially with e.
+func EncodeAllWorkers(e Encoder, X [][]float64, workers int) []hdc.Vec {
 	sp := perf.Begin("encode.batch")
 	defer sp.End()
 	telemetry.EncodeBatches.Inc()
 	telemetry.EncodeBatchSamples.Add(int64(len(X)))
-	out := make([]hdc.Vec, len(X))
-	for i, x := range X {
-		out[i] = hdc.NewVec(e.D())
-		e.Encode(x, out[i])
+	encs := []Encoder{e}
+	if w := parallel.Workers(workers); w > 1 && len(X) >= 2*w {
+		encs = make([]Encoder, w)
+		for i := range encs {
+			encs[i] = e.CloneMaterial()
+		}
 	}
+	out := make([]hdc.Vec, len(X))
+	parallel.For(len(encs), len(X), func(worker, i int) {
+		enc := encs[worker]
+		out[i] = hdc.NewVec(enc.D())
+		enc.Encode(X[i], out[i])
+	})
 	return out
 }
 
@@ -210,6 +281,7 @@ func newRP(cfg Config) *rpEncoder {
 func (e *rpEncoder) D() int         { return e.d }
 func (e *rpEncoder) Kind() Kind     { return RP }
 func (e *rpEncoder) Config() Config { return e.cfg }
+func (e *rpEncoder) library()       {}
 
 // project accumulates the projection Φx into e.acc.
 //
@@ -281,6 +353,7 @@ func newPermute(cfg Config) *permuteEncoder {
 func (e *permuteEncoder) D() int         { return e.cfg.D }
 func (e *permuteEncoder) Kind() Kind     { return Permute }
 func (e *permuteEncoder) Config() Config { return e.cfg }
+func (e *permuteEncoder) library()       {}
 
 // bundle stages ρ(m)(ℓ(x_m)) as row m of e.acc, for every feature m.
 //
@@ -320,7 +393,7 @@ type windowedEncoder struct {
 	kind  Kind
 	n     int // window length: cfg.N, or 1 for level-id
 	useID bool
-	// Material, shared with CloneMaterial copies (see MaterialCloner).
+	// Material, shared with CloneMaterial copies.
 	// rotLevels[j][bin] = ρ(j)(ℓ(bin)), precomputed for the n offsets.
 	rotLevels [][]*hdc.BinVec
 	idGen     *hdc.IDGenerator // nil when !useID
@@ -349,6 +422,7 @@ func (e *windowedEncoder) initScratch() {
 func (e *windowedEncoder) D() int         { return e.cfg.D }
 func (e *windowedEncoder) Kind() Kind     { return e.kind }
 func (e *windowedEncoder) Config() Config { return e.cfg }
+func (e *windowedEncoder) library()       {}
 
 // bundle quantizes x and stages window i as row i of e.acc. The served
 // shapes, the default window length 3 and level-id's n = 1 with ids, bind

@@ -18,27 +18,11 @@ import (
 // shared one: Regenerate and RebuildDerived build new slices, and
 // LevelRows/IDSeed copy the memory they hand out for corruption.
 
-// MaterialCloner is implemented by encoders that can clone their *current*
-// hypervector material bit-exactly — including any injected corruption —
-// rather than regenerating pristine material from the config seed. Pools
-// prefer it so that batch encoding sees the same (possibly faulted) memory
-// state as the primary encoder.
-type MaterialCloner interface {
-	// CloneMaterial returns an independent encoder with its own scratch that
-	// shares the receiver's current material. The share is safe because
-	// material is never written in place (see Faultable): a later write on
-	// either encoder replaces that encoder's material and leaves the other's
-	// untouched. Cloning only reads the receiver, so it may run concurrently
-	// with encodes on it, but not with its Faultable writers.
-	CloneMaterial() Encoder
-}
-
 // Faultable is implemented by level-based encoders whose Fig. 4 memories
 // (level memory, id seed register) can be corrupted by the fault layer and
 // repaired by regeneration.
 type Faultable interface {
 	Encoder
-	MaterialCloner
 	// LevelRows gives the encoder a private copy of its level memory and
 	// returns that copy's rows ℓ(0)…ℓ(bins−1) for in-place mutation, which
 	// models level-memory errors; call RebuildDerived afterwards.

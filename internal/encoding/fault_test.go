@@ -33,9 +33,6 @@ func TestFaultableCoverage(t *testing.T) {
 		if kind != RP && !faultable {
 			t.Errorf("%v encoder is not Faultable", kind)
 		}
-		if _, ok := e.(MaterialCloner); !ok {
-			t.Errorf("%v encoder is not a MaterialCloner", kind)
-		}
 	}
 }
 
@@ -150,7 +147,7 @@ func TestRPCloneMaterial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := e.(MaterialCloner).CloneMaterial()
+	clone := e.CloneMaterial()
 	if !vecsEqual(encodeOne(clone, faultInput), encodeOne(e, faultInput)) {
 		t.Fatal("RP clone encodes differently")
 	}

@@ -77,14 +77,10 @@ func checkAgainstReference(t *testing.T, e Encoder, x []float64) {
 			t.Fatalf("%v %+v: Encode dim %d = %d, reference %d", e.Kind(), cfg, i, got[i], want[i])
 		}
 	}
-	be, ok := AsBinary(e)
-	if !ok {
-		t.Fatalf("%v encoder does not implement BinaryEncoder", e.Kind())
-	}
 	wantBin := hdc.NewBinVec(cfg.D)
 	wantBin.PackSigns(want)
 	gotBin := hdc.NewBinVec(cfg.D)
-	be.EncodeBin(x, gotBin)
+	e.EncodeBin(x, gotBin)
 	if !gotBin.Equal(wantBin) {
 		t.Fatalf("%v %+v: EncodeBin != PackSigns(reference)", e.Kind(), cfg)
 	}

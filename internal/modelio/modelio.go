@@ -360,6 +360,9 @@ func Read(r io.Reader) (*Bundle, error) {
 	if mBW < 1 || mBW > 16 {
 		return nil, fmt.Errorf("modelio: bad bit-width %d", mBW)
 	}
+	if cd := b.Cfg.Default().D; cd != int(mD) {
+		return nil, fmt.Errorf("modelio: encoder D=%d does not match model D=%d", cd, mD)
+	}
 	if ver >= 3 {
 		tlen, err := readU16()
 		if err != nil {
@@ -391,15 +394,23 @@ func Read(r io.Reader) (*Bundle, error) {
 			b.BinarizedFromBW = int(srcBW)
 		}
 	}
+	// The payload buffer grows with what arrives, so a header claiming more
+	// classes × D than the stream carries fails on the truncation, not on
+	// an allocation sized by the claim.
+	size := int64(mClasses) * int64(mD) * 2
+	payload, err := io.ReadAll(io.LimitReader(tr, size))
+	if err != nil {
+		return nil, fmt.Errorf("modelio: reading class payload: %w", err)
+	}
+	if int64(len(payload)) != size {
+		return nil, fmt.Errorf("modelio: class payload truncated at %d of %d bytes: %w", len(payload), size, io.ErrUnexpectedEOF)
+	}
 	m := classifier.NewModel(int(mD), int(mClasses), int(mBW))
-	buf := make([]byte, 2)
 	tmp := hdc.NewVec(int(mD))
-	for c := 0; c < int(mClasses); c++ {
-		for i := 0; i < int(mD); i++ {
-			if _, err := io.ReadFull(tr, buf); err != nil {
-				return nil, fmt.Errorf("modelio: class payload truncated: %w", err)
-			}
-			tmp[i] = int32(int16(le.Uint16(buf)))
+	for c := range int(mClasses) {
+		row := payload[c*len(tmp)*2:]
+		for i := range tmp {
+			tmp[i] = int32(int16(le.Uint16(row[2*i:])))
 		}
 		m.SetClass(c, tmp)
 	}

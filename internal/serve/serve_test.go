@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -256,6 +259,110 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if _, _, err := ReadCheckpoint(filepath.Join(t.TempDir(), "absent")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing checkpoint: err = %v, want os.ErrNotExist", err)
 	}
+}
+
+// ckptHeader is a valid checkpoint header for lastSeq.
+func ckptHeader(lastSeq uint64) []byte {
+	hdr := make([]byte, len(ckptMagic)+2+8+4)
+	le := binary.LittleEndian
+	copy(hdr, ckptMagic)
+	le.PutUint16(hdr[4:], ckptVersion)
+	le.PutUint64(hdr[6:], lastSeq)
+	le.PutUint32(hdr[14:], crc32.ChecksumIEEE(hdr[:14]))
+	return hdr
+}
+
+// craftedModels returns two hostile model files cut from a saved D=128
+// pipeline: a 594-byte file whose CRC-valid header claims 2^20 features, and
+// a 68-byte file whose header claims D = 2^20 and 64 classes and ends
+// before the class payload.
+func craftedModels(t testing.TB) (wide, truncated []byte) {
+	t.Helper()
+	p, _, _ := testPipeline(t, 128)
+	b := modelBytes(t, p)
+	le := binary.LittleEndian
+	wide = bytes.Clone(b)
+	le.PutUint32(wide[12:], 1<<20) // encoder Features
+	le.PutUint32(wide[len(wide)-4:], crc32.ChecksumIEEE(wide[:len(wide)-4]))
+	truncated = append(bytes.Clone(b[:62]), 0, 0, 0, 0, 0, 0) // no trainer name, flags
+	le.PutUint32(truncated[8:], 1<<20)                        // encoder D
+	le.PutUint32(truncated[50:], 1<<20)                       // model D
+	le.PutUint32(truncated[54:], 64)                          // classes
+	return wide, truncated
+}
+
+// readCheckpointBytes writes data as a checkpoint file and reads it back,
+// reporting the bytes the read allocated.
+func readCheckpointBytes(t *testing.T, data []byte) (*generic.Pipeline, uint64, uint64, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), checkpointFile)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, seq, err := ReadCheckpoint(path)
+	runtime.ReadMemStats(&after)
+	return p, seq, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// A model file's encoder header is checked, and what it may allocate
+// bounded, before anything is built: both crafted files are errors that
+// cost well under a MiB.
+func TestCheckpointRefusesCraftedModels(t *testing.T) {
+	wide, truncated := craftedModels(t)
+	if len(wide) != 594 || len(truncated) != 68 {
+		t.Fatalf("crafted files are %d and %d bytes, want 594 and 68", len(wide), len(truncated))
+	}
+	for name, model := range map[string][]byte{"wide": wide, "truncated": truncated} {
+		_, _, alloc, err := readCheckpointBytes(t, append(ckptHeader(7), model...))
+		if err == nil {
+			t.Errorf("%s: crafted model loaded", name)
+		}
+		if alloc > 1<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes", name, alloc)
+		}
+	}
+}
+
+// FuzzCheckpoint hardens the checkpoint reader: no input panics it, a
+// successful read survives WriteCheckpoint → ReadCheckpoint with the same
+// seq and the same model bytes, and one read allocates at most encoding's
+// 64 MiB material cap plus a small multiple of the input's length.
+func FuzzCheckpoint(f *testing.F) {
+	p, _, _ := testPipeline(f, 128)
+	bp := p.Clone()
+	if err := bp.Binarize(); err != nil {
+		f.Fatal(err)
+	}
+	wide, truncated := craftedModels(f)
+	f.Add(append(ckptHeader(42), modelBytes(f, p)...))
+	f.Add(append(ckptHeader(3), modelBytes(f, bp)...))
+	f.Add(append(ckptHeader(7), wide...))
+	f.Add(append(ckptHeader(7), truncated...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, seq, alloc, err := readCheckpointBytes(t, data)
+		if limit := uint64(64<<20 + 16*len(data) + 1<<20); alloc > limit {
+			t.Fatalf("%d-byte checkpoint allocated %d bytes, limit %d", len(data), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "again.ckpt")
+		if err := WriteCheckpoint(path, p, seq); err != nil {
+			t.Fatal(err)
+		}
+		q, seq2, err := ReadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("rewritten checkpoint does not load: %v", err)
+		}
+		if seq2 != seq {
+			t.Fatalf("seq %d came back as %d", seq, seq2)
+		}
+		if !bytes.Equal(modelBytes(t, q), modelBytes(t, p)) {
+			t.Fatal("rewritten checkpoint saves different model bytes")
+		}
+	})
 }
 
 // TestKillAndReplay is the durability contract: every acknowledged adapt

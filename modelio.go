@@ -65,9 +65,6 @@ func LoadPipeline(r io.Reader) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("generic: rebuilding encoder: %w", err)
 	}
-	if enc.D() != b.Model.D() {
-		return nil, fmt.Errorf("generic: encoder D=%d does not match model D=%d", enc.D(), b.Model.D())
-	}
 	p := NewPipeline(enc, b.Model.Classes())
 	p.model = b.Model
 	p.trainer = b.Trainer
