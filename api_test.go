@@ -34,12 +34,12 @@ func TestFitValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := generic.NewPipeline(enc, tc.classes)
-			epochs, err := p.Fit(tc.X, tc.Y, generic.TrainOptions{Epochs: 2, Seed: 1})
+			res, err := p.Fit(tc.X, tc.Y, generic.TrainOptions{Epochs: 2, Seed: 1})
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("Fit err = %v, want substring %q", err, tc.wantSub)
 			}
-			if epochs != 0 {
-				t.Errorf("failed Fit reported %d epochs", epochs)
+			if res.EpochsRun != 0 {
+				t.Errorf("failed Fit reported %d epochs", res.EpochsRun)
 			}
 			if p.Model() != nil {
 				t.Error("failed Fit installed a model")
@@ -48,16 +48,17 @@ func TestFitValidation(t *testing.T) {
 	}
 }
 
-// TestFitReturnsEpochs checks the new return value: the number of retraining
-// epochs actually run, bounded by the request.
+// TestFitReturnsEpochs checks Fit's training record: the number of
+// retraining epochs actually run, bounded by the request, with one
+// per-epoch entry each.
 func TestFitReturnsEpochs(t *testing.T) {
 	p, X, Y := trainableProblem(t)
-	epochs, err := p.Fit(X, Y, generic.TrainOptions{Epochs: 7, Seed: 1})
+	res, err := p.Fit(X, Y, generic.TrainOptions{Epochs: 7, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epochs < 1 || epochs > 7 {
-		t.Fatalf("Fit ran %d epochs, want within [1,7]", epochs)
+	if res.EpochsRun < 1 || res.EpochsRun > 7 || len(res.Epochs) != res.EpochsRun {
+		t.Fatalf("Fit ran %d epochs (%d recorded), want within [1,7]", res.EpochsRun, len(res.Epochs))
 	}
 }
 
@@ -118,6 +119,44 @@ func TestPredictShapeValidation(t *testing.T) {
 	}
 	if _, _, err := p.Adapt(X[0], Y[0]); err != nil {
 		t.Errorf("valid Adapt errored: %v", err)
+	}
+}
+
+// TestClusterValidation: a cluster count outside [1, len(X)] or a row of the
+// wrong width is an error from Cluster, never a panic from clustering.
+func TestClusterValidation(t *testing.T) {
+	p, X, _ := trainableProblem(t)
+	enc := p.Encoder()
+	narrow := append(append([][]float64{}, X[:3]...), []float64{1, 2, 3})
+	wide := append(append([][]float64{}, X[:3]...), make([]float64, 9))
+	cases := []struct {
+		name    string
+		X       [][]float64
+		k       int
+		wantSub string
+	}{
+		{"k zero", X, 0, "k=0 out of range"},
+		{"k negative", X, -2, "k=-2 out of range"},
+		{"k above n", X[:4], 5, "k=5 out of range [1,4]"},
+		{"empty set", nil, 1, "k=1 out of range [1,0]"},
+		{"narrow row", narrow, 2, "sample 3 has 3 features, encoder expects 8"},
+		{"wide row", wide, 2, "sample 3 has 9 features, encoder expects 8"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Cluster panicked: %v", r)
+				}
+			}()
+			res, err := generic.Cluster(enc, tc.X, tc.k, 3, generic.WithWorkers(2))
+			if err == nil || !strings.Contains(err.Error(), tc.wantSub) || res != nil {
+				t.Fatalf("Cluster = (%v, %v), want nil and an error containing %q", res, err, tc.wantSub)
+			}
+		})
+	}
+	if res, err := generic.Cluster(enc, X, 2, 0); err != nil || res.Epochs != 1 {
+		t.Fatalf("Cluster with 0 epochs = (%+v, %v), want one epoch run", res, err)
 	}
 }
 

@@ -193,7 +193,7 @@ func benchCluster(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		generic.ClusterWorkers(enc, cs.X, cs.K, 5, workers)
+		must(generic.Cluster(enc, cs.X, cs.K, 5, generic.WithWorkers(workers)))
 	}
 }
 
@@ -214,6 +214,6 @@ func BenchmarkHDCClusterHepta(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		generic.Cluster(enc, cs.X, cs.K, 5)
+		must(generic.Cluster(enc, cs.X, cs.K, 5))
 	}
 }

@@ -84,7 +84,7 @@ func TestBinaryGoldenEquivalence(t *testing.T) {
 				refEnc.Encode(ds.TestX[i], h)
 				bq.PackSigns(h)
 				bq.Unpack(q)
-				want, _ := refModel.Predict(q)
+				want, _, _ := refModel.PredictDimsMargin(q, refModel.D(), true)
 				got := must(p.Predict(ds.TestX[i]))
 				if got != want {
 					t.Fatalf("sample %d: binary %d, sign-binarized integer reference %d", i, got, want)
@@ -194,7 +194,7 @@ func TestBinaryWithDimsMatchesExactRounding(t *testing.T) {
 			if wantDims > refEnc.D() {
 				wantDims = refEnc.D()
 			}
-			want, _ := refModel.PredictDims(q, wantDims, true)
+			want, _, _ := refModel.PredictDimsMargin(q, wantDims, true)
 			got := must(p.Predict(ds.TestX[i], generic.WithDims(dims)))
 			if got != want {
 				t.Fatalf("dims=%d sample %d: binary %d, sign-binarized integer reference %d", dims, i, got, want)

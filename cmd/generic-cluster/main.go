@@ -65,10 +65,14 @@ func main() {
 	}
 
 	fmt.Printf("dataset %s: %d points, %d features, k=%d\n", cs.Name, len(cs.X), cs.Features, kk)
-	hdcRes := generic.ClusterWorkers(enc, cs.X, kk, *epochs, *workers)
+	hdcRes, err := generic.Cluster(enc, cs.X, kk, *epochs, generic.WithWorkers(*workers))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "generic-cluster:", err)
+		os.Exit(1)
+	}
 	kmRes := generic.KMeans(cs.X, kk, 100, 10, *seed)
 	fmt.Printf("HDC clustering NMI:     %.3f (%d epochs)\n",
-		generic.NMI(hdcRes.Assignments, cs.Labels), *epochs)
+		generic.NMI(hdcRes.Assignments, cs.Labels), hdcRes.Epochs)
 	fmt.Printf("k-means baseline NMI:   %.3f (%d Lloyd iterations, best of 10)\n",
 		generic.NMI(kmRes.Assignments, cs.Labels), kmRes.Iters)
 }

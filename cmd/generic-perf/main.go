@@ -213,12 +213,16 @@ func buildSuite() ([]*bench, error) {
 			}
 		}},
 		{name: "fit/epoch200", op: func() {
-			classifier.TrainEncodedResult(encodedVecs, fitY, ds.Classes,
-				generic.TrainOptions{Epochs: 1, Seed: 1})
+			if _, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
+				generic.TrainOptions{Epochs: 1, Seed: 1}); err != nil {
+				fatal(err)
+			}
 		}},
 		{name: "fit/lehdc200", op: func() {
-			classifier.TrainEncodedResult(encodedVecs, fitY, ds.Classes,
-				generic.TrainOptions{Epochs: 1, Seed: 1, Trainer: "lehdc"})
+			if _, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
+				generic.TrainOptions{Epochs: 1, Seed: 1, Trainer: "lehdc"}); err != nil {
+				fatal(err)
+			}
 		}},
 		{name: "sim/infer", op: func() {
 			acc.Infer(nextRow())

@@ -266,12 +266,12 @@ func buildPipeline(model, dataset string, epochs, d int, seed uint64, workers in
 		}
 		p := generic.NewPipeline(enc, ds.Classes)
 		start := time.Now()
-		ran, err := p.Fit(ds.TrainX, ds.TrainY, generic.TrainOptions{Epochs: epochs, Seed: seed, Workers: workers})
+		res, err := p.Fit(ds.TrainX, ds.TrainY, generic.TrainOptions{Epochs: epochs, Seed: seed, Workers: workers})
 		if err != nil {
 			return nil, err
 		}
 		logger.Info(fmt.Sprintf("self-trained on %s in %.1fs (%d epochs)",
-			ds.Name, time.Since(start).Seconds(), ran))
+			ds.Name, time.Since(start).Seconds(), res.EpochsRun))
 		return p, nil
 	default:
 		return nil, errors.New("need -model <file>, -dataset <name>, or a -state-dir checkpoint")

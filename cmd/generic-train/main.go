@@ -115,7 +115,7 @@ func main() {
 		ds.Name, ds.TrainLen(), ds.TestLen(), ds.Features, ds.Classes, ds.Kind)
 	p := generic.NewPipeline(enc, ds.Classes, generic.WithTrainer(*trainer))
 	start := time.Now()
-	res, err := p.FitResult(ds.TrainX, ds.TrainY, generic.TrainOptions{
+	res, err := p.Fit(ds.TrainX, ds.TrainY, generic.TrainOptions{
 		Epochs: *epochs, Seed: *seed, Workers: *workers,
 		LR: *lr, LRDecay: *lrDecay, BatchSize: *batch,
 	})

@@ -34,9 +34,9 @@ func ExamplePipeline() {
 	// Output: 1
 }
 
-// ExampleModel_PredictDims shows on-demand dimension reduction with the
-// norm2 memory's sub-norms (§4.3.3).
-func ExampleModel_PredictDims() {
+// ExampleModel_PredictDimsMargin shows on-demand dimension reduction with
+// the norm2 memory's sub-norms (§4.3.3).
+func ExampleModel_PredictDimsMargin() {
 	enc, _ := generic.NewEncoder(generic.Generic, generic.EncoderConfig{
 		D: 1024, Features: 8, Lo: 0, Hi: 1, Seed: 2,
 	})
@@ -45,11 +45,13 @@ func ExampleModel_PredictDims() {
 		{1, 1, 1, 0.9, 0, 0, 0, 0}, {0, 0.1, 0, 0, 1, 1, 0.9, 1},
 	}
 	Y := []int{0, 1, 0, 1}
-	m := generic.Train(generic.Encode(enc, X), Y, 2, generic.TrainOptions{Epochs: 2})
+	p := generic.NewPipeline(enc, 2)
+	p.Fit(X, Y, generic.TrainOptions{Epochs: 2})
+	m := p.Model()
 
 	h := generic.Encode(enc, X[:1])[0]
-	full, _ := m.Predict(h)
-	reduced, _ := m.PredictDims(h, 256, true) // a quarter of the dimensions
+	full, _, _ := m.PredictDimsMargin(h, m.D(), true)
+	reduced, _, _ := m.PredictDimsMargin(h, 256, true) // a quarter of the dimensions
 	fmt.Println(full, reduced)
 	// Output: 0 0
 }

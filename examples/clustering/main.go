@@ -36,7 +36,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		hdcRes := generic.Cluster(enc, cs.X, cs.K, 10)
+		hdcRes, err := generic.Cluster(enc, cs.X, cs.K, 10)
+		if err != nil {
+			log.Fatal(err)
+		}
 		kmRes := generic.KMeans(cs.X, cs.K, 100, 10, 1)
 
 		// Accelerator run for energy.

@@ -35,14 +35,17 @@ func main() {
 	// small on-device training set (a tenth of the corpus) — the regime
 	// where the dimension/accuracy trade-off is visible.
 	boot := ds.TrainLen() / 10
-	encoded := generic.Encode(enc, ds.TrainX[:boot])
-	model := generic.Train(encoded, ds.TrainY[:boot], ds.Classes, generic.TrainOptions{Epochs: 20, Seed: 3})
+	p := generic.NewPipeline(enc, ds.Classes)
+	if _, err := p.Fit(ds.TrainX[:boot], ds.TrainY[:boot], generic.TrainOptions{Epochs: 20, Seed: 3}); err != nil {
+		log.Fatal(err)
+	}
+	model := p.Model()
 	testH := generic.Encode(enc, ds.TestX)
 
 	evalDims := func(dims int, updated bool) float64 {
 		correct := 0
 		for i, h := range testH {
-			if c, _ := model.PredictDims(h, dims, updated); c == ds.TestY[i] {
+			if c, _, _ := model.PredictDimsMargin(h, dims, updated); c == ds.TestY[i] {
 				correct++
 			}
 		}

@@ -7,7 +7,7 @@
 //   - Encoders (NewEncoder): the paper's windowed GENERIC encoding plus the
 //     four baseline HDC encodings it is evaluated against (random
 //     projection, level-id, ngram, permutation).
-//   - Learning (Pipeline, Train, Cluster): HDC classification with
+//   - Learning (Pipeline, Cluster): HDC classification with
 //     retraining, bit-width quantization, on-demand dimension reduction,
 //     and k-centroid HDC clustering.
 //   - Hardware (NewAccelerator): a cycle-level model of the GENERIC ASIC —
@@ -24,7 +24,7 @@
 //		D: 4096, Features: 64, Lo: 0, Hi: 1, UseID: true, Seed: 1,
 //	})
 //	p := generic.NewPipeline(enc, nClasses)
-//	epochs, err := p.Fit(trainX, trainY, generic.TrainOptions{Epochs: 20})
+//	res, err := p.Fit(trainX, trainY, generic.TrainOptions{Epochs: 20})
 //	label, err := p.Predict(x)
 //
 // Batch entry points take variadic options: PredictAll(X) and
@@ -134,12 +134,6 @@ type EpochStat = classifier.EpochStat
 // "perceptron"), sorted. The empty name selects the default (perceptron).
 func Trainers() []string { return classifier.TrainerNames() }
 
-// Train builds a model from pre-encoded hypervectors.
-func Train(encoded []Hypervector, labels []int, classes int, opt TrainOptions) *Model {
-	m, _ := classifier.TrainEncoded(encoded, labels, classes, opt)
-	return m
-}
-
 // Mode selects the inference representation for one call (see WithMode).
 type Mode int
 
@@ -170,10 +164,10 @@ func (m Mode) String() string {
 }
 
 // Option configures one call to a Pipeline inference entry point (Predict,
-// PredictAll, Accuracy). Option is an opaque value (not a closure) so
-// building and applying options never allocates — the single-sample binary
-// Predict path runs at zero allocations per call, and the alloc-budget gate
-// depends on that.
+// PredictAll, Accuracy) or to Cluster, which reads only WithWorkers. Option
+// is an opaque value (not a closure) so building and applying options never
+// allocates — the single-sample binary Predict path runs at zero
+// allocations per call, and the alloc-budget gate depends on that.
 type Option struct {
 	kind optKind
 	v    int
@@ -356,26 +350,20 @@ func (p *Pipeline) Encoder() Encoder { return p.enc }
 func (p *Pipeline) Model() *Model    { return p.model }
 
 // Fit encodes the training set and trains the model (initialization plus
-// retraining, Fig. 1). The encoding and initialization phases fan out
-// across opt.Workers workers (0 means GOMAXPROCS, 1 forces serial); the
-// trained model is bit-identical for every worker count.
+// retraining, Fig. 1) with the strategy opt.Trainer names, or the
+// pipeline's WithTrainer default (else "perceptron") when it is empty. The
+// encoding and initialization phases fan out across opt.Workers workers
+// (0 means GOMAXPROCS, 1 forces serial); the trained model is bit-identical
+// for every worker count.
 //
 // Shapes are validated upfront — X and Y must be the same nonempty length,
 // every sample must carry the encoder's feature count, and labels must lie
 // in [0, classes) — so malformed input is an error here rather than a panic
-// deep inside encoding or training. It returns the number of retraining
-// epochs actually run (early convergence stops before opt.Epochs). For the
-// full per-epoch trajectory use FitResult.
-func (p *Pipeline) Fit(X [][]float64, Y []int, opt TrainOptions) (int, error) {
-	res, err := p.FitResult(X, Y, opt)
-	return res.EpochsRun, err
-}
-
-// FitResult is Fit returning the full training record: the strategy that
-// ran, epochs completed, and per-epoch update counts, loss, and learning
-// rate. When opt.Trainer is empty, the pipeline's WithTrainer default (or
-// "perceptron") selects the strategy.
-func (p *Pipeline) FitResult(X [][]float64, Y []int, opt TrainOptions) (TrainResult, error) {
+// deep inside encoding or training. It returns the training record: the
+// strategy that ran, the retraining epochs actually run (early convergence
+// stops before opt.Epochs), and the per-epoch update counts, loss, and
+// learning rate.
+func (p *Pipeline) Fit(X [][]float64, Y []int, opt TrainOptions) (TrainResult, error) {
 	if err := p.validateFit(X, Y); err != nil {
 		return TrainResult{}, err
 	}
@@ -507,10 +495,9 @@ func (p *Pipeline) validateFit(X [][]float64, Y []int) error {
 	if len(X) != len(Y) {
 		return fmt.Errorf("generic: Fit: %d samples vs %d labels", len(X), len(Y))
 	}
-	features := p.enc.Config().Features
-	for i, row := range X {
-		if len(row) != features {
-			return fmt.Errorf("generic: Fit: sample %d has %d features, encoder expects %d", i, len(row), features)
+	for i, x := range X {
+		if err := checkFeatures(p.enc, "Fit", x, i); err != nil {
+			return err
 		}
 	}
 	for i, y := range Y {
@@ -524,8 +511,8 @@ func (p *Pipeline) validateFit(X [][]float64, Y []int) error {
 // checkFeatures validates one sample's width against the encoder, turning
 // what would surface as an encoding panic into a caller error. A negative
 // index means a single-sample entry point.
-func (p *Pipeline) checkFeatures(op string, x []float64, i int) error {
-	if want := p.enc.Config().Features; len(x) != want {
+func checkFeatures(enc Encoder, op string, x []float64, i int) error {
+	if want := enc.Config().Features; len(x) != want {
 		if i >= 0 {
 			return fmt.Errorf("generic: %s: sample %d has %d features, encoder expects %d", op, i, len(x), want)
 		}
@@ -559,7 +546,7 @@ func (p *Pipeline) predictOne(op string, x []float64, opts []Option) (int, float
 	if err := p.trained(op); err != nil {
 		return 0, 0, err
 	}
-	if err := p.checkFeatures(op, x, -1); err != nil {
+	if err := checkFeatures(p.enc, op, x, -1); err != nil {
 		return 0, 0, err
 	}
 	o := applyOpts(opts)
@@ -678,7 +665,7 @@ func (p *Pipeline) PredictAllInto(dst []int, X [][]float64, opts ...Option) erro
 		return fmt.Errorf("generic: PredictAllInto: dst length %d, want %d", len(dst), len(X))
 	}
 	for i, x := range X {
-		if err := p.checkFeatures("PredictAllInto", x, i); err != nil {
+		if err := checkFeatures(p.enc, "PredictAllInto", x, i); err != nil {
 			return err
 		}
 	}
@@ -736,7 +723,7 @@ func (p *Pipeline) Adapt(x []float64, label int) (pred int, updated bool, err er
 	if err := p.trained("Adapt"); err != nil {
 		return 0, false, err
 	}
-	if err := p.checkFeatures("Adapt", x, -1); err != nil {
+	if err := checkFeatures(p.enc, "Adapt", x, -1); err != nil {
 		return 0, false, err
 	}
 	if label < 0 || label >= p.classes {
@@ -789,7 +776,7 @@ func (p *Pipeline) Accuracy(X [][]float64, Y []int, opts ...Option) (float64, er
 		return 0, nil
 	}
 	for i, x := range X {
-		if err := p.checkFeatures("Accuracy", x, i); err != nil {
+		if err := checkFeatures(p.enc, "Accuracy", x, i); err != nil {
 			return 0, err
 		}
 	}
@@ -975,19 +962,22 @@ func (p *Pipeline) Health() (FaultHealth, error) {
 type ClusterResult = cluster.HDCResult
 
 // Cluster runs k-centroid HDC clustering over raw inputs using the given
-// encoder (§2.1/§4.2.3), serially.
-func Cluster(enc Encoder, X [][]float64, k, epochs int) *ClusterResult {
-	return ClusterWorkers(enc, X, k, epochs, 1)
-}
-
-// ClusterWorkers is Cluster with encoding and the per-epoch assignment
-// scans fanned across workers workers (≤ 0 means GOMAXPROCS, 1 is serial).
-// Assignments and centroids are bit-identical to Cluster: within an epoch
-// the centroid model is frozen, so workers score independently and their
-// partial centroid bundles merge in worker order.
-func ClusterWorkers(enc Encoder, X [][]float64, k, epochs, workers int) *ClusterResult {
-	encoded := encoding.EncodeAllWorkers(enc, X, workers)
-	return cluster.HDCWorkers(encoded, k, epochs, workers)
+// encoder (§2.1/§4.2.3) for epochs epochs (at least one; the result's Epochs
+// reports how many ran). WithWorkers fans the encoding and the per-epoch
+// assignment scans across n workers (default serial); assignments and
+// centroids are bit-identical for every worker count. k must lie in
+// [1, len(X)] and every row must carry the encoder's feature count.
+func Cluster(enc Encoder, X [][]float64, k, epochs int, opts ...Option) (*ClusterResult, error) {
+	if k < 1 || k > len(X) {
+		return nil, fmt.Errorf("generic: Cluster: k=%d out of range [1,%d]", k, len(X))
+	}
+	for i, x := range X {
+		if err := checkFeatures(enc, "Cluster", x, i); err != nil {
+			return nil, err
+		}
+	}
+	workers := applyOpts(opts).workers
+	return cluster.HDC(encoding.EncodeAllWorkers(enc, X, workers), k, epochs, workers), nil
 }
 
 // KMeans exposes the classical baseline clusterer (Lloyd's algorithm with

@@ -112,10 +112,13 @@ func TestTrainOnEncoded(t *testing.T) {
 		{1, 1, 1, 0.9, 0, 0, 0, 0.1}, {0.1, 0, 0, 0, 1, 0.9, 1, 1},
 	}
 	Y := []int{0, 1, 0, 1}
-	encoded := generic.Encode(enc, X)
-	m := generic.Train(encoded, Y, 2, generic.TrainOptions{Epochs: 3})
-	for i, h := range encoded {
-		if c, _ := m.Predict(h); c != Y[i] {
+	p := generic.NewPipeline(enc, 2)
+	if _, err := p.Fit(X, Y, generic.TrainOptions{Epochs: 3}); err != nil {
+		t.Fatal(err)
+	}
+	m := p.Model()
+	for i, h := range generic.Encode(enc, X) {
+		if c, _, _ := m.PredictDimsMargin(h, m.D(), true); c != Y[i] {
 			t.Errorf("sample %d predicted %d, want %d", i, c, Y[i])
 		}
 	}
@@ -133,7 +136,10 @@ func TestClusterAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := generic.Cluster(enc, cs.X, cs.K, 5)
+	res, err := generic.Cluster(enc, cs.X, cs.K, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	km := generic.KMeans(cs.X, cs.K, 100, 10, 3)
 	if nmi := generic.NMI(res.Assignments, cs.Labels); nmi < 0.6 {
 		t.Errorf("HDC clustering NMI = %.3f", nmi)

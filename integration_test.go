@@ -82,7 +82,7 @@ func TestHDCClusteringFloorsAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := generic.Cluster(enc, cs.X, cs.K, 10)
+			res := must(generic.Cluster(enc, cs.X, cs.K, 10))
 			nmi := generic.NMI(res.Assignments, cs.Labels)
 			if floor := nmiFloor[name]; nmi < floor {
 				t.Errorf("%s: NMI %.3f below floor %.2f", name, nmi, floor)

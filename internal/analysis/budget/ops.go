@@ -87,13 +87,13 @@ func Ops() []Op {
 	query := batch[0]
 	// Adapt must not update during measurement (an update would drift the
 	// model across runs): feed it its own current prediction as the label.
-	stableLabel, _ := model.Predict(query)
+	stableLabel, _, _ := model.PredictDimsMargin(query, opD, true)
 	// Update mutates class vectors, so it runs on its own clone — the shared
 	// model stays fixed and stableLabel stays Adapt's prediction.
 	updModel := model.Clone()
 
 	ops = append(ops,
-		Op{Name: "model/predict_dims", Run: func() { model.PredictDims(query, opD, true) }},
+		Op{Name: "model/predict_dims", Run: func() { model.PredictDimsMargin(query, opD, true) }},
 		Op{Name: "model/predict_batch_w1", Run: func() { model.PredictDimsBatch(batch, opD, true, 1) }},
 		Op{Name: "model/update", Run: func() { updModel.Update(query, 0, 1) }},
 		Op{Name: "model/adapt_hit", Run: func() { model.Adapt(query, stableLabel) }},
@@ -108,7 +108,7 @@ func Ops() []Op {
 	bx := features(0)
 	ops = append(ops,
 		Op{Name: "encode/generic_bin", Run: func() { enc.EncodeBin(bx, bout) }},
-		Op{Name: "model/binary_predict", Run: func() { bmodel.Predict(bquery) }},
+		Op{Name: "model/binary_predict", Run: func() { bmodel.PredictDimsMargin(bquery, opD) }},
 	)
 
 	// Snapshot cloning: the serving layer clones the live pipeline on every

@@ -10,7 +10,7 @@ import (
 func TestAdaptNoUpdateWhenCorrect(t *testing.T) {
 	r := rng.New(1)
 	train, labels, _ := syntheticEncoded(r, 512, 2, 10, 0.1)
-	m, _ := TrainEncoded(train, labels, 2, Options{Epochs: 3, Seed: 1})
+	m, _ := mustTrain(t, train, labels, 2, Options{Epochs: 3, Seed: 1})
 	before := m.Class(0).Clone()
 	pred, updated := m.Adapt(train[0], labels[0])
 	if pred != labels[0] {
@@ -113,7 +113,7 @@ func TestAdaptTracksDrift(t *testing.T) {
 		m.Adapt(noisy(a), 1)
 		m.Adapt(noisy(b), 0)
 		if s >= phase2-50 {
-			if p, _ := m.Predict(noisy(a)); p == 1 {
+			if p, _, _ := m.PredictDimsMargin(noisy(a), m.D(), true); p == 1 {
 				recovered++
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/edge-hdc/generic/internal/hdc"
-	"github.com/edge-hdc/generic/internal/parallel"
 )
 
 // BinaryModel is the packed binary inference representation: one
@@ -82,33 +81,21 @@ func (b *BinaryModel) RebinarizeClass(m *Model, c int) {
 	b.sourceBW = m.bw
 }
 
-// Predict returns the class whose packed vector is nearest to the packed
-// query q in Hamming distance, and that distance. Ties break toward the
-// lower class index, like the integer path.
+// PredictDimsMargin returns the class whose packed vector is nearest to the
+// packed query q in Hamming distance, that distance, and the normalized
+// top-2 confidence margin: the Hamming gap between the two nearest classes
+// over the scored dimension count, the binary-mode analogue of the exact
+// path's score-gap margin.
 //
-//generic:hotpath
-func (b *BinaryModel) Predict(q *hdc.BinVec) (class, hamming int) {
-	return b.PredictDims(q, b.d)
-}
-
-// PredictDims scores only the first dims dimensions (rounded down to the
-// sub-norm granularity, minimum one chunk — the exact path's rounding), the
-// packed form of on-demand dimension reduction. On a bipolar model the
+// Only the first dims dimensions are scored, rounded down to the sub-norm
+// granularity (minimum one chunk — the exact path's rounding) and clamped
+// to D: dims = b.D() is the full-model score. On a bipolar model the
 // per-chunk norms are the chunk sizes, so no sub-norm memory is consulted:
 // min-Hamming over the prefix is already the updated-norms ranking.
 //
-//generic:hotpath
-func (b *BinaryModel) PredictDims(q *hdc.BinVec, dims int) (class, hamming int) {
-	class, hamming, _ = b.PredictDimsMargin(q, dims)
-	return class, hamming
-}
-
-// PredictDimsMargin is PredictDims plus the normalized top-2 confidence
-// margin: the Hamming gap between the two nearest classes over the scored
-// dimension count, the binary-mode analogue of the exact path's score-gap
-// margin. The loop tracks the two nearest classes; ties keep the lower
-// class index, matching the historical single-best loop. It records
-// nothing: the Pipeline observes served predicts.
+// The loop tracks the two nearest classes; ties keep the lower class index,
+// like the integer path. It records nothing: the Pipeline observes served
+// predicts.
 //
 //generic:hotpath
 func (b *BinaryModel) PredictDimsMargin(q *hdc.BinVec, dims int) (class, hamming int, margin float64) {
@@ -170,25 +157,10 @@ func (b *BinaryModel) Clone() *BinaryModel {
 }
 
 // BinaryAccuracy returns the fraction of packed queries predicted as their
-// label, chunk-counted per worker and summed like the integer Accuracy.
+// label at full D, counted like EvaluateDimsBatch.
 func BinaryAccuracy(b *BinaryModel, encoded []*hdc.BinVec, labels []int, workers int) float64 {
-	if len(encoded) == 0 {
-		return 0
-	}
-	w := parallel.Workers(workers)
-	counts := make([]int, w)
-	parallel.ForChunks(w, len(encoded), func(worker, lo, hi int) {
-		correct := 0
-		for i := lo; i < hi; i++ {
-			if pred, _ := b.Predict(encoded[i]); pred == labels[i] {
-				correct++
-			}
-		}
-		counts[worker] = correct
+	return accuracy(len(encoded), labels, workers, func(i int) int {
+		c, _, _ := b.PredictDimsMargin(encoded[i], b.d)
+		return c
 	})
-	correct := 0
-	for _, c := range counts {
-		correct += c
-	}
-	return float64(correct) / float64(len(encoded))
 }

@@ -13,7 +13,7 @@ func trainSmall(t *testing.T, seed uint64, d, nC int) (*Model, []hdc.Vec, []int)
 	t.Helper()
 	r := rng.New(seed)
 	train, labels, _ := syntheticEncoded(r, d, nC, 12, 0.15)
-	m, _ := TrainEncoded(train, labels, nC, Options{Epochs: 3})
+	m, _ := mustTrain(t, train, labels, nC, Options{Epochs: 3})
 	return m, train, labels
 }
 
@@ -62,8 +62,8 @@ func TestBinaryPredictMatchesQuantizedExact(t *testing.T) {
 	queries := packAll(train, d)
 	for _, dims := range []int{d, d / 2, SubNormGranularity, 1} {
 		for i, q := range queries {
-			wantC, _ := q1.PredictDims(train[i], dims, true)
-			gotC, _ := b.PredictDims(q, dims)
+			wantC, _, _ := q1.PredictDimsMargin(train[i], dims, true)
+			gotC, _, _ := b.PredictDimsMargin(q, dims)
 			if gotC != wantC {
 				t.Fatalf("dims=%d query %d: binary %d, quantized exact %d", dims, i, gotC, wantC)
 			}
@@ -76,7 +76,7 @@ func TestBinaryPredictHammingValue(t *testing.T) {
 	m, _, _ := trainSmall(t, 3, d, nC)
 	b := Binarize(m)
 	q := b.Class(1).Clone()
-	c, h := b.Predict(q)
+	c, h, _ := b.PredictDimsMargin(q, d)
 	if h != 0 {
 		t.Fatalf("predicting a class vector itself: hamming %d, want 0", h)
 	}
@@ -127,7 +127,7 @@ func TestBinaryBatchMatchesSingle(t *testing.T) {
 	queries := packAll(train, d)
 	want := make([]int, len(queries))
 	for i, q := range queries {
-		want[i], _ = b.Predict(q)
+		want[i], _, _ = b.PredictDimsMargin(q, d)
 	}
 	// BinaryAccuracy agrees with counting single predictions.
 	correct := 0

@@ -230,33 +230,21 @@ func (m *Model) RefreshAllNorms() {
 	}
 }
 
-// Predict returns the class with the highest modified-cosine score for the
-// encoded query h, and that score.
+// PredictDimsMargin returns the class with the highest modified-cosine
+// score for the encoded query h, that score, and the normalized top-2
+// confidence margin in [0,1] (score gap over combined score magnitude — the
+// quality signal the scoring loop computes for free).
 //
-//generic:hotpath
-func (m *Model) Predict(h hdc.Vec) (class int, score float64) {
-	return m.PredictDims(h, m.d, true)
-}
-
-// PredictDims scores only the first dims dimensions (rounded down to the
-// sub-norm granularity, minimum one chunk), modeling on-demand dimension
-// reduction. When updatedNorms is true the per-chunk sub-norms are used
-// (the paper's fix); when false the full-model norms are used (the
-// "Constant" curves of Fig. 5, which lose up to 20% accuracy).
+// Only the first dims dimensions are scored, rounded down to the sub-norm
+// granularity (minimum one chunk) and clamped to D: dims = m.D() is the
+// full-model score, fewer models on-demand dimension reduction. When
+// updatedNorms is true the per-chunk sub-norms are used (the paper's fix);
+// when false the full-model norms are used (the "Constant" curves of
+// Fig. 5, which lose up to 20% accuracy).
 //
-//generic:hotpath
-func (m *Model) PredictDims(h hdc.Vec, dims int, updatedNorms bool) (class int, score float64) {
-	class, score, _ = m.PredictDimsMargin(h, dims, updatedNorms)
-	return class, score
-}
-
-// PredictDimsMargin is PredictDims plus the normalized top-2 confidence
-// margin in [0,1] (score gap over combined score magnitude — the quality
-// signal the scoring loop computes for free). The loop tracks the two
-// highest modified-cosine scores; ties keep the lower class index, so the
-// winner is bit-identical to the historical single-best loop. Like every
-// per-sample kernel here it records nothing: the Pipeline observes served
-// predicts.
+// The loop tracks the two highest scores; ties keep the lower class index,
+// so the winner is the single-best loop's. Like every per-sample kernel
+// here it records nothing: the Pipeline observes served predicts.
 //
 //generic:hotpath
 func (m *Model) PredictDimsMargin(h hdc.Vec, dims int, updatedNorms bool) (class int, score, margin float64) {
@@ -360,13 +348,14 @@ func (m *Model) Quantize(bw int) {
 
 // Adapt performs one online-learning step on an encoded sample: predict,
 // and on misprediction apply the retraining rule. It returns the prediction
-// made before any update and whether an update occurred. This is the
-// streaming path of the paper's IoT-gateway scenario: the model keeps
-// improving from labelled feedback without a batch retraining pass.
+// made before any update and whether an update occurred. It is the
+// perceptron epoch's per-sample step, and the streaming path of the paper's
+// IoT-gateway scenario: the model keeps improving from labelled feedback
+// without a batch retraining pass.
 //
 //generic:hotpath
 func (m *Model) Adapt(h hdc.Vec, label int) (pred int, updated bool) {
-	pred, _ = m.Predict(h)
+	pred, _, _ = m.PredictDimsMargin(h, m.d, true)
 	if pred != label {
 		m.Update(h, label, pred)
 		updated = true
@@ -393,33 +382,8 @@ func (m *Model) Clone() *Model {
 	return c
 }
 
-// TrainEncoded builds a model from pre-encoded hypervectors with the
-// strategy selected by opt.Trainer (the paper's one-shot bundling +
-// perceptron retraining by default). Labels must lie in [0, nC). The number
-// of misclassified samples in the final epoch is returned alongside the
-// model (zero means the model converged).
-//
-// Like TrainEncodedResult, this is the Must form of Train: malformed input
-// or an unknown trainer name panics with the error Train would return.
-func TrainEncoded(encoded []hdc.Vec, labels []int, nC int, opt Options) (*Model, int) {
-	m, res := TrainEncodedResult(encoded, labels, nC, opt)
-	return m, res.FinalUpdates
-}
-
-// TrainEncodedResult is the Must wrapper over Train, reporting the full
-// TrainResult: validation failures panic instead of returning an error, for
-// call sites (experiments, benchmarks, tests) whose inputs are correct by
-// construction. Pipeline.Fit and other error-propagating callers use Train.
-func TrainEncodedResult(encoded []hdc.Vec, labels []int, nC int, opt Options) (*Model, TrainResult) {
-	m, res, err := Train(encoded, labels, nC, opt)
-	if err != nil {
-		panic(err)
-	}
-	return m, res
-}
-
 // PredictDimsBatch classifies every encoded query on its first dims
-// dimensions (see PredictDims) across workers workers (<= 0 means
+// dimensions (see PredictDimsMargin) across workers workers (<= 0 means
 // GOMAXPROCS, 1 is serial) and returns the predictions in input order.
 // Scoring only reads the model, so any worker count yields identical
 // results; the model must not be mutated concurrently.
@@ -428,33 +392,36 @@ func (m *Model) PredictDimsBatch(encoded []hdc.Vec, dims int, updatedNorms bool,
 	defer sp.End()
 	out := make([]int, len(encoded))
 	parallel.For(workers, len(encoded), func(_, i int) {
-		out[i], _ = m.PredictDims(encoded[i], dims, updatedNorms)
+		out[i], _, _ = m.PredictDimsMargin(encoded[i], dims, updatedNorms)
 	})
 	return out
 }
 
-// Accuracy returns the fraction of encoded queries whose prediction matches
-// labels, with the scoring fanned across workers workers (<= 0 means
-// GOMAXPROCS, 1 is serial). It is the canonical batch scorer — the single
-// form behind the facade's Pipeline.Accuracy — and is bit-identical for
-// every worker count: each worker counts its own contiguous chunk and the
-// counts are summed.
-func Accuracy(m *Model, encoded []hdc.Vec, labels []int, workers int) float64 {
-	return EvaluateDimsBatch(m, encoded, labels, m.d, true, workers)
+// EvaluateDimsBatch returns the fraction of encoded queries whose
+// prediction on the first dims dimensions (see PredictDimsMargin) matches
+// labels; dims = m.D() scores the full model. Scoring fans across workers
+// workers (<= 0 means GOMAXPROCS, 1 is serial) and is bit-identical for
+// every worker count.
+func EvaluateDimsBatch(m *Model, encoded []hdc.Vec, labels []int, dims int, updatedNorms bool, workers int) float64 {
+	return accuracy(len(encoded), labels, workers, func(i int) int {
+		c, _, _ := m.PredictDimsMargin(encoded[i], dims, updatedNorms)
+		return c
+	})
 }
 
-// EvaluateDimsBatch is Accuracy under dimension reduction (see
-// PredictDims).
-func EvaluateDimsBatch(m *Model, encoded []hdc.Vec, labels []int, dims int, updatedNorms bool, workers int) float64 {
-	if len(encoded) == 0 {
+// accuracy returns the fraction of the n queries for which predict(i)
+// equals labels[i]. Each worker counts its own contiguous chunk and the
+// counts are summed, so the result is the same for every worker count.
+func accuracy(n int, labels []int, workers int, predict func(i int) int) float64 {
+	if n == 0 {
 		return 0
 	}
 	w := parallel.Workers(workers)
 	counts := make([]int, w)
-	parallel.ForChunks(w, len(encoded), func(worker, lo, hi int) {
+	parallel.ForChunks(w, n, func(worker, lo, hi int) {
 		correct := 0
 		for i := lo; i < hi; i++ {
-			if pred, _ := m.PredictDims(encoded[i], dims, updatedNorms); pred == labels[i] {
+			if predict(i) == labels[i] {
 				correct++
 			}
 		}
@@ -464,5 +431,5 @@ func EvaluateDimsBatch(m *Model, encoded []hdc.Vec, labels []int, dims int, upda
 	for _, c := range counts {
 		correct += c
 	}
-	return float64(correct) / float64(len(encoded))
+	return float64(correct) / float64(n)
 }

@@ -52,17 +52,27 @@ func TestNewModelValidation(t *testing.T) {
 	}
 }
 
+// mustTrain is Train failing the test or benchmark on its error.
+func mustTrain(t testing.TB, encoded []hdc.Vec, labels []int, nC int, opt Options) (*Model, TrainResult) {
+	t.Helper()
+	m, res, err := Train(encoded, labels, nC, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, res
+}
+
 func TestTrainAndPredictSeparable(t *testing.T) {
 	r := rng.New(1)
 	train, labels, protos := syntheticEncoded(r, 512, 4, 20, 0.15)
-	m, _ := TrainEncoded(train, labels, 4, Options{Epochs: 5, Seed: 2})
+	m, _ := mustTrain(t, train, labels, 4, Options{Epochs: 5, Seed: 2})
 	// Prototypes themselves must classify correctly.
 	for c, p := range protos {
-		if pred, _ := m.Predict(p); pred != c {
+		if pred, _, _ := m.PredictDimsMargin(p, m.D(), true); pred != c {
 			t.Errorf("prototype %d predicted as %d", c, pred)
 		}
 	}
-	if acc := Accuracy(m, train, labels, 1); acc < 0.99 {
+	if acc := EvaluateDimsBatch(m, train, labels, m.D(), true, 1); acc < 0.99 {
 		t.Errorf("train accuracy = %v, want ≈1 on separable data", acc)
 	}
 }
@@ -71,10 +81,10 @@ func TestRetrainingImproves(t *testing.T) {
 	r := rng.New(3)
 	// Overlapping classes: one-shot bundling struggles, retraining helps.
 	train, labels, _ := syntheticEncoded(r, 512, 6, 30, 0.42)
-	m0, _ := TrainEncoded(train, labels, 6, Options{Epochs: 1, Seed: 1})
-	m20, _ := TrainEncoded(train, labels, 6, Options{Epochs: 25, Seed: 1})
-	a0 := Accuracy(m0, train, labels, 1)
-	a20 := Accuracy(m20, train, labels, 1)
+	m0, _ := mustTrain(t, train, labels, 6, Options{Epochs: 1, Seed: 1})
+	m20, _ := mustTrain(t, train, labels, 6, Options{Epochs: 25, Seed: 1})
+	a0 := EvaluateDimsBatch(m0, train, labels, m0.D(), true, 1)
+	a20 := EvaluateDimsBatch(m20, train, labels, m20.D(), true, 1)
 	if a20 < a0 {
 		t.Errorf("retraining reduced accuracy: %v -> %v", a0, a20)
 	}
@@ -89,13 +99,13 @@ func TestUpdateMovesDecision(t *testing.T) {
 	}
 	// Put h in the wrong class, then correct it via updates.
 	m.AddEncoded(h, 1)
-	if pred, _ := m.Predict(h); pred != 1 {
+	if pred, _, _ := m.PredictDimsMargin(h, d, true); pred != 1 {
 		t.Fatal("setup failed")
 	}
 	for i := 0; i < 3; i++ {
 		m.Update(h, 0, 1)
 	}
-	if pred, _ := m.Predict(h); pred != 0 {
+	if pred, _, _ := m.PredictDimsMargin(h, d, true); pred != 0 {
 		t.Error("updates did not move the decision to the correct class")
 	}
 }
@@ -103,7 +113,7 @@ func TestUpdateMovesDecision(t *testing.T) {
 func TestNormBookkeepingConsistent(t *testing.T) {
 	r := rng.New(5)
 	train, labels, _ := syntheticEncoded(r, 512, 3, 10, 0.3)
-	m, _ := TrainEncoded(train, labels, 3, Options{Epochs: 3, Seed: 1})
+	m, _ := mustTrain(t, train, labels, 3, Options{Epochs: 3, Seed: 1})
 	for c := 0; c < 3; c++ {
 		if got, want := m.Norm2(c), m.Class(c).Norm2(); got != want {
 			t.Errorf("class %d: cached norm2 %d != recomputed %d", c, got, want)
@@ -142,41 +152,41 @@ func TestPredictDimsUpdatedNormsBeatConstant(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		q[i] = 10
 	}
-	predUpdated, _ := m.PredictDims(q, 128, true)
+	predUpdated, _, _ := m.PredictDimsMargin(q, 128, true)
 	if predUpdated != 0 {
 		t.Errorf("updated norms: predicted %d, want 0", predUpdated)
 	}
 	// With constant norms class 1's large full norm deflates its score
 	// incorrectly less than class 0's... verify the two modes can differ.
-	predConst, _ := m.PredictDims(q, 128, false)
+	predConst, _, _ := m.PredictDimsMargin(q, 128, false)
 	_ = predConst // documented: modes may disagree; accuracy comparison is in experiments
 }
 
 func TestPredictDimsClampsAndRounds(t *testing.T) {
 	r := rng.New(7)
 	train, labels, _ := syntheticEncoded(r, 512, 3, 5, 0.1)
-	m, _ := TrainEncoded(train, labels, 3, Options{Epochs: 1})
+	m, _ := mustTrain(t, train, labels, 3, Options{Epochs: 1})
 	// dims beyond D clamps; dims below granularity rounds up to one chunk.
-	p1, _ := m.PredictDims(train[0], 100000, true)
-	p2, _ := m.Predict(train[0])
+	p1, _, _ := m.PredictDimsMargin(train[0], 100000, true)
+	p2, _, _ := m.PredictDimsMargin(train[0], m.D(), true)
 	if p1 != p2 {
 		t.Error("dims clamp changed prediction vs full predict")
 	}
-	p3, _ := m.PredictDims(train[0], 1, true)
+	p3, _, _ := m.PredictDimsMargin(train[0], 1, true)
 	_ = p3 // must not panic
 }
 
 func TestQuantizePreservesSeparableAccuracy(t *testing.T) {
 	r := rng.New(9)
 	train, labels, _ := syntheticEncoded(r, 1024, 4, 20, 0.1)
-	m, _ := TrainEncoded(train, labels, 4, Options{Epochs: 3, Seed: 1})
+	m, _ := mustTrain(t, train, labels, 4, Options{Epochs: 3, Seed: 1})
 	for _, bw := range []int{8, 4, 2, 1} {
 		q := m.Clone()
 		q.Quantize(bw)
 		if q.BW() != bw {
 			t.Fatalf("BW() = %d after Quantize(%d)", q.BW(), bw)
 		}
-		if acc := Accuracy(q, train, labels, 1); acc < 0.95 {
+		if acc := EvaluateDimsBatch(q, train, labels, q.D(), true, 1); acc < 0.95 {
 			t.Errorf("bw=%d: accuracy %v too low on well-separated data", bw, acc)
 		}
 	}
@@ -185,7 +195,7 @@ func TestQuantizePreservesSeparableAccuracy(t *testing.T) {
 func TestQuantizeOneBitIsBipolar(t *testing.T) {
 	r := rng.New(11)
 	train, labels, _ := syntheticEncoded(r, 256, 2, 5, 0.2)
-	m, _ := TrainEncoded(train, labels, 2, Options{Epochs: 1})
+	m, _ := mustTrain(t, train, labels, 2, Options{Epochs: 1})
 	m.Quantize(1)
 	for c := 0; c < 2; c++ {
 		for i, v := range m.Class(c) {
@@ -236,8 +246,8 @@ func TestEndToEndDataset(t *testing.T) {
 	})
 	trainH := encoding.EncodeAll(enc, ds.TrainX)
 	testH := encoding.EncodeAll(enc, ds.TestX)
-	m, _ := TrainEncoded(trainH, ds.TrainY, ds.Classes, Options{Epochs: 10, Seed: 1})
-	if acc := Accuracy(m, testH, ds.TestY, 1); acc < 0.72 {
+	m, _ := mustTrain(t, trainH, ds.TrainY, ds.Classes, Options{Epochs: 10, Seed: 1})
+	if acc := EvaluateDimsBatch(m, testH, ds.TestY, m.D(), true, 1); acc < 0.72 {
 		t.Errorf("GENERIC on EEG accuracy = %.3f, want > 0.72", acc)
 	}
 }
@@ -245,10 +255,10 @@ func TestEndToEndDataset(t *testing.T) {
 func BenchmarkPredict(b *testing.B) {
 	r := rng.New(1)
 	train, labels, _ := syntheticEncoded(r, 4096, 16, 10, 0.2)
-	m, _ := TrainEncoded(train, labels, 16, Options{Epochs: 2})
+	m, _ := mustTrain(b, train, labels, 16, Options{Epochs: 2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Predict(train[i%len(train)])
+		m.PredictDimsMargin(train[i%len(train)], m.D(), true)
 	}
 }
 
@@ -257,6 +267,6 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	train, labels, _ := syntheticEncoded(r, 4096, 8, 25, 0.3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrainEncoded(train, labels, 8, Options{Epochs: 1})
+		mustTrain(b, train, labels, 8, Options{Epochs: 1})
 	}
 }

@@ -7,6 +7,7 @@ package classifier
 var (
 	SyntheticEncoded = syntheticEncoded
 	FaultModel       = faultModel
+	MustTrain        = mustTrain
 )
 
 // DeepCopy copies every row of m into fresh storage, independent of the

@@ -26,7 +26,7 @@ func faultModel(t *testing.T, bw int) *Model {
 		encoded[i] = v
 		labels[i] = c
 	}
-	m, _ := TrainEncoded(encoded, labels, nC, Options{Epochs: 2, Seed: 31})
+	m, _ := mustTrain(t, encoded, labels, nC, Options{Epochs: 2, Seed: 31})
 	if bw != m.BW() {
 		m.Quantize(bw)
 	}

@@ -29,7 +29,7 @@ var fig6Sweep = []float64{1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 1e-1}
 func TestInjectBitErrorsZeroRate(t *testing.T) {
 	r := rng.New(13)
 	train, labels, _ := classifier.SyntheticEncoded(r, 256, 2, 5, 0.2)
-	m, _ := classifier.TrainEncoded(train, labels, 2, classifier.Options{Epochs: 1})
+	m, _ := classifier.MustTrain(t, train, labels, 2, classifier.Options{Epochs: 1})
 	before := m.Class(0).Clone()
 	if n := injectBitErrors(m, 0, rng.New(1)); n != 0 {
 		t.Fatalf("BER=0 flipped %d bits", n)
@@ -44,7 +44,7 @@ func TestInjectBitErrorsZeroRate(t *testing.T) {
 func TestInjectBitErrorsRateAndEffect(t *testing.T) {
 	r := rng.New(15)
 	train, labels, _ := classifier.SyntheticEncoded(r, 1024, 4, 20, 0.1)
-	m, _ := classifier.TrainEncoded(train, labels, 4, classifier.Options{Epochs: 3, Seed: 1})
+	m, _ := classifier.MustTrain(t, train, labels, 4, classifier.Options{Epochs: 3, Seed: 1})
 	m.Quantize(8)
 	faulty := m.Clone()
 	n := injectBitErrors(faulty, 0.05, rng.New(2))
@@ -60,7 +60,7 @@ func TestInjectBitErrorsRateAndEffect(t *testing.T) {
 	}
 	// Graceful degradation: moderate BER should not destroy a separable
 	// model (HDC's error resilience).
-	if acc := classifier.Accuracy(faulty, train, labels, 1); acc < 0.8 {
+	if acc := classifier.EvaluateDimsBatch(faulty, train, labels, faulty.D(), true, 1); acc < 0.8 {
 		t.Errorf("accuracy %v under 5%% BER; expected HDC resilience", acc)
 	}
 }
@@ -140,7 +140,7 @@ func TestCloneIndependence(t *testing.T) {
 	h := train[0]
 	mutators := map[string]func(m *classifier.Model){
 		"Update":     func(m *classifier.Model) { m.Update(h, 1, 0) },
-		"Adapt":      func(m *classifier.Model) { pred, _ := m.Predict(h); m.Adapt(h, (pred+1)%nC) },
+		"Adapt":      func(m *classifier.Model) { pred, _, _ := m.PredictDimsMargin(h, m.D(), true); m.Adapt(h, (pred+1)%nC) },
 		"AddEncoded": func(m *classifier.Model) { m.AddEncoded(h, 2) },
 		"SetClass":   func(m *classifier.Model) { m.SetClass(1, h) },
 		"Quantize":   func(m *classifier.Model) { m.Quantize(4) },
@@ -156,7 +156,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	for name, mutate := range mutators {
 		t.Run(name+"/clone", func(t *testing.T) {
-			m, _ := classifier.TrainEncoded(train, labels, nC, classifier.Options{Epochs: 1})
+			m, _ := classifier.MustTrain(t, train, labels, nC, classifier.Options{Epochs: 1})
 			c := m.Clone()
 			grand := c.Clone()
 			wantM, wantGrand := classifier.DeepCopy(m), classifier.DeepCopy(grand)
@@ -172,7 +172,7 @@ func TestCloneIndependence(t *testing.T) {
 			}
 		})
 		t.Run(name+"/original", func(t *testing.T) {
-			m, _ := classifier.TrainEncoded(train, labels, nC, classifier.Options{Epochs: 1})
+			m, _ := classifier.MustTrain(t, train, labels, nC, classifier.Options{Epochs: 1})
 			c := m.Clone()
 			want := classifier.DeepCopy(c)
 			mutate(m)

@@ -24,7 +24,7 @@ const lehdcMomentum = 0.9
 // bundled model and refined by mini-batch softmax/cross-entropy gradient
 // descent with per-epoch learning-rate decay, then quantized back to the
 // accelerator's bw-saturated int representation. The deployed artifact is a
-// plain *Model — Predict, Quantize, fault injection, and modelio consume it
+// plain *Model — scoring, Quantize, fault injection, and modelio consume it
 // unmodified, and the paper's bw-programmable class memory loads it
 // unchanged.
 //

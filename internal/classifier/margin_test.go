@@ -6,18 +6,65 @@ import (
 	"github.com/edge-hdc/generic/internal/hdc"
 )
 
+// roundDims is the scoring prefix both engines use: dims clamped to d and
+// rounded down to whole sub-norm chunks, at least one.
+func roundDims(dims, d int) int {
+	return max(min(dims, d)/SubNormGranularity, 1) * SubNormGranularity
+}
+
+// bestExact is the single-best reference loop: the argmax of the modified
+// cosine over the scored prefix, with the prefix's own squared norm (the
+// sub-norm) or the full norm, ties to the lower class index.
+func bestExact(m *Model, h hdc.Vec, dims int, updatedNorms bool) (int, float64) {
+	dims = roundDims(dims, m.D())
+	best, bestS := 0, 0.0
+	for c := 0; c < m.Classes(); c++ {
+		n2 := m.Class(c).Norm2()
+		if updatedNorms {
+			n2 = m.Class(c)[:dims].Norm2()
+		}
+		if s := hdc.CosineScore(h.DotPrefix(m.Class(c), dims), n2); c == 0 || s > bestS {
+			best, bestS = c, s
+		}
+	}
+	return best, bestS
+}
+
+// bestBinary is the binary reference loop: the minimum prefix Hamming
+// distance, ties to the lower class index.
+func bestBinary(b *BinaryModel, q *hdc.BinVec, dims int) (int, int) {
+	dims = roundDims(dims, b.D())
+	best, bestH := 0, 0
+	for c := 0; c < b.Classes(); c++ {
+		if h := q.HammingPrefix(b.Class(c), dims); c == 0 || h < bestH {
+			best, bestH = c, h
+		}
+	}
+	return best, bestH
+}
+
 func TestPredictDimsMarginConsistency(t *testing.T) {
 	const d, nC = 512, 4
 	m, train, _ := trainSmall(t, 3, d, nC)
-	for i, h := range train {
-		wantC, wantS := m.PredictDims(h, d, true)
-		gotC, gotS, margin := m.PredictDimsMargin(h, d, true)
-		if gotC != wantC || gotS != wantS {
-			t.Fatalf("query %d: margin path (%d,%v) != plain path (%d,%v)", i, gotC, gotS, wantC, wantS)
+	// The all-zero query scores every class alike: the lower index must win.
+	queries := append(train, make(hdc.Vec, d))
+	for _, dims := range []int{d, d / 2, SubNormGranularity, 1} {
+		for _, updated := range []bool{true, false} {
+			for i, h := range queries {
+				wantC, wantS := bestExact(m, h, dims, updated)
+				gotC, gotS, margin := m.PredictDimsMargin(h, dims, updated)
+				if gotC != wantC || gotS != wantS {
+					t.Fatalf("dims=%d updated=%v query %d: margin path (%d,%v) != single-best loop (%d,%v)",
+						dims, updated, i, gotC, gotS, wantC, wantS)
+				}
+				if margin < 0 || margin > 1 {
+					t.Fatalf("dims=%d updated=%v query %d: margin %v out of [0,1]", dims, updated, i, margin)
+				}
+			}
 		}
-		if margin < 0 || margin > 1 {
-			t.Fatalf("query %d: margin %v out of [0,1]", i, margin)
-		}
+	}
+	if c, _, mg := m.PredictDimsMargin(queries[len(train)], d, true); c != 0 || mg != 0 {
+		t.Fatalf("all-tie query: class %d margin %v, want class 0 margin 0", c, mg)
 	}
 }
 
@@ -46,17 +93,24 @@ func TestMarginSeparation(t *testing.T) {
 func TestBinaryMarginConsistency(t *testing.T) {
 	const d, nC = 512, 4
 	m, train, _ := trainSmall(t, 5, d, nC)
-	b := Binarize(m)
 	queries := packAll(train, d)
-	for _, dims := range []int{d, d / 2} {
-		for i, q := range queries {
-			wantC, wantH := b.PredictDims(q, dims)
-			gotC, gotH, margin := b.PredictDimsMargin(q, dims)
-			if gotC != wantC || gotH != wantH {
-				t.Fatalf("dims=%d query %d: margin path (%d,%d) != plain (%d,%d)", dims, i, gotC, gotH, wantC, wantH)
-			}
-			if margin < 0 || margin > 1 {
-				t.Fatalf("dims=%d query %d: margin %v out of [0,1]", dims, i, margin)
+	// A model of all-zero counters packs every class identically, so every
+	// query ties across all classes.
+	tied := Binarize(NewModel(d, nC, 0))
+	for _, b := range []*BinaryModel{Binarize(m), tied} {
+		for _, dims := range []int{d, d / 2, SubNormGranularity, 1} {
+			for i, q := range queries {
+				wantC, wantH := bestBinary(b, q, dims)
+				gotC, gotH, margin := b.PredictDimsMargin(q, dims)
+				if gotC != wantC || gotH != wantH {
+					t.Fatalf("dims=%d query %d: margin path (%d,%d) != single-best loop (%d,%d)", dims, i, gotC, gotH, wantC, wantH)
+				}
+				if margin < 0 || margin > 1 {
+					t.Fatalf("dims=%d query %d: margin %v out of [0,1]", dims, i, margin)
+				}
+				if b == tied && (gotC != 0 || margin != 0) {
+					t.Fatalf("dims=%d all-tie query %d: class %d margin %v, want class 0 margin 0", dims, i, gotC, margin)
+				}
 			}
 		}
 	}

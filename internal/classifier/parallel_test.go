@@ -56,11 +56,11 @@ func modelsEqual(t *testing.T, a, b *Model) {
 // serial training for a fixed seed.
 func TestTrainEncodedParallelBitIdentical(t *testing.T) {
 	encoded, labels := synthEncoded(t, 300, 512, 5, 11)
-	serial, serialLast := TrainEncoded(encoded, labels, 5, Options{Epochs: 5, Seed: 3, Workers: 1})
+	serial, serialRes := mustTrain(t, encoded, labels, 5, Options{Epochs: 5, Seed: 3, Workers: 1})
 	for _, workers := range []int{2, 3, 4, 8} {
-		par, parLast := TrainEncoded(encoded, labels, 5, Options{Epochs: 5, Seed: 3, Workers: workers})
-		if parLast != serialLast {
-			t.Fatalf("workers=%d: final-epoch updates %d, serial %d", workers, parLast, serialLast)
+		par, parRes := mustTrain(t, encoded, labels, 5, Options{Epochs: 5, Seed: 3, Workers: workers})
+		if parRes.FinalUpdates != serialRes.FinalUpdates {
+			t.Fatalf("workers=%d: final-epoch updates %d, serial %d", workers, parRes.FinalUpdates, serialRes.FinalUpdates)
 		}
 		modelsEqual(t, serial, par)
 	}
@@ -68,14 +68,14 @@ func TestTrainEncodedParallelBitIdentical(t *testing.T) {
 
 func TestEvaluateAndPredictBatchMatchSerial(t *testing.T) {
 	encoded, labels := synthEncoded(t, 300, 512, 5, 12)
-	m, _ := TrainEncoded(encoded, labels, 5, Options{Epochs: 3, Seed: 1, Workers: 1})
+	m, _ := mustTrain(t, encoded, labels, 5, Options{Epochs: 3, Seed: 1, Workers: 1})
 	queries, qLabels := synthEncoded(t, 157, 512, 5, 13)
 
-	wantAcc := Accuracy(m, queries, qLabels, 1)
+	wantAcc := EvaluateDimsBatch(m, queries, qLabels, m.D(), true, 1)
 	wantPreds := m.PredictDimsBatch(queries, m.D(), true, 1)
 	for _, workers := range []int{2, 4, 7} {
-		if acc := Accuracy(m, queries, qLabels, workers); acc != wantAcc {
-			t.Fatalf("workers=%d: Accuracy %v, serial %v", workers, acc, wantAcc)
+		if acc := EvaluateDimsBatch(m, queries, qLabels, m.D(), true, workers); acc != wantAcc {
+			t.Fatalf("workers=%d: full-D accuracy %v, serial %v", workers, acc, wantAcc)
 		}
 		preds := m.PredictDimsBatch(queries, m.D(), true, workers)
 		for i := range preds {

@@ -9,10 +9,10 @@ import (
 
 // PerceptronTrainer is the paper's training strategy (Fig. 1): one-shot
 // class bundling followed by opt.Epochs perceptron-style retraining passes —
-// predict each shuffled sample and, on misprediction, subtract the encoding
-// from the wrong class and add it to the correct one. This is the exact
-// pre-refactor TrainEncodedResult computation, locked bit-identical by the
-// golden test in trainer_test.go.
+// Model.Adapt on each shuffled sample, which on misprediction subtracts the
+// encoding from the wrong class and adds it to the correct one. The result
+// is locked bit-identical to the pre-strategy trainer by the golden test in
+// trainer_test.go.
 //
 // Retraining is sequential by construction — its per-sample update order is
 // part of the algorithm — so opt.Workers only fans the initialization
@@ -39,9 +39,7 @@ func (PerceptronTrainer) Train(encoded []hdc.Vec, labels []int, nC int, opt Opti
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		updates := 0
 		for _, i := range order {
-			pred, _ := m.Predict(encoded[i])
-			if pred != labels[i] {
-				m.Update(encoded[i], labels[i], pred)
+			if _, updated := m.Adapt(encoded[i], labels[i]); updated {
 				updates++
 			}
 		}

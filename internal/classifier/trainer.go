@@ -15,7 +15,8 @@ import (
 // class representation. Every strategy must honor the package's determinism
 // contract — same inputs, same Options.Seed ⇒ bit-identical model for every
 // Options.Workers value — and must leave the model with refreshed norms so
-// Predict/Quantize/fault-injection/modelio consume its output unmodified.
+// scoring, Quantize, fault injection and modelio consume its output
+// unmodified.
 //
 // Train may assume its inputs were validated (by classifier.Train): encoded
 // is nonempty with uniform dimensionality divisible by SubNormGranularity,
@@ -95,8 +96,7 @@ func TrainerNames() []string {
 }
 
 // Train is the canonical training entry point: it validates the training
-// set, resolves the strategy selected by opt.Trainer, and dispatches. The
-// TrainEncoded/TrainEncodedResult wrappers panic on the errors this returns.
+// set, resolves the strategy selected by opt.Trainer, and dispatches.
 func Train(encoded []hdc.Vec, labels []int, nC int, opt Options) (*Model, TrainResult, error) {
 	opt = opt.withDefaults()
 	if err := validateTraining(encoded, labels, nC); err != nil {

@@ -26,7 +26,7 @@ func modelHash(m *Model) string {
 }
 
 // TestPerceptronGoldenBytes pins PerceptronTrainer to the pre-refactor
-// TrainEncodedResult output: the hash below was captured from the monolithic
+// trainer's output: the hash below was captured from the monolithic
 // trainer at the commit before the strategy split, on this exact synthetic
 // problem and Options. If this test fails, the refactor changed the paper
 // path's arithmetic — that is a bug, not a baseline to update.
@@ -34,7 +34,7 @@ func TestPerceptronGoldenBytes(t *testing.T) {
 	const preRefactorSHA256 = "a6941cc86ae2ec141ad8d339a98a765863f0ce900fbe436d73b80d4bf896c049"
 	r := rng.New(42)
 	train, labels, _ := syntheticEncoded(r, 256, 8, 40, 0.47)
-	m, res := TrainEncodedResult(train, labels, 8, Options{Epochs: 7, Seed: 99})
+	m, res := mustTrain(t, train, labels, 8, Options{Epochs: 7, Seed: 99})
 	if res.EpochsRun != 7 || res.FinalUpdates != 7 {
 		t.Fatalf("golden run shape drifted: epochs=%d finalUpdates=%d, want 7/7", res.EpochsRun, res.FinalUpdates)
 	}
@@ -92,7 +92,7 @@ func TestTrainerDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestTrainValidation covers the validated error path that replaced the
-// historical panic, plus the Must wrapper's panic behavior.
+// historical panic.
 func TestTrainValidation(t *testing.T) {
 	r := rng.New(1)
 	train, labels, _ := syntheticEncoded(r, 256, 3, 4, 0.2)
@@ -120,13 +120,6 @@ func TestTrainValidation(t *testing.T) {
 			}
 		})
 	}
-	// The Must wrapper panics with the same error.
-	defer func() {
-		if recover() == nil {
-			t.Error("TrainEncodedResult did not panic on malformed input")
-		}
-	}()
-	TrainEncodedResult(nil, nil, 2, Options{})
 }
 
 // TestTrainerNames pins the registry surface the CLIs enumerate.
@@ -169,13 +162,13 @@ func TestLeHDCOutputIsDeployable(t *testing.T) {
 			}
 		}
 		// The learned model must still classify the separable set well.
-		if acc := Accuracy(m, train, labels, 1); acc < 0.95 {
+		if acc := EvaluateDimsBatch(m, train, labels, m.D(), true, 1); acc < 0.95 {
 			t.Errorf("bw=%d: train accuracy %.3f after LeHDC training", bw, acc)
 		}
 		// And survive further quantization like any other model.
 		q := m.Clone()
 		q.Quantize(1)
-		if acc := Accuracy(q, train, labels, 1); acc < 0.8 {
+		if acc := EvaluateDimsBatch(q, train, labels, q.D(), true, 1); acc < 0.8 {
 			t.Errorf("bw=%d: 1-bit accuracy %.3f after LeHDC training", bw, acc)
 		}
 	}

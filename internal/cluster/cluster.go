@@ -43,20 +43,15 @@ func nearestCentroid(h hdc.Vec, centroids []hdc.Vec, norm2 []int64) int {
 // accelerator does: the first k encodings seed the centroids; each epoch
 // assigns every input to its most-similar centroid (modified cosine) while
 // bundling it into a *copy* centroid, and the copies replace the model at
-// the end of the epoch (the in-flight model stays frozen, §2.1). It runs
-// serially; HDCWorkers is the parallel batch form.
-func HDC(encoded []hdc.Vec, k, epochs int) *HDCResult {
-	return HDCWorkers(encoded, k, epochs, 1)
-}
-
-// HDCWorkers is HDC with the per-epoch assignment scan and the final
-// assignment pass fanned across workers workers (<= 0 means GOMAXPROCS,
-// 1 is the serial path). Parallelism is safe because the in-flight model is
-// frozen within an epoch (§2.1): workers score against the same read-only
-// centroids, bundle into per-worker copy centroids, and the partials merge
-// in worker order — integer accumulation commutes, so assignments and
-// centroids are bit-identical to the serial run.
-func HDCWorkers(encoded []hdc.Vec, k, epochs, workers int) *HDCResult {
+// the end of the epoch (the in-flight model stays frozen, §2.1).
+//
+// The per-epoch assignment scan and the final assignment pass fan across
+// workers workers (<= 0 means GOMAXPROCS, 1 is the serial path). Because the
+// in-flight model is frozen within an epoch, workers score against the same
+// read-only centroids, bundle into per-worker copy centroids, and the
+// partials merge in worker order — integer accumulation commutes, so
+// assignments and centroids are bit-identical for every worker count.
+func HDC(encoded []hdc.Vec, k, epochs, workers int) *HDCResult {
 	if k < 1 || len(encoded) < k {
 		panic(fmt.Sprintf("cluster: need at least k=%d inputs, got %d", k, len(encoded)))
 	}

@@ -93,7 +93,7 @@ func encodeCluster(cs *dataset.ClusterSet, d int) []hdc.Vec {
 func TestHDCClusterHepta(t *testing.T) {
 	cs := dataset.MustLoadCluster("Hepta", 1)
 	encoded := encodeCluster(cs, 2048)
-	res := HDC(encoded, cs.K, 10)
+	res := HDC(encoded, cs.K, 10, 1)
 	if nmi := metrics.NMI(res.Assignments, cs.Labels); nmi < 0.75 {
 		t.Errorf("HDC clustering on Hepta NMI = %.3f, want ≥ 0.75 (paper: 0.904)", nmi)
 	}
@@ -102,7 +102,7 @@ func TestHDCClusterHepta(t *testing.T) {
 func TestHDCClusterTwoDiamonds(t *testing.T) {
 	cs := dataset.MustLoadCluster("TwoDiamonds", 1)
 	encoded := encodeCluster(cs, 2048)
-	res := HDC(encoded, cs.K, 10)
+	res := HDC(encoded, cs.K, 10, 1)
 	if nmi := metrics.NMI(res.Assignments, cs.Labels); nmi < 0.7 {
 		t.Errorf("HDC clustering on TwoDiamonds NMI = %.3f, want ≥ 0.7 (paper: 0.981)", nmi)
 	}
@@ -111,7 +111,7 @@ func TestHDCClusterTwoDiamonds(t *testing.T) {
 func TestHDCClusterAssignmentsInRange(t *testing.T) {
 	cs := dataset.MustLoadCluster("Iris", 1)
 	encoded := encodeCluster(cs, 1024)
-	res := HDC(encoded, cs.K, 5)
+	res := HDC(encoded, cs.K, 5, 1)
 	if len(res.Assignments) != len(cs.X) {
 		t.Fatal("assignment count mismatch")
 	}
@@ -134,7 +134,7 @@ func TestHDCClusterSingleCluster(t *testing.T) {
 			encoded[i][j] = int32(r.Intn(9) - 4)
 		}
 	}
-	res := HDC(encoded, 1, 3)
+	res := HDC(encoded, 1, 3, 1)
 	for _, a := range res.Assignments {
 		if a != 0 {
 			t.Fatal("k=1 produced nonzero assignment")
@@ -148,7 +148,7 @@ func TestHDCClusterPanicsWhenTooFewInputs(t *testing.T) {
 			t.Fatal("k > n did not panic")
 		}
 	}()
-	HDC([]hdc.Vec{make(hdc.Vec, 64)}, 2, 3)
+	HDC([]hdc.Vec{make(hdc.Vec, 64)}, 2, 3, 1)
 }
 
 func TestHDCVsKMeansShape(t *testing.T) {
@@ -157,7 +157,7 @@ func TestHDCVsKMeansShape(t *testing.T) {
 	// HDC is within 0.3 NMI of k-means on Hepta.
 	cs := dataset.MustLoadCluster("Hepta", 1)
 	km := KMeansBest(cs.X, cs.K, 100, 10, 3)
-	hd := HDC(encodeCluster(cs, 2048), cs.K, 10)
+	hd := HDC(encodeCluster(cs, 2048), cs.K, 10, 1)
 	kmNMI := metrics.NMI(km.Assignments, cs.Labels)
 	hdNMI := metrics.NMI(hd.Assignments, cs.Labels)
 	if kmNMI-hdNMI > 0.3 {
@@ -178,6 +178,6 @@ func BenchmarkHDCClusterIris(b *testing.B) {
 	encoded := encodeCluster(cs, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HDC(encoded, cs.K, 5)
+		HDC(encoded, cs.K, 5, 1)
 	}
 }

@@ -12,9 +12,9 @@ import (
 func TestHDCWorkersBitIdentical(t *testing.T) {
 	cs := dataset.MustLoadCluster("Iris", 1)
 	encoded := encodeCluster(cs, 1024)
-	serial := HDC(encoded, cs.K, 7)
+	serial := HDC(encoded, cs.K, 7, 1)
 	for _, workers := range []int{2, 3, 4, 8} {
-		par := HDCWorkers(encoded, cs.K, 7, workers)
+		par := HDC(encoded, cs.K, 7, workers)
 		for i := range serial.Assignments {
 			if par.Assignments[i] != serial.Assignments[i] {
 				t.Fatalf("workers=%d: assignment %d differs: %d vs %d",

@@ -79,6 +79,11 @@ func ReadCSV(r io.Reader, opt CSVOptions) (*Dataset, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dataset: csv row %d col %d: %w", row, i, err)
 			}
+			// NaN sorts first and would become the quantization range's
+			// low end; ±Inf would stretch it without bound.
+			if !finite(v) {
+				return nil, fmt.Errorf("dataset: csv row %d col %d: non-finite value %q", row, i, cell)
+			}
 			x = append(x, v)
 		}
 		if features < 0 {

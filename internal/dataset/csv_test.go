@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,28 @@ func TestReadCSVErrors(t *testing.T) {
 		}
 		if _, err := ReadCSV(strings.NewReader(in), opt); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReadCSVRejectsNonFinite: a NaN or ±Inf cell is an error naming its
+// row and column, and Validate refuses a non-finite range.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	for _, cell := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e999"} {
+		in := strings.Replace(csvSample, "5.0", cell, 1)
+		if _, err := ReadCSV(strings.NewReader(in), CSVOptions{Seed: 1}); err == nil || !strings.Contains(err.Error(), "row 2 col 2") {
+			t.Errorf("cell %q: err = %v, want a row 2 col 2 error", cell, err)
+		}
+	}
+	ds, err := ReadCSV(strings.NewReader(csvSample), CSVOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]float64{{math.NaN(), 1}, {0, math.NaN()}, {math.Inf(-1), 0}, {0, math.Inf(1)}} {
+		bad := *ds
+		bad.Lo, bad.Hi = r[0], r[1]
+		if bad.Validate() == nil {
+			t.Errorf("range [%v,%v] passed Validate", r[0], r[1])
 		}
 	}
 }

@@ -209,11 +209,14 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("dataset %s: class %d absent", d.Name, c)
 		}
 	}
-	if d.Hi <= d.Lo {
+	if !finite(d.Lo) || !finite(d.Hi) || d.Hi <= d.Lo {
 		return fmt.Errorf("dataset %s: bad range [%v,%v]", d.Name, d.Lo, d.Hi)
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // split shuffles (X, Y) and splits off the last testFrac as the test set.
 func split(r *rng.Rand, X [][]float64, Y []int, testFrac float64, d *Dataset) {

@@ -44,10 +44,13 @@ func EpochSaturation(cfg Config) (*EpochCurve, error) {
 		trainH := encoding.EncodeAllWorkers(enc, ds.TrainX, cfg.Workers)
 		testH := encoding.EncodeAllWorkers(enc, ds.TestX, cfg.Workers)
 		for _, e := range res.Epochs {
-			m, _ := classifier.TrainEncoded(trainH, ds.TrainY, ds.Classes, classifier.Options{
+			m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{
 				Epochs: e, Seed: cfg.Seed, Workers: cfg.Workers,
 			})
-			accs[i] = append(accs[i], classifier.Accuracy(m, testH, ds.TestY, cfg.Workers))
+			if err != nil {
+				return err
+			}
+			accs[i] = append(accs[i], classifier.EvaluateDimsBatch(m, testH, ds.TestY, m.D(), true, cfg.Workers))
 		}
 		return nil
 	})

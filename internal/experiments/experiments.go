@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/edge-hdc/generic/internal/classifier"
 	"github.com/edge-hdc/generic/internal/dataset"
 	"github.com/edge-hdc/generic/internal/encoding"
+	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
 )
 
@@ -78,6 +80,18 @@ func encoderFor(kind encoding.Kind, ds *dataset.Dataset, d int, seed uint64) (en
 		D: d, Features: ds.Features, Bins: 64, Lo: ds.Lo, Hi: ds.Hi,
 		N: n, UseID: ds.UseID, Seed: seed,
 	})
+}
+
+// encodeAndTrain encodes both splits of ds with enc and trains a full-D
+// model on the training split with cfg's epochs, seed and workers. It
+// returns the model, the encoded test split, and Train's error.
+func encodeAndTrain(enc encoding.Encoder, ds *dataset.Dataset, cfg Config) (*classifier.Model, []hdc.Vec, error) {
+	trainH := encoding.EncodeAllWorkers(enc, ds.TrainX, cfg.Workers)
+	testH := encoding.EncodeAllWorkers(enc, ds.TestX, cfg.Workers)
+	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{
+		Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: cfg.Workers,
+	})
+	return m, testH, err
 }
 
 // fmtPct renders 0.935 as "93.5".

@@ -47,11 +47,10 @@ func Figure5(cfg Config) (*Fig5Result, error) {
 		if err != nil {
 			return err
 		}
-		trainH := encoding.EncodeAllWorkers(enc, ds.TrainX, cfg.Workers)
-		testH := encoding.EncodeAllWorkers(enc, ds.TestX, cfg.Workers)
-		m, _ := classifier.TrainEncoded(trainH, ds.TrainY, ds.Classes, classifier.Options{
-			Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: cfg.Workers,
-		})
+		m, testH, err := encodeAndTrain(enc, ds, cfg)
+		if err != nil {
+			return err
+		}
 		curve := Fig5Curve{Dataset: name}
 		for dims := classifier.SubNormGranularity; dims <= cfg.D; dims *= 2 {
 			curve.Points = append(curve.Points, Fig5Point{

@@ -61,11 +61,10 @@ func Figure6(cfg Config) (*Fig6Result, error) {
 		// The dataset loop stays serial: fault injection draws from one
 		// shared RNG stream, so fanning datasets out would change results.
 		// The batch encode/evaluate inside it still parallelizes safely.
-		trainH := encoding.EncodeAllWorkers(enc, ds.TrainX, cfg.Workers)
-		testH := encoding.EncodeAllWorkers(enc, ds.TestX, cfg.Workers)
-		base, _ := classifier.TrainEncoded(trainH, ds.TrainY, ds.Classes, classifier.Options{
-			Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: cfg.Workers,
-		})
+		base, testH, err := encodeAndTrain(enc, ds, cfg)
+		if err != nil {
+			return nil, err
+		}
 		curve := Fig6Curve{Dataset: name}
 		for _, ber := range Fig6BERs {
 			inj, err := faults.Spec{Site: faults.SiteClass, Kind: faults.Uniform, Rate: ber}.Injector()
@@ -81,7 +80,7 @@ func Figure6(cfg Config) (*Fig6Result, error) {
 				m.Quantize(bw)
 				inj.Apply(faults.ClassMem(m), faultRNG)
 				m.RefreshAllNorms()
-				pt.Accuracy[bw] = classifier.Accuracy(m, testH, ds.TestY, cfg.Workers)
+				pt.Accuracy[bw] = classifier.EvaluateDimsBatch(m, testH, ds.TestY, m.D(), true, cfg.Workers)
 			}
 			curve.Points = append(curve.Points, pt)
 		}

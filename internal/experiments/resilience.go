@@ -96,16 +96,15 @@ func Resilience(cfg Config) (*ResilienceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainH := encoding.EncodeAllWorkers(enc, ds.TrainX, cfg.Workers)
-	testH := encoding.EncodeAllWorkers(enc, ds.TestX, cfg.Workers)
-	base, _ := classifier.TrainEncoded(trainH, ds.TrainY, ds.Classes, classifier.Options{
-		Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: cfg.Workers,
-	})
+	base, testH, err := encodeAndTrain(enc, ds, cfg)
+	if err != nil {
+		return nil, err
+	}
 	res := &ResilienceResult{
 		Dataset:  ds.Name,
 		D:        cfg.D,
 		Seed:     cfg.Seed,
-		Baseline: classifier.Accuracy(base, testH, ds.TestY, cfg.Workers),
+		Baseline: classifier.EvaluateDimsBatch(base, testH, ds.TestY, base.D(), true, cfg.Workers),
 	}
 
 	// evaluate scores the model against the current encoder state: when the
@@ -116,7 +115,7 @@ func Resilience(cfg Config) (*ResilienceResult, error) {
 		if reEncode {
 			h = encoding.EncodeAllWorkers(enc, ds.TestX, cfg.Workers)
 		}
-		return classifier.Accuracy(m, h, ds.TestY, cfg.Workers)
+		return classifier.EvaluateDimsBatch(m, h, ds.TestY, m.D(), true, cfg.Workers)
 	}
 
 	// The site × BER sweep stays serial: level/id cells mutate the shared

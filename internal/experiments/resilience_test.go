@@ -118,8 +118,11 @@ func TestBankFailureUnderTwoPointsAtD4096(t *testing.T) {
 	}
 	trainH := encoding.EncodeAllWorkers(enc, ds.TrainX, 0)
 	testH := encoding.EncodeAllWorkers(enc, ds.TestX, 0)
-	m, _ := classifier.TrainEncoded(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 5, Seed: seed, Workers: 0})
-	baseline := classifier.Accuracy(m, testH, ds.TestY, 0)
+	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 5, Seed: seed, Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := classifier.EvaluateDimsBatch(m, testH, ds.TestY, m.D(), true, 0)
 
 	ctl := faults.NewController(m, enc)
 	if _, err := ctl.Inject(faults.Spec{Site: faults.SiteClass, Kind: faults.BankFail, Lane: 7, Seed: 3}); err != nil {
@@ -129,7 +132,7 @@ func TestBankFailureUnderTwoPointsAtD4096(t *testing.T) {
 	if rep.LanesMasked != 1 {
 		t.Fatalf("scrub masked %d lanes, want 1", rep.LanesMasked)
 	}
-	recovered := classifier.Accuracy(m, testH, ds.TestY, 0)
+	recovered := classifier.EvaluateDimsBatch(m, testH, ds.TestY, m.D(), true, 0)
 	if drop := 100 * (baseline - recovered); drop >= 2 {
 		t.Errorf("dead bank costs %.2f accuracy points at D=%d, want < 2 (%.4f -> %.4f)",
 			drop, d, baseline, recovered)

@@ -76,12 +76,11 @@ func table1Dataset(name string, cfg Config) (Table1Row, error) {
 		if err != nil {
 			return 0, err
 		}
-		trainH := encoding.EncodeAllWorkers(enc, ds.TrainX, cfg.Workers)
-		testH := encoding.EncodeAllWorkers(enc, ds.TestX, cfg.Workers)
-		m, _ := classifier.TrainEncoded(trainH, ds.TrainY, ds.Classes, classifier.Options{
-			Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: cfg.Workers,
-		})
-		return classifier.Accuracy(m, testH, ds.TestY, cfg.Workers), nil
+		m, testH, err := encodeAndTrain(enc, ds, cfg)
+		if err != nil {
+			return 0, err
+		}
+		return classifier.EvaluateDimsBatch(m, testH, ds.TestY, m.D(), true, cfg.Workers), nil
 	}
 	if row.RP, err = hdcAcc(encoding.RP); err != nil {
 		return row, err

@@ -53,7 +53,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 			return fmt.Errorf("table2: %s: %w", name, err)
 		}
 		encoded := encoding.EncodeAllWorkers(enc, cs.X, cfg.Workers)
-		hres := cluster.HDCWorkers(encoded, cs.K, ClusterEpochs, cfg.Workers)
+		hres := cluster.HDC(encoded, cs.K, ClusterEpochs, cfg.Workers)
 		rows[i] = Table2Row{
 			Dataset: name, KMeans: kNMI,
 			HDC: metrics.NMI(hres.Assignments, cs.Labels),

@@ -105,7 +105,7 @@ func trainersDataset(name string, cfg Config) (TrainersRow, error) {
 		if err != nil {
 			return row, err
 		}
-		acc := classifier.Accuracy(m, testH, ds.TestY, cfg.Workers)
+		acc := classifier.EvaluateDimsBatch(m, testH, ds.TestY, m.D(), true, cfg.Workers)
 		switch trainer {
 		case "perceptron":
 			row.Perceptron, row.PerceptronEpochs = acc, res.EpochsRun

@@ -49,7 +49,10 @@ func newHarness(t *testing.T, kind encoding.Kind, useID bool) *harness {
 		encoded[i] = make(hdc.Vec, enc.D())
 		enc.Encode(x, encoded[i])
 	}
-	m, _ := classifier.TrainEncoded(encoded, Y, 2, classifier.Options{Epochs: 3, Seed: 9})
+	m, _, err := classifier.Train(encoded, Y, 2, classifier.Options{Epochs: 3, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &harness{enc: enc, model: m, X: X, Y: Y}
 }
 
@@ -60,7 +63,7 @@ func (h *harness) predictions() []int {
 	hv := make(hdc.Vec, h.enc.D())
 	for i, x := range h.X {
 		h.enc.Encode(x, hv)
-		out[i], _ = h.model.Predict(hv)
+		out[i], _, _ = h.model.PredictDimsMargin(hv, len(hv), true)
 	}
 	return out
 }
@@ -606,7 +609,7 @@ func TestUniformClassMemInjection(t *testing.T) {
 				hits := 0
 				for i, x := range h.X {
 					h.enc.Encode(x, hv)
-					if p, _ := m.Predict(hv); p == h.Y[i] {
+					if p, _, _ := m.PredictDimsMargin(hv, m.D(), true); p == h.Y[i] {
 						hits++
 					}
 				}

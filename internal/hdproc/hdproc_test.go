@@ -76,7 +76,10 @@ func TestInferMatchesClassifier(t *testing.T) {
 	}
 	enc := encoding.MustNew(encoding.Generic, cfg)
 	trainH := encoding.EncodeAll(enc, ds.TrainX)
-	m, _ := classifier.TrainEncoded(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 10, Seed: 1})
+	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	proc, err := New(Config{D: d, Bins: 64, Lo: ds.Lo, Hi: ds.Hi, Seed: 9})
 	if err != nil {

@@ -24,7 +24,10 @@ func trainedBundle(t *testing.T) *Bundle {
 	}
 	enc := encoding.MustNew(encoding.Generic, cfg)
 	trainH := encoding.EncodeAll(enc, ds.TrainX[:200])
-	m, _ := classifier.TrainEncoded(trainH, ds.TrainY[:200], ds.Classes, classifier.Options{Epochs: 3, Seed: 1})
+	m, _, err := classifier.Train(trainH, ds.TrainY[:200], ds.Classes, classifier.Options{Epochs: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &Bundle{Kind: encoding.Generic, Cfg: cfg, Model: m}
 }
 
@@ -78,8 +81,8 @@ func TestRoundTripPredictionsIdentical(t *testing.T) {
 	ds := dataset.MustLoad("EEG", 1)
 	for i := 0; i < 50; i++ {
 		h := encoding.EncodeAll(enc, ds.TestX[i:i+1])[0]
-		p1, _ := b.Model.Predict(h)
-		p2, _ := got.Model.Predict(h)
+		p1, _, _ := b.Model.PredictDimsMargin(h, len(h), true)
+		p2, _, _ := got.Model.PredictDimsMargin(h, len(h), true)
 		if p1 != p2 {
 			t.Fatalf("prediction diverged after round trip at sample %d", i)
 		}

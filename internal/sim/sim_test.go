@@ -75,7 +75,10 @@ func TestInferMatchesSoftwareArgmax(t *testing.T) {
 
 	enc := acc.Encoder()
 	trainH := encoding.EncodeAll(enc, ds.TrainX)
-	m, _ := classifier.TrainEncoded(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 5, Seed: 1})
+	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := acc.LoadModel(m); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestInferMatchesSoftwareArgmax(t *testing.T) {
 	testH := encoding.EncodeAll(enc, ds.TestX)
 	for i, x := range ds.TestX {
 		hw := acc.Infer(x)
-		sw, _ := m.Predict(testH[i])
+		sw, _, _ := m.PredictDimsMargin(testH[i], m.D(), true)
 		if hw == sw {
 			agree++
 		}
@@ -205,7 +208,10 @@ func TestLoadModelQuantizes(t *testing.T) {
 	spec.BW = 4
 	acc := MustNewWithRange(spec, 7, ds.Lo, ds.Hi)
 	trainH := encoding.EncodeAll(acc.Encoder(), ds.TrainX[:100])
-	m, _ := classifier.TrainEncoded(trainH, ds.TrainY[:100], ds.Classes, classifier.Options{Epochs: 2})
+	m, _, err := classifier.Train(trainH, ds.TrainY[:100], ds.Classes, classifier.Options{Epochs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := acc.LoadModel(m); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +261,7 @@ func TestClusterMatchesSoftwareClustering(t *testing.T) {
 	acc := MustNewWithRange(spec, 11, cs.Lo, cs.Hi)
 	hwAssign := acc.ClusterFit(cs.X, 10)
 	encoded := encoding.EncodeAll(acc.Encoder(), cs.X)
-	swAssign := cluster.HDC(encoded, cs.K, 10)
+	swAssign := cluster.HDC(encoded, cs.K, 10, 1)
 	hwNMI := metrics.NMI(hwAssign, cs.Labels)
 	swNMI := metrics.NMI(swAssign.Assignments, cs.Labels)
 	if math.Abs(hwNMI-swNMI) > 0.25 {

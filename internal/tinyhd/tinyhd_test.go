@@ -23,7 +23,10 @@ func trainedSetup(t *testing.T, name string) (*classifier.Model, encoding.Encode
 		N: n, UseID: ds.UseID, Seed: 5,
 	})
 	trainH := encoding.EncodeAll(enc, ds.TrainX)
-	m, _ := classifier.TrainEncoded(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 10, Seed: 1})
+	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return m, enc, ds
 }
 
@@ -61,7 +64,7 @@ func TestQuantizedNotBetterThanFull(t *testing.T) {
 	m, enc, ds := trainedSetup(t, "FACE")
 	e, _ := FromModel(m, enc)
 	testH := encoding.EncodeAll(enc, ds.TestX)
-	full := classifier.Accuracy(m, testH, ds.TestY, 1)
+	full := classifier.EvaluateDimsBatch(m, testH, ds.TestY, m.D(), true, 1)
 	preds := e.InferAll(ds.TestX)
 	quant := metrics.MustAccuracy(preds, ds.TestY)
 	if quant > full+0.02 {
@@ -76,7 +79,7 @@ func TestGenericBeatsTinyHDOnFragileBenchmark(t *testing.T) {
 	m, enc, ds := trainedSetup(t, "EEG")
 	e, _ := FromModel(m, enc)
 	testH := encoding.EncodeAll(enc, ds.TestX)
-	full := classifier.Accuracy(m, testH, ds.TestY, 1)
+	full := classifier.EvaluateDimsBatch(m, testH, ds.TestY, m.D(), true, 1)
 	quant := metrics.MustAccuracy(e.InferAll(ds.TestX), ds.TestY)
 	if full-quant < 0.1 {
 		t.Errorf("expected a clear GENERIC advantage on EEG: full %.3f vs tiny-HD %.3f", full, quant)

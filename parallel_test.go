@@ -117,7 +117,7 @@ func TestPredictConcurrentSafe(t *testing.T) {
 			for i, x := range X {
 				p.Encoder().Encode(x, h)
 				want[i].label, _, want[i].margin = p.Model().PredictDimsMargin(h, p.Model().D(), true)
-				wantRed[i], _ = p.Model().PredictDims(h, 256, true)
+				wantRed[i], _, _ = p.Model().PredictDimsMargin(h, 256, true)
 				if c, m := must2(p.PredictMargin(x)); (answer{c, m}) != want[i] {
 					t.Fatalf("serial PredictMargin(%d) = (%d, %v), primary encoder gives %+v", i, c, m, want[i])
 				}
@@ -180,8 +180,8 @@ func TestClusterWorkersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := generic.Cluster(enc, cs.X, cs.K, 5)
-	par := generic.ClusterWorkers(enc, cs.X, cs.K, 5, 4)
+	serial := must(generic.Cluster(enc, cs.X, cs.K, 5))
+	par := must(generic.Cluster(enc, cs.X, cs.K, 5, generic.WithWorkers(4)))
 	for i := range serial.Assignments {
 		if par.Assignments[i] != serial.Assignments[i] {
 			t.Fatalf("assignment %d differs: %d vs %d", i, par.Assignments[i], serial.Assignments[i])

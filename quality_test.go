@@ -191,7 +191,7 @@ func TestObservationContract(t *testing.T) {
 	p, ds := trainedEEG(t)
 	h := make(generic.Hypervector, p.Encoder().D())
 	p.Encoder().Encode(ds.TestX[0], h)
-	p.Model().Predict(h)
+	p.Model().PredictDimsMargin(h, len(h), true)
 	p.Model().Clone().Adapt(h, ds.TestY[0])
 	if err := p.Clone().Binarize(); err != nil {
 		t.Fatal(err)
