@@ -160,6 +160,33 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+func TestKMeansValidation(t *testing.T) {
+	cases := []struct {
+		name    string
+		X       [][]float64
+		k       int
+		wantSub string
+	}{
+		{"k above n", [][]float64{{0}, {1}}, 5, "k=5 out of range [1,2]"},
+		{"k zero", [][]float64{{0}, {1}}, 0, "k=0 out of range"},
+		{"empty set", nil, 1, "k=1 out of range [1,0]"},
+		{"ragged rows", [][]float64{{0, 0}, {1}, {2, 2}}, 2, "sample 1 has 1 features, sample 0 has 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("KMeans panicked: %v", r)
+				}
+			}()
+			res, err := generic.KMeans(tc.X, tc.k, 10, 1, 1)
+			if err == nil || !strings.Contains(err.Error(), tc.wantSub) || res != nil {
+				t.Fatalf("KMeans = (%v, %v), want nil and an error containing %q", res, err, tc.wantSub)
+			}
+		})
+	}
+}
+
 // trainableProblem builds an untrained two-class pipeline plus a linearly
 // separable dataset for it.
 func trainableProblem(t *testing.T) (*generic.Pipeline, [][]float64, []int) {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,27 +23,33 @@ import (
 )
 
 func main() {
-	var (
-		exps    = flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(generic.Experiments(), ",")+") or 'all'")
-		quick   = flag.Bool("quick", false, "reduced-fidelity configuration (seconds instead of minutes)")
-		seed    = flag.Uint64("seed", 1, "master random seed (0 = derive one from the clock; the choice is printed so any run can be replayed)")
-		d       = flag.Int("d", 0, "hypervector dimensionality override (accuracy experiments)")
-		workers = flag.Int("workers", 0, "worker count for the harness sweeps (0 = all cores, 1 = serial; results are identical)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		traceF  = flag.String("trace", "", "enable span tracing and write Chrome trace-event JSON to this file")
-	)
-	flag.Parse()
-	profiles, err := perf.StartProfiles(*cpuProf, *memProf, *traceF)
-	if err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "generic-bench:", err)
 		os.Exit(1)
 	}
-	defer func() {
-		if err := profiles.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "generic-bench:", err)
-		}
-	}()
+}
+
+// run is the whole command. It returns every error instead of exiting, so
+// the deferred profiles.Stop writes the requested profiles on error paths
+// too.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	var (
+		exps    = fs.String("exp", "all", "comma-separated experiment ids ("+strings.Join(generic.Experiments(), ",")+") or 'all'")
+		quick   = fs.Bool("quick", false, "reduced-fidelity configuration (seconds instead of minutes)")
+		seed    = fs.Uint64("seed", 1, "master random seed (0 = derive one from the clock; the choice is printed so any run can be replayed)")
+		d       = fs.Int("d", 0, "hypervector dimensionality override (accuracy experiments)")
+		workers = fs.Int("workers", 0, "worker count for the harness sweeps (0 = all cores, 1 = serial; results are identical)")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile at exit to this file")
+		traceF  = fs.String("trace", "", "enable span tracing and write Chrome trace-event JSON to this file")
+	)
+	fs.Parse(args)
+	profiles, err := perf.StartProfiles(*cpuProf, *memProf, *traceF)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, profiles.Stop()) }()
 	if *seed == 0 {
 		// Derive a fresh seed from the clock, mixed through rng.SplitMix64
 		// so close-together launches do not land on correlated xoshiro
@@ -75,9 +82,9 @@ func main() {
 		start := time.Now()
 		res, err := generic.RunExperiment(id, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "generic-bench:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("=== %s (%.1fs) ===\n%s\n", id, time.Since(start).Seconds(), res)
 	}
+	return nil
 }

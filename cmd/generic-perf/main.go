@@ -25,6 +25,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,76 +41,80 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "generic-perf:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns every error instead of exiting, so
+// a failing suite entry still stops the profiles and writes them.
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		out       = flag.String("out", "BENCH_GENERIC.json", "output path for the benchmark summary JSON")
-		reps      = flag.Int("reps", 7, "interleaved repetitions per suite entry")
-		budgetMS  = flag.Int("budget", 100, "per-repetition time budget per entry, in milliseconds (sets the fixed iteration count)")
-		suite     = flag.String("suite", "", "comma-separated name prefixes to run (empty = full suite)")
-		compareTo = flag.Bool("compare", false, "compare two summary files: generic-perf -compare old.json new.json")
-		threshold = flag.Float64("threshold", 0.30, "compare: relative median slowdown that counts as a regression when spreads separate")
-		gate      = flag.Bool("gate", false, "compare: exit nonzero on regression (default is advisory)")
-		list      = flag.Bool("list", false, "list suite entries and exit")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the suite run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		traceOut  = flag.String("trace", "", "enable span tracing and write Chrome trace-event JSON to this file")
+		out       = fs.String("out", "BENCH_GENERIC.json", "output path for the benchmark summary JSON")
+		reps      = fs.Int("reps", 7, "interleaved repetitions per suite entry")
+		budgetMS  = fs.Int("budget", 100, "per-repetition time budget per entry, in milliseconds (sets the fixed iteration count)")
+		suite     = fs.String("suite", "", "comma-separated name prefixes to run (empty = full suite)")
+		compareTo = fs.Bool("compare", false, "compare two summary files: generic-perf -compare old.json new.json")
+		threshold = fs.Float64("threshold", 0.30, "compare: relative median slowdown that counts as a regression when spreads separate")
+		gate      = fs.Bool("gate", false, "compare: exit nonzero on regression (default is advisory)")
+		list      = fs.Bool("list", false, "list suite entries and exit")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the suite run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile at exit to this file")
+		traceOut  = fs.String("trace", "", "enable span tracing and write Chrome trace-event JSON to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *compareTo {
-		runCompare(flag.Args(), *threshold, *gate)
-		return
+		return runCompare(fs.Args(), *threshold, *gate)
 	}
 
 	benches, err := buildSuite()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *list {
 		for _, b := range benches {
 			fmt.Println(b.name)
 		}
-		return
+		return nil
 	}
 	if *suite != "" {
 		benches = filterSuite(benches, *suite)
 		if len(benches) == 0 {
-			fatal(fmt.Errorf("no suite entry matches -suite %q", *suite))
+			return fmt.Errorf("no suite entry matches -suite %q", *suite)
 		}
 	}
 
 	profiles, err := perf.StartProfiles(*cpuProf, *memProf, *traceOut)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	file := runSuite(benches, *reps, time.Duration(*budgetMS)*time.Millisecond)
-	if err := profiles.Stop(); err != nil {
-		fatal(err)
+	file, err := runSuite(benches, *reps, time.Duration(*budgetMS)*time.Millisecond)
+	if err := errors.Join(err, profiles.Stop()); err != nil {
+		return err
 	}
 
 	f, err := os.Create(*out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := file.WriteJSON(f); err != nil {
 		f.Close()
-		fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("wrote %s (%d entries, git %s)\n", *out, len(file.Results), file.GitSHA)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "generic-perf:", err)
-	os.Exit(1)
+	return nil
 }
 
 // A bench is one registered suite entry: op runs the measured operation once.
 type bench struct {
 	name string
-	op   func()
+	op   func() error
 	// iters is the calibrated fixed per-repetition iteration count.
 	iters int
 	// nsPerOp/bytesPerOp/allocsPerOp collect one value per repetition.
@@ -180,61 +185,55 @@ func buildSuite() ([]*bench, error) {
 	}
 
 	return []*bench{
-		{name: "encode/generic/single", op: func() {
+		{name: "encode/generic/single", op: func() error {
 			encSingle.Encode(nextRow(), scratch)
+			return nil
 		}},
-		{name: "encode/generic/batch256", op: func() {
+		{name: "encode/generic/batch256", op: func() error {
 			generic.EncodeWorkers(enc, batch, 0)
+			return nil
 		}},
-		{name: "predict/single", op: func() {
-			if _, err := p.Predict(nextRow()); err != nil {
-				fatal(err)
-			}
+		{name: "predict/single", op: func() error {
+			_, err := p.Predict(nextRow())
+			return err
 		}},
-		{name: "predict/batch256/w1", op: func() {
-			if _, err := p.PredictAll(batch, generic.WithWorkers(1)); err != nil {
-				fatal(err)
-			}
+		{name: "predict/batch256/w1", op: func() error {
+			_, err := p.PredictAll(batch, generic.WithWorkers(1))
+			return err
 		}},
-		{name: "predict/batch256/w4", op: func() {
-			if _, err := p.PredictAll(batch, generic.WithWorkers(4)); err != nil {
-				fatal(err)
-			}
+		{name: "predict/batch256/w4", op: func() error {
+			_, err := p.PredictAll(batch, generic.WithWorkers(4))
+			return err
 		}},
-		{name: "predict/binary/single", op: func() {
-			if _, err := pb.Predict(nextRow()); err != nil {
-				fatal(err)
-			}
+		{name: "predict/binary/single", op: func() error {
+			_, err := pb.Predict(nextRow())
+			return err
 		}},
-		{name: "predict/binary/batch256", op: func() {
+		{name: "predict/binary/batch256", op: func() error {
 			// Preallocated destination: the steady state allocates nothing.
-			if err := pb.PredictAllInto(binDst, batch, w1); err != nil {
-				fatal(err)
-			}
+			return pb.PredictAllInto(binDst, batch, w1)
 		}},
-		{name: "fit/epoch200", op: func() {
-			if _, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
-				generic.TrainOptions{Epochs: 1, Seed: 1}); err != nil {
-				fatal(err)
-			}
+		{name: "fit/epoch200", op: func() error {
+			_, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
+				generic.TrainOptions{Epochs: 1, Seed: 1})
+			return err
 		}},
-		{name: "fit/lehdc200", op: func() {
-			if _, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
-				generic.TrainOptions{Epochs: 1, Seed: 1, Trainer: "lehdc"}); err != nil {
-				fatal(err)
-			}
+		{name: "fit/lehdc200", op: func() error {
+			_, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
+				generic.TrainOptions{Epochs: 1, Seed: 1, Trainer: "lehdc"})
+			return err
 		}},
-		{name: "sim/infer", op: func() {
+		{name: "sim/infer", op: func() error {
 			acc.Infer(nextRow())
+			return nil
 		}},
-		{name: "modelio/roundtrip", op: func() {
+		{name: "modelio/roundtrip", op: func() error {
 			buf.Reset()
 			if err := p.Save(&buf); err != nil {
-				fatal(err)
+				return err
 			}
-			if _, err := generic.LoadPipeline(&buf); err != nil {
-				fatal(err)
-			}
+			_, err := generic.LoadPipeline(&buf)
+			return err
 		}},
 	}, nil
 }
@@ -253,22 +252,32 @@ func filterSuite(benches []*bench, spec string) []*bench {
 }
 
 // runSuite calibrates, warms up, and measures every entry with interleaved
-// repetitions, then assembles the summary file.
-func runSuite(benches []*bench, reps int, budget time.Duration) *perf.BenchFile {
+// repetitions, then assembles the summary file. It stops at the first
+// error an entry returns.
+func runSuite(benches []*bench, reps int, budget time.Duration) (*perf.BenchFile, error) {
 	if reps < 3 {
 		reps = 3
 	}
 	for _, b := range benches {
-		b.iters = calibrate(b, budget)
+		iters, err := calibrate(b, budget)
+		if err != nil {
+			return nil, err
+		}
+		b.iters = iters
 	}
 	// Warmup: one unrecorded repetition each, in suite order.
 	for _, b := range benches {
-		runRep(b, b.iters)
+		if err := runRep(b, b.iters); err != nil {
+			return nil, err
+		}
 	}
 	// Interleaved measurement: rep r of every entry before rep r+1 of any.
 	for r := 0; r < reps; r++ {
 		for _, b := range benches {
-			ns, bytesOp, allocs := measureRep(b, b.iters)
+			ns, bytesOp, allocs, err := measureRep(b, b.iters)
+			if err != nil {
+				return nil, err
+			}
 			b.nsPerOp = append(b.nsPerOp, ns)
 			b.bytesPerOp = append(b.bytesPerOp, bytesOp)
 			b.allocsPerOp = append(b.allocsPerOp, allocs)
@@ -287,17 +296,17 @@ func runSuite(benches []*bench, reps int, budget time.Duration) *perf.BenchFile 
 			b.name, b.iters, res.Reps, res.MedianNsPerOp, res.P10NsPerOp, res.P90NsPerOp,
 			res.BytesPerOp, res.AllocsPerOp)
 	}
-	return file
+	return file, nil
 }
 
 // calibrate picks the fixed per-repetition iteration count: enough single
 // runs to estimate the op cost, then budget/cost rounded to a 1-2-5 step so
 // the count is stable across near-identical hosts.
-func calibrate(b *bench, budget time.Duration) int {
+func calibrate(b *bench, budget time.Duration) (int, error) {
 	const probe = 3
 	start := time.Now()
-	for i := 0; i < probe; i++ {
-		b.op()
+	if err := runRep(b, probe); err != nil {
+		return 0, err
 	}
 	per := time.Since(start) / probe
 	if per <= 0 {
@@ -305,9 +314,9 @@ func calibrate(b *bench, budget time.Duration) int {
 	}
 	n := int(budget / per)
 	if n < 1 {
-		return 1
+		return 1, nil
 	}
-	return roundDown125(n)
+	return roundDown125(n), nil
 }
 
 // roundDown125 rounds n down to the nearest 1/2/5 x 10^k.
@@ -326,26 +335,29 @@ func roundDown125(n int) int {
 	}
 }
 
-func runRep(b *bench, iters int) {
+func runRep(b *bench, iters int) error {
 	for i := 0; i < iters; i++ {
-		b.op()
+		if err := b.op(); err != nil {
+			return fmt.Errorf("%s: %w", b.name, err)
+		}
 	}
+	return nil
 }
 
 // measureRep times one repetition and derives per-op wall time and
 // allocation figures from MemStats deltas (Mallocs/TotalAlloc are exact
 // regardless of GC timing).
-func measureRep(b *bench, iters int) (nsPerOp, bytesPerOp, allocsPerOp float64) {
+func measureRep(b *bench, iters int) (nsPerOp, bytesPerOp, allocsPerOp float64, err error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	runRep(b, iters)
+	err = runRep(b, iters)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	n := float64(iters)
 	return float64(elapsed.Nanoseconds()) / n,
 		float64(after.TotalAlloc-before.TotalAlloc) / n,
-		float64(after.Mallocs-before.Mallocs) / n
+		float64(after.Mallocs-before.Mallocs) / n, err
 }
 
 // gitSHA resolves HEAD by reading .git directly (no git binary dependency),
@@ -393,17 +405,17 @@ func readHEAD(gitDir string) string {
 }
 
 // runCompare implements -compare old.json new.json.
-func runCompare(args []string, threshold float64, gate bool) {
+func runCompare(args []string, threshold float64, gate bool) error {
 	if len(args) != 2 {
-		fatal(fmt.Errorf("-compare needs exactly two files: old.json new.json"))
+		return errors.New("-compare needs exactly two files: old.json new.json")
 	}
 	old, err := perf.ReadBenchFile(args[0])
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cur, err := perf.ReadBenchFile(args[1])
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if old.GOOS != cur.GOOS || old.GOARCH != cur.GOARCH {
 		fmt.Printf("note: comparing across hosts (%s/%s vs %s/%s) — treat verdicts with suspicion\n",
@@ -411,18 +423,19 @@ func runCompare(args []string, threshold float64, gate bool) {
 	}
 	vs := perf.Compare(old, cur, threshold)
 	if err := perf.WriteVerdicts(os.Stdout, vs); err != nil {
-		fatal(err)
+		return err
 	}
 	if perf.Regressed(vs) {
 		fmt.Printf("REGRESSION: at least one entry slowed >%.0f%% beyond noise (old %s -> new %s)\n",
 			100*threshold, short(old.GitSHA), short(cur.GitSHA))
 		if gate {
-			os.Exit(1)
+			return errors.New("-gate: regression")
 		}
 		fmt.Println("(advisory mode; pass -gate to fail the build)")
-		return
+		return nil
 	}
 	fmt.Println("no regressions")
+	return nil
 }
 
 func short(sha string) string {

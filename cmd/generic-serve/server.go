@@ -12,7 +12,6 @@ import (
 	"time"
 
 	generic "github.com/edge-hdc/generic"
-	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/serve"
 	"github.com/edge-hdc/generic/internal/telemetry"
 )
@@ -162,10 +161,6 @@ type errorResponse struct {
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := telemetry.Now()
-	// Request-scoped span: nests any pipeline spans recorded below it and
-	// labels CPU-profile samples taken while this handler runs.
-	_, sp := perf.Start(r.Context(), "http.predict")
-	defer sp.End()
 	serveRequests.Inc()
 	if !s.predictGate.TryAcquire() {
 		shed(w)
@@ -221,8 +216,6 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	start := telemetry.Now()
-	_, sp := perf.Start(r.Context(), "http.adapt")
-	defer sp.End()
 	serveRequests.Inc()
 	if !s.adaptGate.TryAcquire() {
 		shed(w)

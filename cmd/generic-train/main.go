@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,57 +28,64 @@ var kinds = map[string]generic.EncodingKind{
 	"permute": generic.Permute, "generic": generic.Generic,
 }
 
-// must unwraps (value, error) results from the trained-pipeline API.
-func must[T any](v T, err error) T {
-	if err != nil {
+func main() {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "generic-train:", err)
 		os.Exit(1)
 	}
-	return v
 }
 
-func main() {
+// run is the whole command. It returns every error instead of exiting, so
+// the deferred profiles.Stop writes the requested profiles on error paths
+// too.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		name    = flag.String("dataset", "EEG", "benchmark ("+strings.Join(generic.Datasets(), ",")+")")
-		kind    = flag.String("encoding", "generic", "encoding (rp,level-id,ngram,permute,generic)")
-		d       = flag.Int("d", 4096, "hypervector dimensionality")
-		epochs  = flag.Int("epochs", 20, "retraining epochs")
-		trainer = flag.String("trainer", "", "training strategy ("+strings.Join(generic.Trainers(), ",")+"; empty = perceptron)")
-		lr      = flag.Float64("lr", 0, "lehdc: initial learning rate (0 = default 0.5)")
-		lrDecay = flag.Float64("lr-decay", 0, "lehdc: per-epoch learning-rate decay (0 = default 0.95)")
-		batch   = flag.Int("batch", 0, "lehdc: mini-batch size (0 = default 16)")
-		seed    = flag.Uint64("seed", 0, "random seed (0 = derive one from the clock; the choice is printed so any run can be replayed)")
-		bw      = flag.Int("bw", 0, "quantize the trained model to this bit-width (0 = keep 16)")
-		dims    = flag.Int("dims", 0, "also evaluate with dimension reduction to this many dims")
-		binar   = flag.Bool("binarize", false, "binarize the trained model for packed Hamming inference (-save then emits a binarized model file)")
-		save    = flag.String("save", "", "write the trained pipeline to this file")
-		load    = flag.String("load", "", "skip training; load a pipeline from this file and evaluate")
-		csvIn   = flag.String("csv", "", "train on a labelled CSV file instead of a named benchmark")
-		workers = flag.Int("workers", 0, "worker count for batch encode/train/evaluate (0 = all cores, 1 = serial; results are identical)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		traceF  = flag.String("trace", "", "enable span tracing and write Chrome trace-event JSON to this file")
+		name    = fs.String("dataset", "EEG", "benchmark ("+strings.Join(generic.Datasets(), ",")+")")
+		kind    = fs.String("encoding", "generic", "encoding (rp,level-id,ngram,permute,generic)")
+		d       = fs.Int("d", 4096, "hypervector dimensionality")
+		epochs  = fs.Int("epochs", 20, "retraining epochs")
+		trainer = fs.String("trainer", "", "training strategy ("+strings.Join(generic.Trainers(), ",")+"; empty = perceptron)")
+		lr      = fs.Float64("lr", 0, "lehdc: initial learning rate (0 = default 0.5)")
+		lrDecay = fs.Float64("lr-decay", 0, "lehdc: per-epoch learning-rate decay (0 = default 0.95)")
+		batch   = fs.Int("batch", 0, "lehdc: mini-batch size (0 = default 16)")
+		seed    = fs.Uint64("seed", 0, "random seed (0 = derive one from the clock; the choice is printed so any run can be replayed)")
+		bw      = fs.Int("bw", 0, "quantize the trained model to this bit-width (0 = keep 16)")
+		dims    = fs.Int("dims", 0, "also evaluate with dimension reduction to this many dims")
+		binar   = fs.Bool("binarize", false, "binarize the trained model for packed Hamming inference (-save then emits a binarized model file)")
+		save    = fs.String("save", "", "write the trained pipeline to this file")
+		load    = fs.String("load", "", "skip training; load a pipeline from this file and evaluate")
+		csvIn   = fs.String("csv", "", "train on a labelled CSV file instead of a named benchmark")
+		workers = fs.Int("workers", 0, "worker count for batch encode/train/evaluate (0 = all cores, 1 = serial; results are identical)")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile at exit to this file")
+		traceF  = fs.String("trace", "", "enable span tracing and write Chrome trace-event JSON to this file")
 	)
-	flag.Parse()
-	profiles := must(perf.StartProfiles(*cpuProf, *memProf, *traceF))
-	defer func() {
-		if err := profiles.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "generic-train:", err)
-		}
-	}()
+	fs.Parse(args)
+	profiles, err := perf.StartProfiles(*cpuProf, *memProf, *traceF)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, profiles.Stop()) }()
 	*seed = chooseSeed(*seed)
 	fmt.Printf("seed: %d (rerun with -seed %d to reproduce)\n", *seed, *seed)
+	// printAccuracy prints p's accuracy on (X, Y) as a percentage after label.
+	printAccuracy := func(label string, p *generic.Pipeline, X [][]float64, Y []int) error {
+		acc, err := p.Accuracy(X, Y, generic.WithWorkers(*workers))
+		if err == nil {
+			fmt.Printf("%s%.2f%%\n", label, 100*acc)
+		}
+		return err
+	}
 
 	if *load != "" {
 		ds, err := generic.LoadDataset(*name, *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "generic-train:", err)
-			os.Exit(1)
+			return err
 		}
 		p, err := generic.LoadPipelineFile(*load)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "generic-train:", err)
-			os.Exit(1)
+			return err
 		}
 		trainedBy := p.Trainer()
 		if trainedBy == "" {
@@ -85,30 +93,25 @@ func main() {
 		}
 		fmt.Printf("loaded pipeline from %s (D=%d, %d classes, %d-bit, trainer %s, %s mode)\n",
 			*load, p.Model().D(), p.Model().Classes(), p.Model().BW(), trainedBy, p.Mode())
-		fmt.Printf("test accuracy: %.2f%%\n", 100*must(p.Accuracy(ds.TestX, ds.TestY, generic.WithWorkers(*workers))))
-		return
+		return printAccuracy("test accuracy: ", p, ds.TestX, ds.TestY)
 	}
 
 	k, ok := kinds[strings.ToLower(*kind)]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "generic-train: unknown encoding %q\n", *kind)
-		os.Exit(1)
+		return fmt.Errorf("unknown encoding %q", *kind)
 	}
 	var ds *generic.Dataset
-	var err error
 	if *csvIn != "" {
 		ds, err = generic.LoadCSV(*csvIn, generic.CSVOptions{Seed: *seed})
 	} else {
 		ds, err = generic.LoadDataset(*name, *seed)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "generic-train:", err)
-		os.Exit(1)
+		return err
 	}
 	enc, err := generic.EncoderForDataset(k, ds, *d, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "generic-train:", err)
-		os.Exit(1)
+		return err
 	}
 
 	fmt.Printf("dataset %s: %d train / %d test, %d features, %d classes (%s)\n",
@@ -120,13 +123,16 @@ func main() {
 		LR: *lr, LRDecay: *lrDecay, BatchSize: *batch,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "generic-train:", err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("trained %s/%s D=%d in %.1fs (%s, %d epochs, %d final updates, final loss %.4f)\n",
 		*kind, ds.Name, *d, time.Since(start).Seconds(), res.Trainer, res.EpochsRun, res.FinalUpdates, res.FinalLoss)
-	fmt.Printf("train accuracy: %.2f%%\n", 100*must(p.Accuracy(ds.TrainX, ds.TrainY, generic.WithWorkers(*workers))))
-	fmt.Printf("test accuracy:  %.2f%%\n", 100*must(p.Accuracy(ds.TestX, ds.TestY, generic.WithWorkers(*workers))))
+	if err := printAccuracy("train accuracy: ", p, ds.TrainX, ds.TrainY); err != nil {
+		return err
+	}
+	if err := printAccuracy("test accuracy:  ", p, ds.TestX, ds.TestY); err != nil {
+		return err
+	}
 
 	if *bw > 0 {
 		// Post-training quantization (vs training-time TrainOptions.BW) so
@@ -135,12 +141,18 @@ func main() {
 		// before -binarize and with no fault controller, so narrowing the
 		// model in place is the whole transition.
 		p.Model().Quantize(*bw)
-		fmt.Printf("test accuracy @ %d-bit model: %.2f%%\n", *bw, 100*must(p.Accuracy(ds.TestX, ds.TestY, generic.WithWorkers(*workers))))
+		if err := printAccuracy(fmt.Sprintf("test accuracy @ %d-bit model: ", *bw), p, ds.TestX, ds.TestY); err != nil {
+			return err
+		}
 	}
 	if *dims > 0 {
 		correct := 0
 		for i, x := range ds.TestX {
-			if must(p.Predict(x, generic.WithDims(*dims))) == ds.TestY[i] {
+			pred, err := p.Predict(x, generic.WithDims(*dims))
+			if err != nil {
+				return err
+			}
+			if pred == ds.TestY[i] {
 				correct++
 			}
 		}
@@ -149,19 +161,19 @@ func main() {
 	}
 	if *binar {
 		if err := p.Binarize(); err != nil {
-			fmt.Fprintln(os.Stderr, "generic-train:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("test accuracy @ binary (Hamming): %.2f%%\n",
-			100*must(p.Accuracy(ds.TestX, ds.TestY, generic.WithWorkers(*workers))))
+		if err := printAccuracy("test accuracy @ binary (Hamming): ", p, ds.TestX, ds.TestY); err != nil {
+			return err
+		}
 	}
 	if *save != "" {
 		if err := p.SaveFile(*save); err != nil {
-			fmt.Fprintln(os.Stderr, "generic-train:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("saved pipeline to %s\n", *save)
 	}
+	return nil
 }
 
 // chooseSeed resolves the -seed flag: an explicit nonzero value is used as

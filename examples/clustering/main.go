@@ -40,7 +40,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		kmRes := generic.KMeans(cs.X, cs.K, 100, 10, 1)
+		kmRes, err := generic.KMeans(cs.X, cs.K, 100, 10, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		// Accelerator run for energy.
 		spec := generic.Spec{

@@ -981,9 +981,18 @@ func Cluster(enc Encoder, X [][]float64, k, epochs int, opts ...Option) (*Cluste
 }
 
 // KMeans exposes the classical baseline clusterer (Lloyd's algorithm with
-// k-means++ seeding and restarts).
-func KMeans(X [][]float64, k, maxIter, restarts int, seed uint64) *cluster.KMeansResult {
-	return cluster.KMeansBest(X, k, maxIter, restarts, seed)
+// k-means++ seeding and restarts). k must lie in [1, len(X)] and every row
+// must have X[0]'s width.
+func KMeans(X [][]float64, k, maxIter, restarts int, seed uint64) (*cluster.KMeansResult, error) {
+	if k < 1 || k > len(X) {
+		return nil, fmt.Errorf("generic: KMeans: k=%d out of range [1,%d]", k, len(X))
+	}
+	for i, x := range X {
+		if len(x) != len(X[0]) {
+			return nil, fmt.Errorf("generic: KMeans: sample %d has %d features, sample 0 has %d", i, len(x), len(X[0]))
+		}
+	}
+	return cluster.KMeansBest(X, k, maxIter, restarts, seed), nil
 }
 
 // NMI is the normalized mutual information between two labelings.

@@ -140,7 +140,10 @@ func TestClusterAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	km := generic.KMeans(cs.X, cs.K, 100, 10, 3)
+	km, err := generic.KMeans(cs.X, cs.K, 100, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if nmi := generic.NMI(res.Assignments, cs.Labels); nmi < 0.6 {
 		t.Errorf("HDC clustering NMI = %.3f", nmi)
 	}

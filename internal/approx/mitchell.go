@@ -59,19 +59,6 @@ func Exp2Fixed(l int64) uint64 {
 	return base * mant >> FracBits
 }
 
-// DivApprox approximates a/b with Mitchell's method. b must be positive;
-// a == 0 returns 0. Results below 1 truncate to 0, mirroring the integer
-// hardware datapath.
-func DivApprox(a, b uint64) uint64 {
-	if b == 0 {
-		panic("approx: DivApprox by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return Exp2Fixed(Log2Fixed(a) - Log2Fixed(b))
-}
-
 // ScoreScaleBits is the number of extra fractional bits the score register
 // carries: ScoreApprox returns sign(dot)·(dot²/norm2)·2^ScoreScaleBits so
 // that small similarity scores are not destroyed by integer truncation.

@@ -50,39 +50,6 @@ func TestExp2FixedExact(t *testing.T) {
 	}
 }
 
-func TestDivApproxRelativeError(t *testing.T) {
-	r := rng.New(2)
-	for i := 0; i < 20000; i++ {
-		a := r.Uint64()>>uint(r.Intn(32)) | 1
-		b := r.Uint64()>>uint(r.Intn(32)) | 1
-		got := float64(DivApprox(a, b))
-		want := float64(a) / float64(b)
-		if want < 1 {
-			continue // truncation region
-		}
-		// Three chained corrected-Mitchell approximations keep the
-		// relative error under ~2%; integer truncation adds ≤1 absolute.
-		if math.Abs(got-want) > 0.02*want+1 {
-			t.Fatalf("DivApprox(%d,%d) = %v, want %v", a, b, got, want)
-		}
-	}
-}
-
-func TestDivApproxSpecialCases(t *testing.T) {
-	if DivApprox(0, 5) != 0 {
-		t.Fatal("0/b != 0")
-	}
-	if got := DivApprox(8, 2); got != 4 {
-		t.Fatalf("8/2 = %d (powers of two are exact in Mitchell)", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("division by zero did not panic")
-		}
-	}()
-	DivApprox(1, 0)
-}
-
 func TestScoreApproxSignAndZero(t *testing.T) {
 	if s := ScoreApprox(-100, 50); s >= 0 {
 		t.Fatalf("negative dot scored %d", s)
@@ -145,14 +112,6 @@ func TestMonotoneInDot(t *testing.T) {
 		}
 		prev = s
 	}
-}
-
-func BenchmarkDivApprox(b *testing.B) {
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink = DivApprox(uint64(i)|1, 12345)
-	}
-	_ = sink
 }
 
 func BenchmarkScoreApprox(b *testing.B) {

@@ -11,7 +11,6 @@ import (
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
 	"github.com/edge-hdc/generic/internal/rng"
-	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
 // HDCResult holds the outcome of HDC clustering.
@@ -78,7 +77,6 @@ func HDC(encoded []hdc.Vec, k, epochs, workers int) *HDCResult {
 	}
 	assign := make([]int, len(encoded))
 	for e := 0; e < epochs; e++ {
-		epochStart := telemetry.Now()
 		partials := make([]epochPartial, workers)
 		parallel.ForChunks(workers, len(encoded), func(w, lo, hi int) {
 			copies := make([]hdc.Vec, k)
@@ -111,8 +109,6 @@ func HDC(encoded []hdc.Vec, k, epochs, workers int) *HDCResult {
 			} // empty centroid keeps its previous hypervector
 		}
 		refresh()
-		telemetry.ClusterAssigns.Add(int64(len(encoded)))
-		telemetry.ClusterEpochNS.ObserveSince(epochStart)
 	}
 	// Final assignment pass against the final model.
 	parallel.For(workers, len(encoded), func(_, i int) {

@@ -189,21 +189,12 @@ func (p HDCParams) TrainOps(nTrain, epochs int) Ops {
 	return o
 }
 
-// ClusterOps counts HDC clustering: encode once, then epochs passes of
-// k similarity checks plus copy-centroid bundling per input.
-func (p HDCParams) ClusterOps(n, k, epochs int) Ops {
-	var o Ops
-	o.Add(p.EncodeOps().Scale(int64(n)))
-	perEpoch := int64(n) * (int64(k)*int64(p.D) + int64(p.D))
-	o.Int += int64(epochs+1) * perEpoch
-	return o
-}
-
 // ---------------------------------------------------------------------------
-// Classical-ML op counting. Inference counts defer to the trained models'
-// own InferenceOps; training counts use standard complexity formulas.
+// Classical-ML op counting: the callers compute a baseline's inference
+// count from its shape (internal/experiments), and training counts use
+// standard complexity formulas.
 
-// MLInferOps wraps a trained model's per-query cost as float work.
+// MLInferOps wraps a baseline's per-query operation count as float work.
 func MLInferOps(inferenceOps int64) Ops {
 	return Ops{Float: inferenceOps}
 }

@@ -113,18 +113,6 @@ func TestTrainOpsScaleWithEpochs(t *testing.T) {
 	}
 }
 
-func TestClusterOps(t *testing.T) {
-	p := genericParams()
-	o := p.ClusterOps(800, 2, 10)
-	if o.Packed <= 0 || o.Int <= 0 {
-		t.Errorf("cluster ops empty: %+v", o)
-	}
-	o2 := p.ClusterOps(800, 7, 10)
-	if o2.Int <= o.Int {
-		t.Error("more centroids must cost more")
-	}
-}
-
 func TestMLTrainFormulas(t *testing.T) {
 	p := MLTrainParams{Samples: 1000, Features: 128, Classes: 10}
 	if o := p.ForestTrainOps(100, 0, 0); o.Float <= 0 {

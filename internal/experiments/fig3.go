@@ -7,6 +7,7 @@ import (
 	"github.com/edge-hdc/generic/internal/device"
 	"github.com/edge-hdc/generic/internal/encoding"
 	"github.com/edge-hdc/generic/internal/metrics"
+	"github.com/edge-hdc/generic/internal/ml"
 )
 
 // Fig3Algorithms lists the algorithm labels of Figure 3 in display order.
@@ -47,13 +48,7 @@ type mlShape struct {
 }
 
 var fig3ML = map[string]mlShape{
-	"MLP": {
-		inferOps: func(d, nC, _ int) int64 { return int64(d+1)*128 + 129*int64(nC) },
-		trainOps: func(p device.MLTrainParams) device.Ops {
-			w := int64(p.Features+1)*128 + 129*int64(p.Classes)
-			return p.MLPTrainOps(w, 40)
-		},
-	},
+	"MLP": netShape(ml.MLPBaseline),
 	"SVM": {
 		inferOps: func(d, nC, _ int) int64 { return int64(nC) * int64(d+1) },
 		trainOps: func(p device.MLTrainParams) device.Ops { return p.SVMTrainOps(30) },
@@ -70,15 +65,18 @@ var fig3ML = map[string]mlShape{
 		inferOps: func(d, _, nTrain int) int64 { return int64(nTrain) * int64(d) * 2 },
 		trainOps: func(p device.MLTrainParams) device.Ops { return device.Ops{} },
 	},
-	"DNN": {
-		inferOps: func(d, nC, _ int) int64 {
-			return int64(d+1)*256 + 257*128 + 129*64 + 65*int64(nC)
-		},
+	"DNN": netShape(ml.DNNBaseline),
+}
+
+// netShape counts a network baseline: one MAC per weight per inference, and
+// backprop over its configured epochs for training.
+func netShape(cfg ml.MLPConfig) mlShape {
+	return mlShape{
+		inferOps: func(d, nC, _ int) int64 { return cfg.Weights(d, nC) },
 		trainOps: func(p device.MLTrainParams) device.Ops {
-			w := int64(p.Features+1)*256 + 257*128 + 129*64 + 65*int64(p.Classes)
-			return p.MLPTrainOps(w, 60)
+			return p.MLPTrainOps(cfg.Weights(p.Features, p.Classes), cfg.Epochs)
 		},
-	},
+	}
 }
 
 var fig3HDC = map[string]encoding.Kind{

@@ -8,6 +8,7 @@ import (
 	"github.com/edge-hdc/generic/internal/device"
 	"github.com/edge-hdc/generic/internal/encoding"
 	"github.com/edge-hdc/generic/internal/metrics"
+	"github.com/edge-hdc/generic/internal/ml"
 	"github.com/edge-hdc/generic/internal/power"
 	"github.com/edge-hdc/generic/internal/sim"
 )
@@ -101,8 +102,8 @@ func Figure8(cfg Config) (*Fig8Result, error) {
 		rfE, rfT = append(rfE, e/float64(nTrain)), append(rfT, t/float64(nTrain))
 		t, e = device.CPU.Run(p.SVMTrainOps(30))
 		svmE, svmT = append(svmE, e/float64(nTrain)), append(svmT, t/float64(nTrain))
-		w := int64(ds.Features+1)*256 + 257*128 + 129*64 + 65*int64(ds.Classes)
-		t, e = device.EGPU.Run(p.MLPTrainOps(w, 60))
+		dnn := ml.DNNBaseline
+		t, e = device.EGPU.Run(p.MLPTrainOps(dnn.Weights(ds.Features, ds.Classes), dnn.Epochs))
 		dnnE, dnnT = append(dnnE, e/float64(nTrain)), append(dnnT, t/float64(nTrain))
 		hp := device.HDCParams{
 			Kind: encoding.Generic, D: PaperD, Features: ds.Features, N: n,

@@ -11,6 +11,7 @@ import (
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/hdproc"
 	"github.com/edge-hdc/generic/internal/metrics"
+	"github.com/edge-hdc/generic/internal/ml"
 	"github.com/edge-hdc/generic/internal/power"
 	"github.com/edge-hdc/generic/internal/sim"
 	"github.com/edge-hdc/generic/internal/tinyhd"
@@ -168,8 +169,7 @@ func Figure9(cfg Config) (*Fig9Result, error) {
 		rf = append(rf, e)
 		_, e = device.CPU.RunInference(device.MLInferOps(int64(ds.Classes) * int64(ds.Features+1)))
 		svm = append(svm, e)
-		_, e = device.CPU.RunInference(device.MLInferOps(
-			int64(ds.Features+1)*256 + 257*128 + 129*64 + 65*int64(ds.Classes)))
+		_, e = device.CPU.RunInference(device.MLInferOps(ml.DNNBaseline.Weights(ds.Features, ds.Classes)))
 		dnn = append(dnn, e)
 		hp := device.HDCParams{
 			Kind: encoding.Generic, D: PaperD, Features: ds.Features, N: n,

@@ -20,15 +20,6 @@ type Table1Row struct {
 	MLP, SVM, RF, DNN float64
 }
 
-// hdc returns the HDC columns in order.
-func (r Table1Row) hdc() []float64 {
-	return []float64{r.RP, r.LevelID, r.Ngram, r.Permute, r.Generic}
-}
-
-func (r Table1Row) mlCols() []float64 {
-	return []float64{r.MLP, r.SVM, r.RF, r.DNN}
-}
-
 // Table1Result is the full accuracy comparison plus the summary rows.
 type Table1Result struct {
 	Rows []Table1Row
@@ -56,11 +47,6 @@ func Table1(cfg Config) (*Table1Result, error) {
 	res := &Table1Result{Rows: rows}
 	res.summarize()
 	return res, nil
-}
-
-// Table1Dataset runs a single benchmark's Table 1 row.
-func Table1Dataset(name string, cfg Config) (Table1Row, error) {
-	return table1Dataset(name, cfg.normalized())
 }
 
 func table1Dataset(name string, cfg Config) (Table1Row, error) {
@@ -103,24 +89,19 @@ func table1Dataset(name string, cfg Config) (Table1Row, error) {
 	evalML := func(c ml.Classifier) float64 {
 		return metrics.MustAccuracy(ml.PredictAll(c, testX), ds.TestY)
 	}
-	mlpEpochs, dnnEpochs, trees := 40, 60, 100
+	mlp, dnn, trees := ml.MLPBaseline, ml.DNNBaseline, 100
+	mlp.Seed, dnn.Seed = cfg.Seed, cfg.Seed
 	if cfg.Quick {
-		mlpEpochs, dnnEpochs, trees = 10, 12, 25
+		mlp.Epochs, dnn.Epochs, dnn.Hidden, trees = 10, 12, []int{64, 32}, 25
 	}
-	row.MLP = evalML(ml.FitMLP(trainX, ds.TrainY, ds.Classes, ml.MLPConfig{
-		Hidden: []int{128}, Epochs: mlpEpochs, Seed: cfg.Seed,
-	}))
+	row.MLP = evalML(ml.FitMLP(trainX, ds.TrainY, ds.Classes, mlp))
 	row.SVM = evalML(ml.FitLinear(trainX, ds.TrainY, ds.Classes, ml.LinearConfig{
 		Kind: ml.HingeSVM, Seed: cfg.Seed,
 	}))
 	row.RF = evalML(ml.FitForest(trainX, ds.TrainY, ds.Classes, ml.ForestConfig{
 		Trees: trees, Seed: cfg.Seed,
 	}))
-	dnnCfg := ml.MLPConfig{Hidden: []int{256, 128, 64}, Epochs: dnnEpochs, Seed: cfg.Seed}
-	if cfg.Quick {
-		dnnCfg.Hidden = []int{64, 32}
-	}
-	row.DNN = evalML(ml.FitMLP(trainX, ds.TrainY, ds.Classes, dnnCfg))
+	row.DNN = evalML(ml.FitMLP(trainX, ds.TrainY, ds.Classes, dnn))
 	return row, nil
 }
 

@@ -179,9 +179,6 @@ func (p *Processor) SetInput(x []float64) { p.input = x }
 func (p *Processor) Stats() Stats { return p.stats }
 func (p *Processor) ResetStats()  { p.stats = Stats{} }
 
-// Sreg reads a scalar register (results of DOTC/SCOR/MAXS programs).
-func (p *Processor) Sreg(i int) int64 { return p.sregs[i] }
-
 // BestClass returns the argmax tracked by OpMAXS since the last ClearMax.
 func (p *Processor) BestClass() int { return p.bestClass }
 

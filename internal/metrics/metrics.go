@@ -1,6 +1,6 @@
 // Package metrics provides the evaluation metrics used in the paper:
-// classification accuracy, confusion matrices, and normalized mutual
-// information for external clustering validation (Table 2).
+// classification accuracy and normalized mutual information for external
+// clustering validation (Table 2).
 package metrics
 
 import (
@@ -36,41 +36,6 @@ func MustAccuracy(pred, labels []int) float64 {
 		panic(err)
 	}
 	return a
-}
-
-// Confusion returns the confusion matrix C where C[true][pred] counts
-// samples. Classes are sized by the largest index seen. A length mismatch
-// is an error.
-func Confusion(pred, labels []int) ([][]int, error) {
-	if len(pred) != len(labels) {
-		return nil, fmt.Errorf("metrics: Confusion: %d predictions vs %d labels", len(pred), len(labels))
-	}
-	n := 0
-	for i := range pred {
-		if pred[i]+1 > n {
-			n = pred[i] + 1
-		}
-		if labels[i]+1 > n {
-			n = labels[i] + 1
-		}
-	}
-	c := make([][]int, n)
-	for i := range c {
-		c[i] = make([]int, n)
-	}
-	for i := range pred {
-		c[labels[i]][pred[i]]++
-	}
-	return c, nil
-}
-
-// MustConfusion is Confusion that panics on error.
-func MustConfusion(pred, labels []int) [][]int {
-	c, err := Confusion(pred, labels)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // NMI returns the normalized mutual information between two labelings,
@@ -152,52 +117,6 @@ func entropy(counts map[int]int, n int) float64 {
 		h -= p * math.Log(p)
 	}
 	return h
-}
-
-// ClassReport holds per-class precision/recall/F1 plus macro averages —
-// the breakdown a deployment needs on imbalanced benchmarks like PAGE.
-type ClassReport struct {
-	Precision []float64
-	Recall    []float64
-	F1        []float64
-	MacroF1   float64
-}
-
-// PerClass computes the per-class report from predictions and labels. A
-// length mismatch is an error.
-func PerClass(pred, labels []int) (ClassReport, error) {
-	conf, err := Confusion(pred, labels)
-	if err != nil {
-		return ClassReport{}, err
-	}
-	n := len(conf)
-	r := ClassReport{
-		Precision: make([]float64, n),
-		Recall:    make([]float64, n),
-		F1:        make([]float64, n),
-	}
-	for c := 0; c < n; c++ {
-		var tp, fp, fn int
-		for o := 0; o < n; o++ {
-			if o == c {
-				tp = conf[c][c]
-				continue
-			}
-			fp += conf[o][c]
-			fn += conf[c][o]
-		}
-		if tp+fp > 0 {
-			r.Precision[c] = float64(tp) / float64(tp+fp)
-		}
-		if tp+fn > 0 {
-			r.Recall[c] = float64(tp) / float64(tp+fn)
-		}
-		if r.Precision[c]+r.Recall[c] > 0 {
-			r.F1[c] = 2 * r.Precision[c] * r.Recall[c] / (r.Precision[c] + r.Recall[c])
-		}
-	}
-	r.MacroF1 = Mean(r.F1)
-	return r, nil
 }
 
 // GeoMean returns the geometric mean of positive values, the aggregation

@@ -25,34 +25,12 @@ func TestAccuracyLengthMismatch(t *testing.T) {
 	if _, err := Accuracy([]int{1}, []int{1, 2}); err == nil {
 		t.Fatal("length mismatch did not error")
 	}
-	if _, err := Confusion([]int{1}, []int{1, 2}); err == nil {
-		t.Fatal("Confusion length mismatch did not error")
-	}
-	if _, err := PerClass([]int{1}, []int{1, 2}); err == nil {
-		t.Fatal("PerClass length mismatch did not error")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("MustAccuracy did not panic on mismatch")
 		}
 	}()
 	MustAccuracy([]int{1}, []int{1, 2})
-}
-
-func TestConfusion(t *testing.T) {
-	c := MustConfusion([]int{0, 1, 1, 2}, []int{0, 1, 2, 2})
-	if c[0][0] != 1 || c[1][1] != 1 || c[2][1] != 1 || c[2][2] != 1 {
-		t.Fatalf("confusion wrong: %v", c)
-	}
-	total := 0
-	for _, row := range c {
-		for _, v := range row {
-			total += v
-		}
-	}
-	if total != 4 {
-		t.Fatalf("confusion total = %d, want 4", total)
-	}
 }
 
 func TestNMIIdentical(t *testing.T) {
@@ -127,62 +105,5 @@ func TestMeanStdDev(t *testing.T) {
 	}
 	if s := StdDev([]float64{1}); s != 0 {
 		t.Fatalf("StdDev singleton = %v", s)
-	}
-}
-
-func TestPerClassPerfect(t *testing.T) {
-	pred := []int{0, 1, 2, 0, 1, 2}
-	r, err := PerClass(pred, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 3; c++ {
-		if r.Precision[c] != 1 || r.Recall[c] != 1 || r.F1[c] != 1 {
-			t.Fatalf("class %d not perfect: %+v", c, r)
-		}
-	}
-	if r.MacroF1 != 1 {
-		t.Fatalf("macro F1 = %v", r.MacroF1)
-	}
-}
-
-func TestPerClassKnownValues(t *testing.T) {
-	// Class 0: predicted 3 times, 2 correct → precision 2/3.
-	// Class 0 truth appears 2 times, 2 found → recall 1.
-	labels := []int{0, 0, 1, 1, 1}
-	pred := []int{0, 0, 0, 1, 1}
-	r, err := PerClass(pred, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Precision[0]-2.0/3) > 1e-12 || r.Recall[0] != 1 {
-		t.Fatalf("class 0: P=%v R=%v", r.Precision[0], r.Recall[0])
-	}
-	if r.Precision[1] != 1 || math.Abs(r.Recall[1]-2.0/3) > 1e-12 {
-		t.Fatalf("class 1: P=%v R=%v", r.Precision[1], r.Recall[1])
-	}
-	wantF1 := 0.8 // both classes: 2·(2/3·1)/(2/3+1) = 0.8
-	if math.Abs(r.F1[0]-wantF1) > 1e-12 || math.Abs(r.F1[1]-wantF1) > 1e-12 {
-		t.Fatalf("F1 = %v/%v, want %v", r.F1[0], r.F1[1], wantF1)
-	}
-	if math.Abs(r.MacroF1-wantF1) > 1e-12 {
-		t.Fatalf("macro F1 = %v", r.MacroF1)
-	}
-}
-
-func TestPerClassAbsentClass(t *testing.T) {
-	// Class 2 never predicted and never true except once mispredicted:
-	// metrics must stay finite (zero), not NaN.
-	labels := []int{0, 1, 2}
-	pred := []int{0, 1, 0}
-	r, err := PerClass(pred, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Recall[2] != 0 || r.F1[2] != 0 {
-		t.Fatalf("absent class metrics: %+v", r)
-	}
-	if math.IsNaN(r.MacroF1) {
-		t.Fatal("macro F1 is NaN")
 	}
 }

@@ -240,80 +240,3 @@ func (m *Linear) Predict(x []float64) int {
 	}
 	return best
 }
-
-// InferenceOps counts one MAC per weight plus the argmax.
-func (m *Linear) InferenceOps() int64 {
-	if len(m.w) == 0 {
-		return 0
-	}
-	return int64(len(m.w))*int64(len(m.w[0])+1) + int64(m.classes)
-}
-
-// KNN is a k-nearest-neighbors classifier (the paper evaluates and then
-// discards it for accuracy; it remains here for the device-efficiency
-// comparisons of Fig. 3).
-type KNN struct {
-	X       [][]float64
-	y       []int
-	k       int
-	classes int
-}
-
-// FitKNN stores the training set.
-func FitKNN(X [][]float64, y []int, classes, k int) *KNN {
-	checkXY(X, y, classes)
-	if k < 1 {
-		k = 1
-	}
-	if k > len(X) {
-		k = len(X)
-	}
-	return &KNN{X: X, y: y, k: k, classes: classes}
-}
-
-// Predict votes among the k nearest training points (Euclidean).
-func (m *KNN) Predict(x []float64) int {
-	type cand struct {
-		d float64
-		y int
-	}
-	// Keep the k best with a simple insertion pass; k is small.
-	best := make([]cand, 0, m.k)
-	for i, xi := range m.X {
-		var d float64
-		for j, v := range xi {
-			dv := v - x[j]
-			d += dv * dv
-		}
-		if len(best) < m.k {
-			best = append(best, cand{d, m.y[i]})
-			for p := len(best) - 1; p > 0 && best[p].d < best[p-1].d; p-- {
-				best[p], best[p-1] = best[p-1], best[p]
-			}
-		} else if d < best[m.k-1].d {
-			best[m.k-1] = cand{d, m.y[i]}
-			for p := m.k - 1; p > 0 && best[p].d < best[p-1].d; p-- {
-				best[p], best[p-1] = best[p-1], best[p]
-			}
-		}
-	}
-	votes := make([]int, m.classes)
-	for _, c := range best {
-		votes[c.y]++
-	}
-	bi, bn := 0, -1
-	for c, n := range votes {
-		if n > bn {
-			bi, bn = c, n
-		}
-	}
-	return bi
-}
-
-// InferenceOps counts distance MACs over the stored training set.
-func (m *KNN) InferenceOps() int64 {
-	if len(m.X) == 0 {
-		return 0
-	}
-	return int64(len(m.X)) * int64(len(m.X[0])) * 2
-}

@@ -1,10 +1,11 @@
 // Package ml implements the classical machine-learning baselines the paper
-// compares HDC against (Table 1, Figs. 3/8/9): decision-tree random
-// forests, linear SVM (Pegasos), logistic regression, k-nearest neighbors,
-// and multi-layer perceptrons (the "DNN" baseline is a deeper MLP). All are
-// built from scratch on the standard library so the repository is
-// self-contained and the device energy models can count their operations
-// exactly.
+// compares HDC against in Table 1: decision-tree random forests, linear SVM
+// (Pegasos), logistic regression, and multi-layer perceptrons (the "DNN"
+// baseline is a deeper MLP). All are built from scratch on the standard
+// library so the repository is self-contained. The device figures (Figs. 3,
+// 8 and 9) count the baselines' operations with formulas instead of
+// training them; the MLP and DNN shapes that Table 1 trains and those
+// figures count are defined once, here.
 package ml
 
 import "fmt"
@@ -13,9 +14,6 @@ import "fmt"
 type Classifier interface {
 	// Predict returns the class index for one feature vector.
 	Predict(x []float64) int
-	// InferenceOps estimates the arithmetic operations (MACs/comparisons)
-	// one prediction costs, used by the device energy models.
-	InferenceOps() int64
 }
 
 // PredictAll applies a classifier to every row.

@@ -6,12 +6,10 @@ import (
 	"github.com/edge-hdc/generic/internal/rng"
 )
 
-// MLPConfig parameterizes multi-layer-perceptron training. The paper's
-// "MLP" baseline is one hidden layer; its "DNN" baseline (found via
-// AutoKeras) is modeled as a deeper, wider MLP (see DNNConfig).
+// MLPConfig parameterizes multi-layer-perceptron training.
 type MLPConfig struct {
-	Hidden    []int   // hidden layer sizes, e.g. {128}
-	Epochs    int     // default 40
+	Hidden    []int   // hidden layer sizes, default MLPBaseline's
+	Epochs    int     // default MLPBaseline's
 	BatchSize int     // default 32
 	LR        float64 // Adam learning rate, default 1e-3
 	L2        float64 // weight decay, default 1e-5
@@ -20,10 +18,10 @@ type MLPConfig struct {
 
 func (c MLPConfig) withDefaults() MLPConfig {
 	if len(c.Hidden) == 0 {
-		c.Hidden = []int{128}
+		c.Hidden = MLPBaseline.Hidden
 	}
 	if c.Epochs == 0 {
-		c.Epochs = 40
+		c.Epochs = MLPBaseline.Epochs
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 32
@@ -37,10 +35,27 @@ func (c MLPConfig) withDefaults() MLPConfig {
 	return c
 }
 
-// DNNConfig returns the deeper configuration used as the paper's DNN
-// baseline stand-in.
-func DNNConfig(seed uint64) MLPConfig {
-	return MLPConfig{Hidden: []int{256, 128, 64}, Epochs: 60, Seed: seed}
+// The paper's classical network baselines (Table 1, Figs. 3, 8 and 9): the
+// "MLP" has one hidden layer, and the "DNN" (found via AutoKeras in the
+// paper) is modeled as a deeper, wider MLP. Table 1 trains these shapes; the
+// device figures count their operations from Weights.
+var (
+	MLPBaseline = MLPConfig{Hidden: []int{128}, Epochs: 40}
+	DNNBaseline = MLPConfig{Hidden: []int{256, 128, 64}, Epochs: 60}
+)
+
+// Weights returns the parameter count of the network FitMLP builds from c
+// over features inputs and classes outputs, Σ(in+1)·out over its layers. One
+// inference costs one MAC per weight.
+func (c MLPConfig) Weights(features, classes int) int64 {
+	c = c.withDefaults()
+	var n int64
+	in := features
+	for _, out := range c.Hidden {
+		n += int64(in+1) * int64(out)
+		in = out
+	}
+	return n + int64(in+1)*int64(classes)
 }
 
 type layer struct {
@@ -219,24 +234,4 @@ func zero(xs []float64) {
 func (m *MLP) Predict(x []float64) int {
 	m.forward(x)
 	return argmax(m.acts[len(m.layers)])
-}
-
-// InferenceOps counts one MAC per weight.
-func (m *MLP) InferenceOps() int64 {
-	var ops int64
-	for _, ly := range m.layers {
-		ops += int64(ly.in+1) * int64(ly.out)
-	}
-	return ops
-}
-
-// Weights returns the total parameter count, used by device energy models
-// to estimate training cost (≈ 3 ops per weight per sample per epoch for
-// forward+backward+update).
-func (m *MLP) Weights() int64 {
-	var n int64
-	for _, ly := range m.layers {
-		n += int64(len(ly.w) + len(ly.b))
-	}
-	return n
 }

@@ -196,10 +196,6 @@ func (t *Tree) Predict(x []float64) int {
 func (t *Tree) Depth() int { return t.depth }
 func (t *Tree) Nodes() int { return len(t.nodes) }
 
-// InferenceOps estimates one comparison per level walked (average depth/2
-// rounded up to depth for a conservative bound).
-func (t *Tree) InferenceOps() int64 { return int64(t.depth) }
-
 // Forest is a bagged random forest of CART trees.
 type Forest struct {
 	trees   []*Tree
@@ -259,12 +255,3 @@ func (f *Forest) Predict(x []float64) int {
 
 // Trees returns the ensemble size.
 func (f *Forest) Trees() int { return len(f.trees) }
-
-// InferenceOps sums the per-tree costs plus the vote.
-func (f *Forest) InferenceOps() int64 {
-	var ops int64
-	for _, t := range f.trees {
-		ops += t.InferenceOps()
-	}
-	return ops + int64(f.classes)
-}

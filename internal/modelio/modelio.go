@@ -151,24 +151,6 @@ func syncDir(dir string) error {
 	return err
 }
 
-// WriteFile atomically serializes the bundle to path: Write through the
-// AtomicWriteFile protocol. The previous file at path (if any) survives any
-// failure bit-for-bit.
-func WriteFile(path string, b *Bundle) error {
-	return AtomicWriteFile(path, func(w io.Writer) error { return Write(w, b) })
-}
-
-// ReadFile reads a bundle from a file written by WriteFile (or any Write
-// stream on disk).
-func ReadFile(path string) (*Bundle, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
-}
-
 // writeVersioned writes the requested format version — the legacy
 // footerless version stays writable so compatibility tests can produce it.
 func writeVersioned(w io.Writer, b *Bundle, ver uint16) error {

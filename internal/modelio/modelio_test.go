@@ -323,8 +323,11 @@ func TestVersion1Compatibility(t *testing.T) {
 func TestAtomicWriteFilePreservesOriginal(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/m.model"
+	save := func(path string, b *Bundle) error {
+		return AtomicWriteFile(path, func(w io.Writer) error { return Write(w, b) })
+	}
 	good := trainedBundle(t)
-	if err := WriteFile(path, good); err != nil {
+	if err := save(path, good); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -335,7 +338,7 @@ func TestAtomicWriteFilePreservesOriginal(t *testing.T) {
 	// Poison the model so Write errors after the header is already out.
 	bad := trainedBundle(t)
 	bad.Model.Class(0)[0] = 1 << 20
-	if err := WriteFile(path, bad); err == nil {
+	if err := save(path, bad); err == nil {
 		t.Fatal("out-of-range class element serialized without error")
 	}
 
@@ -358,7 +361,7 @@ func TestAtomicWriteFilePreservesOriginal(t *testing.T) {
 	}
 
 	// The intact original still loads and round-trips.
-	got, err := ReadFile(path)
+	got, err := Read(bytes.NewReader(after))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +371,7 @@ func TestAtomicWriteFilePreservesOriginal(t *testing.T) {
 
 	// A failed write must also not clobber when no original exists.
 	fresh := dir + "/fresh.model"
-	if err := WriteFile(fresh, bad); err == nil {
+	if err := save(fresh, bad); err == nil {
 		t.Fatal("poisoned bundle accepted")
 	}
 	if _, err := os.Stat(fresh); !errors.Is(err, os.ErrNotExist) {

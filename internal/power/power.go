@@ -13,14 +13,10 @@
 //     ↔power table in the spirit of the SRAM measurements of Yang & Murmann
 //     (ISQED'17, the paper's ref [20]);
 //   - bit-width masking: dynamic class-memory and datapath energy scale
-//     with the effective bit-width bw/16;
-//   - technology scaling between CMOS nodes following Stillmaker & Baas
-//     (Integration'17, the paper's ref [21]), used to place prior
-//     accelerators on a common 14 nm footing.
+//     with the effective bit-width bw/16.
 package power
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/edge-hdc/generic/internal/sim"
@@ -125,13 +121,6 @@ var vosTable = []VOSPoint{
 	{0.80, 1e-3, 0.27, 0.64},
 	{0.75, 1e-2, 0.19, 0.56},
 	{0.70, 1e-1, 0.14, 0.49},
-}
-
-// VOSTable returns a copy of the model's operating points.
-func VOSTable() []VOSPoint {
-	out := make([]VOSPoint, len(vosTable))
-	copy(out, vosTable)
-	return out
 }
 
 // VOSForBER returns the operating point whose memories exhibit the given
@@ -332,39 +321,4 @@ func ProcEnergy(instructions, laneCycles, memReads int64, seconds float64) Repor
 		r.AvgPowerW = r.TotalJ / seconds
 	}
 	return r
-}
-
-// Stillmaker-Baas style energy-per-operation scaling factors by CMOS node,
-// normalized to 14 nm. Used to bring prior accelerators published at other
-// nodes onto GENERIC's node for Fig. 9's comparison, as the paper does with
-// its ref [21].
-var nodeEnergyFactor = map[int]float64{
-	180: 31.0,
-	130: 18.5,
-	90:  10.5,
-	65:  6.6,
-	45:  3.9,
-	40:  3.4,
-	32:  2.5,
-	28:  2.1,
-	22:  1.45,
-	16:  1.08,
-	14:  1.0,
-	10:  0.72,
-	7:   0.48,
-}
-
-// EnergyScale returns the multiplicative factor that converts an energy
-// measured at fromNM to the equivalent at toNM. Unknown nodes return an
-// error.
-func EnergyScale(fromNM, toNM int) (float64, error) {
-	f, ok := nodeEnergyFactor[fromNM]
-	if !ok {
-		return 0, fmt.Errorf("power: unknown node %d nm", fromNM)
-	}
-	t, ok := nodeEnergyFactor[toNM]
-	if !ok {
-		return 0, fmt.Errorf("power: unknown node %d nm", toNM)
-	}
-	return t / f, nil
 }

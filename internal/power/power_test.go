@@ -142,29 +142,6 @@ func TestVOSReducesEnergy(t *testing.T) {
 	}
 }
 
-func TestEnergyScale(t *testing.T) {
-	f, err := EnergyScale(28, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f >= 1 {
-		t.Errorf("scaling 28→14 nm must shrink energy, factor %v", f)
-	}
-	g, err := EnergyScale(14, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f*g-1) > 1e-12 {
-		t.Errorf("round-trip scaling = %v", f*g)
-	}
-	if _, err := EnergyScale(3, 14); err == nil {
-		t.Error("unknown node accepted")
-	}
-	if _, err := EnergyScale(14, 3); err == nil {
-		t.Error("unknown target node accepted")
-	}
-}
-
 func TestConfigNormalization(t *testing.T) {
 	st := referenceWorkload(t, 1)
 	a := Energy(st, Config{})
@@ -182,17 +159,6 @@ func TestInferenceEnergyOrderOfMagnitude(t *testing.T) {
 	nj := r.TotalJ * 1e9
 	if nj < 10 || nj > 1000 {
 		t.Errorf("per-inference energy = %.1f nJ, outside the plausible envelope", nj)
-	}
-}
-
-func TestVOSTableCopy(t *testing.T) {
-	tbl := VOSTable()
-	if len(tbl) < 5 {
-		t.Fatalf("table too short: %d", len(tbl))
-	}
-	tbl[0].StaticFactor = -1
-	if VOSTable()[0].StaticFactor == -1 {
-		t.Fatal("VOSTable returned shared storage")
 	}
 }
 

@@ -269,9 +269,6 @@ func (w *WAL) Reset() error {
 	return w.f.Sync()
 }
 
-// Sync forces buffered records to disk regardless of policy (shutdown).
-func (w *WAL) Sync() error { return w.f.Sync() }
-
 // Close syncs and closes the log.
 func (w *WAL) Close() error {
 	if err := w.f.Sync(); err != nil {

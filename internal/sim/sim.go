@@ -29,7 +29,6 @@ import (
 	"github.com/edge-hdc/generic/internal/faults"
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/rng"
-	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
 // Architectural constants (§4.1, §5.1).
@@ -201,7 +200,6 @@ func (a *Accelerator) addCycles(phase string, n int64) {
 		a.tracer.Event(phase, a.stats.Cycles, n)
 	}
 	a.stats.Cycles += n
-	telemetry.SimCycles.Add(n)
 }
 
 // New builds an accelerator for the spec with a [0,1] quantization range,
@@ -317,7 +315,6 @@ func (a *Accelerator) encodeCycles(overlapped int64) {
 		a.stats.IDGenerations += p * int64(a.spec.Features-a.spec.N+1) / M
 	}
 	a.stats.Encodings++
-	telemetry.SimEncodings.Inc()
 }
 
 // encode performs the functional encoding into a.q. With an input-memory
@@ -366,7 +363,6 @@ func (a *Accelerator) Infer(x []float64) int {
 	a.encodeCycles(int64(a.model.Classes())) // dot drain overlaps encoding
 	pred := a.scoreAll()
 	a.stats.Inferences++
-	telemetry.SimInferences.Inc()
 	return pred
 }
 
@@ -386,7 +382,6 @@ func (a *Accelerator) updateClassCycles() {
 	a.stats.ClassMemReads += int64(a.spec.D)
 	a.stats.ClassMemWrites += int64(a.spec.D)
 	a.stats.Updates++
-	telemetry.SimUpdates.Inc()
 }
 
 // TrainInit performs the first training round: every encoded input is
@@ -430,7 +425,6 @@ func (a *Accelerator) RetrainEpoch(X [][]float64, Y []int) int {
 		a.stats.ClassMemWrites += int64(a.spec.D)
 		pred := a.scoreAll()
 		a.stats.Inferences++
-		telemetry.SimInferences.Inc()
 		if pred != Y[i] {
 			a.model.Update(a.q, Y[i], pred)
 			a.updateClassCycles() // subtract from mispredicted class

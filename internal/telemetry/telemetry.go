@@ -1,9 +1,9 @@
 // Package telemetry is the runtime observability layer of the engine: cheap
 // always-on instruments (atomic counters, gauges, fixed-bucket latency
 // histograms) at every layer boundary — the Pipeline's served encode, score
-// and adapt, training, clustering, fault management, and the accelerator
-// simulation — plus a deterministic JSON exposition that cmd/generic-serve
-// publishes on GET /metrics. The per-sample encode and score kernels stay
+// and adapt, training, fault management, and the serving core — plus a
+// deterministic JSON exposition that cmd/generic-serve publishes on
+// GET /metrics. The per-sample encode and score kernels stay
 // pure: their callers time them.
 //
 // The package is stdlib-only and allocation-free on the hot path: a timed
@@ -16,15 +16,12 @@
 // operator dashboards, never model state, so replayability is unaffected.
 // Model-state code must keep drawing time only through explicit seeds.
 //
-// Exposition is expvar-compatible: Registry, Counter, Gauge, and Histogram
-// all implement the expvar.Var contract (String() returning valid JSON), so
-// a registry can be expvar.Publish'ed as one composite var. Keys are emitted
-// in sorted order and histograms list only their populated buckets, making
-// snapshots stable enough for golden tests.
+// Exposition (Registry.AppendJSON, Registry.WriteProm) emits keys in sorted
+// order and lists only a histogram's populated buckets, making snapshots
+// stable enough for golden tests.
 package telemetry
 
 import (
-	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -55,9 +52,6 @@ func (c *Counter) Inc()        { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// String renders the counter as its expvar JSON value.
-func (c *Counter) String() string { return strconv.FormatInt(c.Value(), 10) }
-
 func (c *Counter) appendJSON(b []byte) []byte { return strconv.AppendInt(b, c.Value(), 10) }
 func (c *Counter) reset()                     { c.v.Store(0) }
 
@@ -72,9 +66,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// String renders the gauge as its expvar JSON value.
-func (g *Gauge) String() string { return strconv.FormatInt(g.Value(), 10) }
 
 func (g *Gauge) appendJSON(b []byte) []byte { return strconv.AppendInt(b, g.Value(), 10) }
 func (g *Gauge) reset()                     { g.v.Store(0) }
@@ -214,9 +205,6 @@ func (h *Histogram) appendJSON(b []byte) []byte {
 	return append(b, `]}`...)
 }
 
-// String renders the histogram as its expvar JSON value.
-func (h *Histogram) String() string { return string(h.appendJSON(nil)) }
-
 func (h *Histogram) reset() {
 	h.sum.Store(0)
 	for i := range h.buckets {
@@ -301,15 +289,6 @@ func (r *Registry) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// String renders the registry snapshot as JSON (the expvar.Var contract).
-func (r *Registry) String() string { return string(r.AppendJSON(nil)) }
-
-// WriteJSON writes the snapshot to w, newline-terminated.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	_, err := w.Write(append(r.AppendJSON(nil), '\n'))
-	return err
-}
-
 // Reset zeroes every registered instrument (tests and serve restarts; the
 // instruments stay registered and all handles stay valid).
 func (r *Registry) Reset() {
@@ -329,7 +308,7 @@ var (
 	// Encoding: one observation per sample the Pipeline serves (a predict,
 	// single or batch, or an adapt), timing its encode alone; the encoders
 	// themselves record nothing. Batch-level counters come from
-	// EncodeAll/EncodeAllWorkers and the encoding pool.
+	// EncodeAll/EncodeAllWorkers.
 	EncodeNS           = Default.Histogram("encode_ns")
 	EncodeBatches      = Default.Counter("encode_batches_total")
 	EncodeBatchSamples = Default.Counter("encode_batch_samples_total")
@@ -350,10 +329,6 @@ var (
 	FitLossMicro = Default.Gauge("fit_loss_micro")
 	AdaptNS      = Default.Histogram("adapt_ns")
 	AdaptUpdates = Default.Counter("adapt_updates_total")
-
-	// Clustering: per-epoch scan latency and total sample assignments.
-	ClusterEpochNS = Default.Histogram("cluster_epoch_ns")
-	ClusterAssigns = Default.Counter("cluster_assignments_total")
 
 	// Fault layer: injection activity, scrub passes, and repair state.
 	FaultInjections  = Default.Counter("fault_injections_total")
@@ -379,12 +354,6 @@ var (
 	ServeDeadlines    = Default.Counter("serve_deadline_total")
 	ScrubLoopRuns     = Default.Counter("scrub_loop_runs_total")
 	ChaosInjections   = Default.Counter("chaos_injections_total")
-
-	// Accelerator sim: mirrors of the cycle-level activity counters.
-	SimCycles     = Default.Counter("sim_cycles_total")
-	SimEncodings  = Default.Counter("sim_encodings_total")
-	SimInferences = Default.Counter("sim_inferences_total")
-	SimUpdates    = Default.Counter("sim_updates_total")
 
 	// Model quality (internal/quality): the margin histogram reuses the
 	// nanosecond bucket machinery over margin micro-units (margin × 1e6, so

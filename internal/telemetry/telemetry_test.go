@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
 	"runtime"
 	"sync"
@@ -64,7 +63,7 @@ func TestConcurrentHammer(t *testing.T) {
 					t.Error("Counter re-registration returned a different handle")
 					return
 				}
-				_ = r.String() // concurrent exposition snapshot
+				_ = r.AppendJSON(nil) // concurrent exposition snapshot
 			}
 		}(w)
 	}
@@ -89,7 +88,7 @@ func TestConcurrentHammer(t *testing.T) {
 }
 
 // TestSnapshotGolden pins the exposition format byte for byte: sorted keys,
-// expvar-style scalar values, histograms with only populated buckets.
+// bare scalar values, histograms with only populated buckets.
 func TestSnapshotGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("predict_total").Add(3)
@@ -104,19 +103,12 @@ func TestSnapshotGolden(t *testing.T) {
 		`"predict_ns":{"count":4,"sum_ns":1099511629176,"buckets":[` +
 		`{"le_ns":512,"n":1},{"le_ns":1024,"n":2},{"le_ns":-1,"n":1}]},` +
 		`"predict_total":3}`
-	if got := r.String(); got != want {
+	got := r.AppendJSON(nil)
+	if string(got) != want {
 		t.Errorf("snapshot mismatch\n got: %s\nwant: %s", got, want)
 	}
-
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != want+"\n" {
-		t.Errorf("WriteJSON = %q, want %q", buf.String(), want+"\n")
-	}
 	var decoded map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(got, &decoded); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
 
@@ -124,7 +116,7 @@ func TestSnapshotGolden(t *testing.T) {
 	const zero = `{"fault_masked_lanes":0,` +
 		`"predict_ns":{"count":0,"sum_ns":0,"buckets":[]},` +
 		`"predict_total":0}`
-	if got := r.String(); got != zero {
+	if got := string(r.AppendJSON(nil)); got != zero {
 		t.Errorf("post-Reset snapshot = %s, want %s", got, zero)
 	}
 	if r.Histogram("predict_ns") != h {
@@ -152,8 +144,8 @@ func TestDefaultInstrumentsRegistered(t *testing.T) {
 	if Default.Histogram("predict_ns") != PredictNS {
 		t.Error("predict_ns not registered in Default")
 	}
-	if Default.Counter("sim_cycles_total") != SimCycles {
-		t.Error("sim_cycles_total not registered in Default")
+	if Default.Counter("wal_appends_total") != WALAppends {
+		t.Error("wal_appends_total not registered in Default")
 	}
 	if Default.Gauge("fault_masked_lanes") != FaultMaskedLanes {
 		t.Error("fault_masked_lanes not registered in Default")
