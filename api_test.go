@@ -1,6 +1,7 @@
 package generic_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -171,6 +172,9 @@ func TestKMeansValidation(t *testing.T) {
 		{"k zero", [][]float64{{0}, {1}}, 0, "k=0 out of range"},
 		{"empty set", nil, 1, "k=1 out of range [1,0]"},
 		{"ragged rows", [][]float64{{0, 0}, {1}, {2, 2}}, 2, "sample 1 has 1 features, sample 0 has 2"},
+		{"NaN feature", [][]float64{{math.NaN()}, {1}, {2}}, 2, "sample 0 feature 0: non-finite value NaN"},
+		{"+Inf feature", [][]float64{{0, 1}, {1, math.Inf(1)}, {2, 2}}, 2, "sample 1 feature 1: non-finite value +Inf"},
+		{"-Inf feature", [][]float64{{0}, {1}, {math.Inf(-1)}}, 2, "sample 2 feature 0: non-finite value -Inf"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,8 @@
 // Command generic-perf is the repository's benchmark harness: it runs a
 // registered suite over the engine's hot paths (GENERIC encoding single and
 // batch, batch prediction at several worker counts, a retraining epoch, the
-// accelerator cycle model, model-file round-trips) and writes the summary to
+// accelerator cycle model, model-file round-trips, and generic-serve's cold
+// start: the ISOLET load and self-train) and writes the summary to
 // BENCH_GENERIC.json — the machine-readable perf trajectory CI records on
 // every push to main.
 //
@@ -123,7 +124,9 @@ type bench struct {
 
 // buildSuite constructs the registered suite over shared fixtures: the EEG
 // benchmark (128 features, 2 classes) at D=2048, the paper's default
-// GENERIC encoding. Fixture construction is excluded from measurement.
+// GENERIC encoding, and for the cold-start entries ISOLET (128 features, 26
+// classes, 1,560 training rows) as generic-serve -dataset ISOLET trains it.
+// Fixture construction is excluded from measurement.
 func buildSuite() ([]*bench, error) {
 	const d = 2048
 	ds, err := generic.LoadDataset("EEG", 1)
@@ -173,6 +176,18 @@ func buildSuite() ([]*bench, error) {
 		return nil, err
 	}
 
+	// The daemon's cold start: generic-serve -dataset ISOLET loads the
+	// benchmark, then self-trains on its whole train split.
+	iso, err := generic.LoadDataset("ISOLET", 1)
+	if err != nil {
+		return nil, err
+	}
+	isoEnc, err := generic.EncoderForDataset(generic.Generic, iso, d, 1)
+	if err != nil {
+		return nil, err
+	}
+	isoOpts := generic.TrainOptions{Epochs: 20, Seed: 1, Workers: 2}
+
 	var buf bytes.Buffer
 	// Every single-sample entry rotates through the test set, so branch
 	// history does not overfit one sample and the encode, predict and
@@ -185,6 +200,10 @@ func buildSuite() ([]*bench, error) {
 	}
 
 	return []*bench{
+		{name: "dataset/load", op: func() error {
+			_, err := generic.LoadDataset("ISOLET", 1)
+			return err
+		}},
 		{name: "encode/generic/single", op: func() error {
 			encSingle.Encode(nextRow(), scratch)
 			return nil
@@ -221,6 +240,10 @@ func buildSuite() ([]*bench, error) {
 		{name: "fit/lehdc200", op: func() error {
 			_, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
 				generic.TrainOptions{Epochs: 1, Seed: 1, Trainer: "lehdc"})
+			return err
+		}},
+		{name: "fit/isolet", op: func() error {
+			_, err := generic.NewPipeline(isoEnc, iso.Classes).Fit(iso.TrainX, iso.TrainY, isoOpts)
 			return err
 		}},
 		{name: "sim/infer", op: func() error {

@@ -38,6 +38,7 @@ package generic
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/edge-hdc/generic/internal/classifier"
@@ -981,8 +982,9 @@ func Cluster(enc Encoder, X [][]float64, k, epochs int, opts ...Option) (*Cluste
 }
 
 // KMeans exposes the classical baseline clusterer (Lloyd's algorithm with
-// k-means++ seeding and restarts). k must lie in [1, len(X)] and every row
-// must have X[0]'s width.
+// k-means++ seeding and restarts). k must lie in [1, len(X)], every row
+// must have X[0]'s width, and every feature must be finite: one NaN or ±Inf
+// would make a centroid and the inertia NaN.
 func KMeans(X [][]float64, k, maxIter, restarts int, seed uint64) (*cluster.KMeansResult, error) {
 	if k < 1 || k > len(X) {
 		return nil, fmt.Errorf("generic: KMeans: k=%d out of range [1,%d]", k, len(X))
@@ -990,6 +992,11 @@ func KMeans(X [][]float64, k, maxIter, restarts int, seed uint64) (*cluster.KMea
 	for i, x := range X {
 		if len(x) != len(X[0]) {
 			return nil, fmt.Errorf("generic: KMeans: sample %d has %d features, sample 0 has %d", i, len(x), len(X[0]))
+		}
+		for j, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("generic: KMeans: sample %d feature %d: non-finite value %v", i, j, v)
+			}
 		}
 	}
 	return cluster.KMeansBest(X, k, maxIter, restarts, seed), nil

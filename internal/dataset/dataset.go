@@ -22,9 +22,11 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"github.com/edge-hdc/generic/internal/rng"
 )
@@ -155,22 +157,90 @@ func hashName(name string) uint64 {
 
 // computeRange sets Lo/Hi from the 0.5 and 99.5 percentiles of the training
 // values, so a handful of outliers cannot squash the quantization ladder.
+// The percentiles are the entries sort.Float64s would put at those indices,
+// found by two selections over one copy of the values instead of a sort.
 func (d *Dataset) computeRange() {
-	var all []float64
+	n := 0
 	for _, x := range d.TrainX {
-		all = append(all, x...)
+		n += len(x)
 	}
-	if len(all) == 0 {
+	if n == 0 {
 		d.Lo, d.Hi = 0, 1
 		return
 	}
-	sort.Float64s(all)
-	lo := all[len(all)/200]
-	hi := all[len(all)-1-len(all)/200]
+	all := make([]float64, 0, n)
+	for _, x := range d.TrainX {
+		all = append(all, x...)
+	}
+	k, m := n/200, n-1-n/200
+	hi := selectKth(all, m, 2*bits.Len(uint(n)))
+	// all[:m+1] now holds the m+1 smallest values, so the k-th smallest
+	// overall is the k-th smallest of them.
+	lo := selectKth(all[:m+1], k, 2*bits.Len(uint(m+1)))
 	if hi <= lo {
 		hi = lo + 1
 	}
 	d.Lo, d.Hi = lo, hi
+}
+
+// selectKth reorders x so that x[k] is a value sort.Float64s would put at
+// index k, no value of x[:k] sorts after it and none of x[k+1:] before it,
+// and returns x[k]. It is Floyd and Rivest's SELECT (CACM 1975, Algorithm
+// 489): each round first selects k within a window around it, about n^(2/3)
+// values wide, so that x[k] becomes a pivot near the k-th value, then
+// partitions the range around that pivot and keeps the side k is on. After
+// depth rounds it sorts what is left, so input built to defeat the pivot
+// still costs O(n log n).
+func selectKth(x []float64, k, depth int) float64 {
+	lo, hi := 0, len(x)-1
+	for ; lo < hi; depth-- {
+		if depth == 0 {
+			slices.Sort(x[lo : hi+1])
+			break
+		}
+		if hi-lo > 600 {
+			n, i := float64(hi-lo+1), float64(k-lo+1)
+			z := math.Log(n)
+			s := 0.5 * math.Exp(2*z/3)
+			sd := 0.5 * math.Sqrt(z*s*(n-s)/n)
+			if i < n/2 {
+				sd = -sd
+			}
+			l := max(lo, int(float64(k)-i*s/n+sd))
+			h := min(hi, int(float64(k)+(n-i)*s/n+sd))
+			selectKth(x[l:h+1], k-l, depth)
+		}
+		// Partition x[lo:hi+1] around t. The pivot sits at one end and a
+		// value on the other side of it at the other, so neither scan runs
+		// off the range.
+		t := x[k]
+		x[lo], x[k] = x[k], x[lo]
+		if cmp.Less(t, x[hi]) {
+			x[lo], x[hi] = x[hi], x[lo]
+		}
+		i, j := lo, hi
+		for i < j {
+			x[i], x[j] = x[j], x[i]
+			for i++; cmp.Less(x[i], t); i++ {
+			}
+			for j--; cmp.Less(t, x[j]); j-- {
+			}
+		}
+		// Move the pivot to its place j.
+		if !cmp.Less(x[lo], t) && !cmp.Less(t, x[lo]) {
+			x[lo], x[j] = x[j], x[lo]
+		} else {
+			j++
+			x[j], x[hi] = x[hi], x[j]
+		}
+		if j <= k {
+			lo = j + 1
+		}
+		if k <= j {
+			hi = j - 1
+		}
+	}
+	return x[k]
 }
 
 // TrainLen and TestLen report split sizes.

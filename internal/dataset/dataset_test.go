@@ -1,8 +1,13 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
+
+	"github.com/edge-hdc/generic/internal/rng"
 )
 
 func TestAllBenchmarksValid(t *testing.T) {
@@ -74,6 +79,107 @@ func TestRangeCoversData(t *testing.T) {
 		// Percentile clipping allows ~1% outside.
 		if float64(below)/float64(total) > 0.03 {
 			t.Errorf("%s: %.1f%% of train values outside [Lo,Hi]", name, 100*float64(below)/float64(total))
+		}
+	}
+}
+
+// sortedRange is the range computeRange must reproduce: the entries a full
+// sort of the training values puts at the 0.5 and 99.5 percentile indices.
+func sortedRange(X [][]float64) (lo, hi float64) {
+	var all []float64
+	for _, x := range X {
+		all = append(all, x...)
+	}
+	if len(all) == 0 {
+		return 0, 1
+	}
+	sort.Float64s(all)
+	lo, hi = all[len(all)/200], all[len(all)-1-len(all)/200]
+	if hi <= lo {
+		hi = lo + 1
+	}
+	return lo, hi
+}
+
+// TestComputeRangeMatchesSort holds every named benchmark's Lo/Hi to the
+// sorted percentiles bit for bit.
+func TestComputeRangeMatchesSort(t *testing.T) {
+	for _, name := range Names() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			ds := MustLoad(name, seed)
+			lo, hi := sortedRange(ds.TrainX)
+			if math.Float64bits(ds.Lo) != math.Float64bits(lo) || math.Float64bits(ds.Hi) != math.Float64bits(hi) {
+				t.Errorf("%s seed %d: range [%v,%v], sort gives [%v,%v]", name, seed, ds.Lo, ds.Hi, lo, hi)
+			}
+		}
+	}
+}
+
+// TestComputeRangeMatchesSortOnSlices runs the same check on slices whose
+// lengths straddle the first trimmed value (200), in shapes that stress a
+// selection: ties, signed zeros, constant values and columns, sorted and
+// reverse-sorted runs. Sort's order does not tell -0 from +0, so ranges are
+// compared as numbers. Each slice also checks selectKth's contract at a few
+// depths, down to the sort fallback at depth 0.
+func TestComputeRangeMatchesSortOnSlices(t *testing.T) {
+	r := rng.New(9)
+	shapes := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"normal", func(int, int) float64 { return r.NormFloat64() }},
+		{"ties", func(int, int) float64 { return float64(r.Intn(4) - 1) }},
+		{"signed zeros", func(int, int) float64 {
+			if r.Intn(8) == 0 {
+				return r.NormFloat64()
+			}
+			return math.Copysign(0, r.NormFloat64())
+		}},
+		{"constant", func(int, int) float64 { return 3.25 }},
+		{"constant columns", func(i, _ int) float64 {
+			if i%4 < 2 {
+				return float64(i%4) - 7
+			}
+			return r.NormFloat64()
+		}},
+		{"sorted", func(i, _ int) float64 { return float64(i) + r.Float64()/2 }},
+		{"reversed", func(i, n int) float64 { return float64(n-i) + r.Float64()/2 }},
+	}
+	for _, n := range []int{1, 199, 200, 201, 400, 4096} {
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("%s/%d", sh.name, n), func(t *testing.T) {
+				vals := make([]float64, n)
+				for i := range vals {
+					vals[i] = sh.gen(i, n)
+				}
+				d := &Dataset{}
+				for len(vals) > 0 {
+					w := min(4, len(vals))
+					d.TrainX = append(d.TrainX, vals[:w])
+					vals = vals[w:]
+				}
+				lo, hi := sortedRange(d.TrainX)
+				d.computeRange()
+				if d.Lo != lo || d.Hi != hi {
+					t.Fatalf("range [%v,%v], sort gives [%v,%v]", d.Lo, d.Hi, lo, hi)
+				}
+				all := slices.Concat(d.TrainX...)
+				sorted := slices.Clone(all)
+				sort.Float64s(sorted)
+				for _, depth := range []int{0, 1, 3, 64} {
+					for _, k := range []int{0, n / 200, n / 2, n - 1 - n/200, n - 1} {
+						x := slices.Clone(all)
+						if got := selectKth(x, k, depth); got != sorted[k] {
+							t.Fatalf("depth %d: selectKth(k=%d) = %v, sort gives %v", depth, k, got, sorted[k])
+						}
+						for i, v := range x {
+							if i < k && v > x[k] || i > k && v < x[k] {
+								t.Fatalf("depth %d k=%d: x[%d] = %v on the wrong side of %v", depth, k, i, v, x[k])
+							}
+						}
+					}
+				}
+			})
 		}
 	}
 }

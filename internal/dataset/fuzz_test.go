@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzReadCSV hardens the CSV loader: arbitrary input must yield an error
-// or a valid dataset with finite features and a finite range — never a
-// panic.
+// or a valid dataset with finite features and a finite range, the range of
+// a full sort — never a panic.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("0,1.0,2.0\n1,3.0,4.0\n0,1.1,2.1\n1,3.1,4.1\n", 0, false)
 	f.Add("h1,h2,label\n1.0,2.0,0\n3.0,4.0,1\n", 2, true)
@@ -29,6 +29,9 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if !finite(ds.Lo) || !finite(ds.Hi) {
 			t.Fatalf("accepted a non-finite range [%v,%v]", ds.Lo, ds.Hi)
+		}
+		if lo, hi := sortedRange(ds.TrainX); ds.Lo != lo || ds.Hi != hi {
+			t.Fatalf("range [%v,%v], sort gives [%v,%v]", ds.Lo, ds.Hi, lo, hi)
 		}
 		for _, X := range [][][]float64{ds.TrainX, ds.TestX} {
 			for _, x := range X {

@@ -56,27 +56,70 @@ func randomVecs(n, d int, r *rng.Rand) []*BinVec {
 	return vecs
 }
 
+// TestAccMatchesNaive bundles n = 0..600 random rows at D = 64 and 2048, so
+// bundles cross the 8-plane (n = 256) and 9-plane (n = 512) boundaries of the
+// readout. One accumulator per D serves every bundle, so planes and staging a
+// larger bundle left behind must not leak into a smaller one.
 func TestAccMatchesNaive(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw)%50 + 1
-		r := rng.New(seed)
-		const d = 256
+	for _, d := range []int{64, 2048} {
 		acc := NewAcc(d)
-		vecs := randomVecs(n, d, r)
-		bundle(acc, vecs)
-		want := naiveBipolar(vecs, d)
 		got := make(Vec, d)
-		acc.Bipolar(got)
-		for i := range want {
-			if got[i] != want[i] {
-				return false
+		f := func(seed uint64, nRaw uint16) bool {
+			n := int(nRaw) % 601
+			vecs := randomVecs(n, d, rng.New(seed))
+			bundle(acc, vecs)
+			acc.Bipolar(got)
+			want := naiveBipolar(vecs, d)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Logf("D=%d n=%d dim %d: Bipolar = %d, naive %d", d, n, i, got[i], want[i])
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatalf("D=%d: %v", d, err)
+		}
+	}
+}
+
+// FuzzAccBipolar holds both readouts to naiveBipolar on bundles built from
+// the fuzz bytes: n = nRaw mod 601 rows of D=128, read as one cyclic stream
+// of data (16 bytes per row; empty data gives zero rows). A short run of
+// 0xff bytes sets the same lanes in every row and drives their counts to n,
+// which random rows almost never reach. The first half of the bundle is then
+// re-bundled on the same accumulator, whose higher planes must not leak.
+func FuzzAccBipolar(f *testing.F) {
+	f.Add(uint16(600), []byte{0xff})
+	f.Add(uint16(256), []byte{0xff, 0x0f, 0x00})
+	f.Add(uint16(255), []byte{0x55, 0xaa, 0xff, 0x01, 0x80})
+	f.Add(uint16(512), []byte{})
+	f.Fuzz(func(t *testing.T, nRaw uint16, data []byte) {
+		const d = 128
+		vecs := make([]*BinVec, int(nRaw)%601)
+		pos := 0
+		for i := range vecs {
+			vecs[i] = NewBinVec(d)
+			if len(data) == 0 {
+				continue
+			}
+			for w := range vecs[i].Words() {
+				var word uint64
+				for b := 0; b < 8; b++ {
+					word |= uint64(data[pos%len(data)]) << (8 * b)
+					pos++
+				}
+				vecs[i].Words()[w] = word
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+		acc := NewAcc(d)
+		bundle(acc, vecs)
+		checkReadouts(t, acc, vecs, d)
+		half := vecs[:len(vecs)/2]
+		bundle(acc, half)
+		checkReadouts(t, acc, half, d)
+	})
 }
 
 // TestAccEdgeCases runs bundle sizes around the carry-save tree's edges —
