@@ -1,6 +1,8 @@
 package generic_test
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -31,6 +33,9 @@ func TestFitValidation(t *testing.T) {
 		{"label high", 2, good, []int{0, 2}, "label 2 at sample 1 out of range"},
 		{"label negative", 2, good, []int{-1, 0}, "label -1 at sample 0 out of range"},
 		{"too few classes", 1, good, []int{0, 0}, "at least 2 classes"},
+		{"NaN feature", 2, [][]float64{{0, 0, 1, 1}, {1, math.NaN(), 0, 0}}, []int{0, 1}, "Fit: sample 1 feature 1: non-finite value NaN"},
+		{"+Inf feature", 2, [][]float64{{0, 0, 1, math.Inf(1)}, {1, 1, 0, 0}}, []int{0, 1}, "Fit: sample 0 feature 3: non-finite value +Inf"},
+		{"-Inf feature", 2, [][]float64{{0, 0, 1, 1}, {math.Inf(-1), 1, 0, 0}}, []int{0, 1}, "Fit: sample 1 feature 0: non-finite value -Inf"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,9 +99,9 @@ func TestAccuracyLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestPredictShapeValidation: a wrong feature width is an error at every
-// inference entry point, not an encoding panic; Adapt also rejects labels
-// outside the class range.
+// TestPredictShapeValidation: a wrong feature width or a non-finite feature
+// is an error at every inference entry point, not an encoding panic or a
+// silent answer; Adapt also rejects labels outside the class range.
 func TestPredictShapeValidation(t *testing.T) {
 	p, X, Y := trainableProblem(t)
 	if _, err := p.Fit(X, Y, generic.TrainOptions{Epochs: 2, Seed: 1}); err != nil {
@@ -118,8 +123,57 @@ func TestPredictShapeValidation(t *testing.T) {
 	if _, _, err := p.Adapt(X[0], 2); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("Adapt with label 2 of 2 classes: err = %v", err)
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := append([]float64(nil), X[0]...)
+		bad[5] = v
+		want := fmt.Sprintf("feature 5: non-finite value %v", v)
+		if _, err := p.Predict(bad); err == nil || !strings.Contains(err.Error(), "Predict: input "+want) {
+			t.Errorf("Predict with %v: err = %v", v, err)
+		}
+		if _, _, err := p.PredictMargin(bad); err == nil || !strings.Contains(err.Error(), "PredictMargin: input "+want) {
+			t.Errorf("PredictMargin with %v: err = %v", v, err)
+		}
+		if _, err := p.PredictAll([][]float64{X[0], bad}); err == nil || !strings.Contains(err.Error(), "sample 1 "+want) {
+			t.Errorf("PredictAll with %v: err = %v", v, err)
+		}
+		if _, err := p.Accuracy([][]float64{bad}, []int{0}); err == nil || !strings.Contains(err.Error(), "sample 0 "+want) {
+			t.Errorf("Accuracy with %v: err = %v", v, err)
+		}
+	}
 	if _, _, err := p.Adapt(X[0], Y[0]); err != nil {
 		t.Errorf("valid Adapt errored: %v", err)
+	}
+}
+
+// TestAdaptRejectsNonFinite: an Adapt on a row with a NaN or ±Inf feature
+// is an error and leaves the model as it was. Each row is labelled against
+// its own prediction, so the update would happen if the row were accepted.
+func TestAdaptRejectsNonFinite(t *testing.T) {
+	p, X, Y := trainableProblem(t)
+	if _, err := p.Fit(X, Y, generic.TrainOptions{Epochs: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var before bytes.Buffer
+	if err := p.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := append([]float64(nil), X[0]...)
+		bad[2] = v
+		pred, updated, err := p.Adapt(bad, 1-Y[0])
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("Adapt: input feature 2: non-finite value %v", v)) {
+			t.Errorf("Adapt with %v = (%d, %v, %v), want a non-finite error", v, pred, updated, err)
+		}
+		if updated {
+			t.Errorf("Adapt with %v reported an update", v)
+		}
+	}
+	var after bytes.Buffer
+	if err := p.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("a rejected Adapt changed the model")
 	}
 }
 
@@ -142,6 +196,9 @@ func TestClusterValidation(t *testing.T) {
 		{"empty set", nil, 1, "k=1 out of range [1,0]"},
 		{"narrow row", narrow, 2, "sample 3 has 3 features, encoder expects 8"},
 		{"wide row", wide, 2, "sample 3 has 9 features, encoder expects 8"},
+		{"NaN feature", withFeature(X[:4], 2, 6, math.NaN()), 2, "Cluster: sample 2 feature 6: non-finite value NaN"},
+		{"+Inf feature", withFeature(X[:4], 0, 0, math.Inf(1)), 2, "Cluster: sample 0 feature 0: non-finite value +Inf"},
+		{"-Inf feature", withFeature(X[:4], 3, 7, math.Inf(-1)), 2, "Cluster: sample 3 feature 7: non-finite value -Inf"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,6 +216,14 @@ func TestClusterValidation(t *testing.T) {
 	if res, err := generic.Cluster(enc, X, 2, 0); err != nil || res.Epochs != 1 {
 		t.Fatalf("Cluster with 0 epochs = (%+v, %v), want one epoch run", res, err)
 	}
+}
+
+// withFeature returns a copy of X whose sample i has feature j set to v.
+func withFeature(X [][]float64, i, j int, v float64) [][]float64 {
+	out := append([][]float64(nil), X...)
+	out[i] = append([]float64(nil), X[i]...)
+	out[i][j] = v
+	return out
 }
 
 func TestKMeansValidation(t *testing.T) {

@@ -124,8 +124,9 @@ type bench struct {
 
 // buildSuite constructs the registered suite over shared fixtures: the EEG
 // benchmark (128 features, 2 classes) at D=2048, the paper's default
-// GENERIC encoding, and for the cold-start entries ISOLET (128 features, 26
-// classes, 1,560 training rows) as generic-serve -dataset ISOLET trains it.
+// GENERIC encoding, for the cold-start entries ISOLET (128 features, 26
+// classes, 1,560 training rows) as generic-serve -dataset ISOLET trains it,
+// and for fit/dense 400 EMG rows under RP encoding.
 // Fixture construction is excluded from measurement.
 func buildSuite() ([]*bench, error) {
 	const d = 2048
@@ -188,6 +189,19 @@ func buildSuite() ([]*bench, error) {
 	}
 	isoOpts := generic.TrainOptions{Epochs: 20, Seed: 1, Workers: 2}
 
+	// An update-dense retraining epoch: about half of these EMG rows update
+	// under RP encoding, so the epoch rarely leaves its serial loop.
+	emg, err := generic.LoadDataset("EMG", 1)
+	if err != nil {
+		return nil, err
+	}
+	emgEnc, err := generic.EncoderForDataset(generic.RP, emg, d, 1)
+	if err != nil {
+		return nil, err
+	}
+	denseX, denseY := generic.Encode(emgEnc, emg.TrainX[:400]), emg.TrainY[:400]
+	denseOpts := generic.TrainOptions{Epochs: 1, Seed: 1, Workers: 2}
+
 	var buf bytes.Buffer
 	// Every single-sample entry rotates through the test set, so branch
 	// history does not overfit one sample and the encode, predict and
@@ -240,6 +254,10 @@ func buildSuite() ([]*bench, error) {
 		{name: "fit/lehdc200", op: func() error {
 			_, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
 				generic.TrainOptions{Epochs: 1, Seed: 1, Trainer: "lehdc"})
+			return err
+		}},
+		{name: "fit/dense", op: func() error {
+			_, _, err := classifier.Train(denseX, denseY, emg.Classes, denseOpts)
 			return err
 		}},
 		{name: "fit/isolet", op: func() error {

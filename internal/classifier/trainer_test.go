@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,21 +46,34 @@ func TestPerceptronGoldenBytes(t *testing.T) {
 
 // TestTrainerDeterminismAcrossWorkers is the table-driven determinism suite:
 // for every registered strategy, the same seed must produce a bit-identical
-// model for Workers ∈ {1, 2, 8}, and re-running at the same worker count
-// must reproduce the model exactly.
+// model and training record for Workers ∈ {1, 2, 8}, and re-running at the
+// same worker count must reproduce them exactly. Three perceptron cases
+// cover the speculative epoch: an update-dense set (about 42% of samples
+// update each epoch, so it rarely leaves the serial loop), a clean D=2048
+// set whose whole epoch is scored in blocks, and a sparse one whose blocks
+// end at a misprediction (22, 4 and 4 updates before it converges).
 func TestTrainerDeterminismAcrossWorkers(t *testing.T) {
+	type set struct {
+		d, nC, perClass int
+		noise           float64
+	}
+	base := set{256, 6, 25, 0.4}
 	cases := []struct {
 		trainer string
 		opt     Options
+		set     set
 	}{
-		{"perceptron", Options{Epochs: 5, Seed: 7}},
-		{"lehdc", Options{Epochs: 5, Seed: 7}},
-		{"lehdc", Options{Epochs: 4, Seed: 11, BW: 8, LR: 0.1, LRDecay: 0.9, BatchSize: 5}},
+		{"perceptron", Options{Epochs: 5, Seed: 7}, base},
+		{"lehdc", Options{Epochs: 5, Seed: 7}, base},
+		{"lehdc", Options{Epochs: 4, Seed: 11, BW: 8, LR: 0.1, LRDecay: 0.9, BatchSize: 5}, base},
+		{"perceptron", Options{Epochs: 3, Seed: 7}, set{256, 10, 300, 0.45}},
+		{"perceptron", Options{Epochs: 3, Seed: 7}, set{2048, 4, 150, 0.3}},
+		{"perceptron", Options{Epochs: 5, Seed: 7}, set{1024, 8, 100, 0.47}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.trainer, func(t *testing.T) {
 			r := rng.New(21)
-			train, labels, _ := syntheticEncoded(r, 256, 6, 25, 0.4)
+			train, labels, _ := syntheticEncoded(r, tc.set.d, tc.set.nC, tc.set.perClass, tc.set.noise)
 			opt := tc.opt
 			opt.Trainer = tc.trainer
 
@@ -67,7 +81,7 @@ func TestTrainerDeterminismAcrossWorkers(t *testing.T) {
 			var wantRes TrainResult
 			for _, workers := range []int{1, 1, 2, 8} {
 				opt.Workers = workers
-				m, res, err := Train(train, labels, 6, opt)
+				m, res, err := Train(train, labels, tc.set.nC, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,8 +96,7 @@ func TestTrainerDeterminismAcrossWorkers(t *testing.T) {
 				if got != want {
 					t.Errorf("workers=%d: model bytes differ from serial run", workers)
 				}
-				if res.EpochsRun != wantRes.EpochsRun || res.FinalUpdates != wantRes.FinalUpdates ||
-					res.FinalLoss != wantRes.FinalLoss {
+				if !reflect.DeepEqual(res, wantRes) {
 					t.Errorf("workers=%d: TrainResult differs: %+v vs %+v", workers, res, wantRes)
 				}
 			}

@@ -20,7 +20,9 @@ import (
 // register-resident weight-1/2/4 counter words plus one weight-8 word, and
 // only that weight-8 word ripples into the bit-sliced high counter planes
 // (count bits 3 and up). One memory-plane visit per eight rows replaces a
-// ripple-carry add per row.
+// ripple-carry add per row. On amd64 with AVX2 an assembly kernel runs the
+// same tree and readouts over 256 lanes at a time (acc_amd64.go); the Go
+// code here is its reference and takes whatever the kernel does not.
 type Acc struct {
 	d, nw int
 	n     int      // rows in the current bundle
@@ -30,6 +32,9 @@ type Acc struct {
 	// k of its 64 lanes' counts. A count of n rows needs bits.Len(n) planes,
 	// and no int needs more than 64.
 	cnt [64]uint64
+	// ymm is the AVX2 kernel's scratch: the transposed counts of a column,
+	// or the threshold masks of MajorityInto.
+	ymm [8][4]uint64
 }
 
 // NewAcc returns an accumulator of d dimensions. Its staging is sized by
@@ -140,7 +145,7 @@ func (a *Acc) Bipolar(dst []int32) {
 	mustSameDim("Acc.Bipolar", len(dst), a.d)
 	n := int32(a.n)
 	var t [8]uint64
-	for w := 0; w < a.nw; w++ {
+	for w := a.bipolarKernel(dst); w < a.nw; w++ {
 		out := (*[WordBits]int32)(dst[w*WordBits:])
 		planes := a.count(w)
 		transposePlanes(&t, planes)
@@ -219,7 +224,7 @@ func transposePlanes(t *[8]uint64, planes []uint64) {
 func (a *Acc) MajorityInto(out *BinVec) {
 	mustSameDim("Acc.MajorityInto", out.d, a.d)
 	thr := uint64(a.n+1) / 2
-	for w := range out.words {
+	for w := a.majorityKernel(out); w < len(out.words); w++ {
 		borrow := uint64(0)
 		for k, c := range a.count(w) {
 			t := -(thr >> uint(k) & 1) // all ones where the threshold has bit k

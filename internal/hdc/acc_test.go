@@ -48,6 +48,26 @@ func checkReadouts(t *testing.T, acc *Acc, vecs []*BinVec, d int) {
 	}
 }
 
+// forEachBundlePath runs f once on the pure-Go bundle path and, where the
+// CPU has AVX2, once more with the assembly kernels, restoring the gate
+// after. Tests that call it must not run in parallel.
+func forEachBundlePath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	hasKernel := useAVX2
+	defer func() { useAVX2 = hasKernel }()
+	for _, on := range []bool{false, true} {
+		if on && !hasKernel {
+			continue
+		}
+		useAVX2 = on
+		name := "go"
+		if on {
+			name = "avx2"
+		}
+		t.Run(name, f)
+	}
+}
+
 func randomVecs(n, d int, r *rng.Rand) []*BinVec {
 	vecs := make([]*BinVec, n)
 	for i := range vecs {
@@ -56,37 +76,42 @@ func randomVecs(n, d int, r *rng.Rand) []*BinVec {
 	return vecs
 }
 
-// TestAccMatchesNaive bundles n = 0..600 random rows at D = 64 and 2048, so
-// bundles cross the 8-plane (n = 256) and 9-plane (n = 512) boundaries of the
-// readout. One accumulator per D serves every bundle, so planes and staging a
-// larger bundle left behind must not leak into a smaller one.
+// TestAccMatchesNaive bundles n = 0..600 random rows at D = 64, 192, 320 and
+// 2048 on both bundle paths, so bundles cross the 8-plane (n = 256) and
+// 9-plane (n = 512) boundaries of the readout, and at D = 320 the kernel's
+// column sits beside a word the Go path reads out. One accumulator per D
+// serves every bundle, so planes and staging a larger bundle left behind
+// must not leak into a smaller one.
 func TestAccMatchesNaive(t *testing.T) {
-	for _, d := range []int{64, 2048} {
-		acc := NewAcc(d)
-		got := make(Vec, d)
-		f := func(seed uint64, nRaw uint16) bool {
-			n := int(nRaw) % 601
-			vecs := randomVecs(n, d, rng.New(seed))
-			bundle(acc, vecs)
-			acc.Bipolar(got)
-			want := naiveBipolar(vecs, d)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Logf("D=%d n=%d dim %d: Bipolar = %d, naive %d", d, n, i, got[i], want[i])
-					return false
+	forEachBundlePath(t, func(t *testing.T) {
+		for _, d := range []int{64, 192, 320, 2048} {
+			acc := NewAcc(d)
+			got := make(Vec, d)
+			f := func(seed uint64, nRaw uint16) bool {
+				n := int(nRaw) % 601
+				vecs := randomVecs(n, d, rng.New(seed))
+				bundle(acc, vecs)
+				acc.Bipolar(got)
+				want := naiveBipolar(vecs, d)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Logf("D=%d n=%d dim %d: Bipolar = %d, naive %d", d, n, i, got[i], want[i])
+						return false
+					}
 				}
+				return true
 			}
-			return true
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Fatalf("D=%d: %v", d, err)
+			}
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
-	}
+	})
 }
 
-// FuzzAccBipolar holds both readouts to naiveBipolar on bundles built from
-// the fuzz bytes: n = nRaw mod 601 rows of D=128, read as one cyclic stream
-// of data (16 bytes per row; empty data gives zero rows). A short run of
+// FuzzAccBipolar holds both readouts of both bundle paths to naiveBipolar on
+// bundles built from the fuzz bytes: n = nRaw mod 601 rows of D=320 (one
+// kernel column and one Go word), read as one cyclic stream of data (40
+// bytes per row; empty data gives zero rows). A short run of
 // 0xff bytes sets the same lanes in every row and drives their counts to n,
 // which random rows almost never reach. The first half of the bundle is then
 // re-bundled on the same accumulator, whose higher planes must not leak.
@@ -96,7 +121,7 @@ func FuzzAccBipolar(f *testing.F) {
 	f.Add(uint16(255), []byte{0x55, 0xaa, 0xff, 0x01, 0x80})
 	f.Add(uint16(512), []byte{})
 	f.Fuzz(func(t *testing.T, nRaw uint16, data []byte) {
-		const d = 128
+		const d = 320
 		vecs := make([]*BinVec, int(nRaw)%601)
 		pos := 0
 		for i := range vecs {
@@ -113,39 +138,65 @@ func FuzzAccBipolar(f *testing.F) {
 				vecs[i].Words()[w] = word
 			}
 		}
-		acc := NewAcc(d)
-		bundle(acc, vecs)
-		checkReadouts(t, acc, vecs, d)
-		half := vecs[:len(vecs)/2]
-		bundle(acc, half)
-		checkReadouts(t, acc, half, d)
+		forEachBundlePath(t, func(t *testing.T) {
+			acc := NewAcc(d)
+			bundle(acc, vecs)
+			checkReadouts(t, acc, vecs, d)
+			half := vecs[:len(vecs)/2]
+			bundle(acc, half)
+			checkReadouts(t, acc, half, d)
+		})
 	})
 }
 
-// TestAccEdgeCases runs bundle sizes around the carry-save tree's edges —
-// empty, one short of a block, one block, one past it, and plane-count
-// boundaries — on one accumulator, so staging and high planes left by a
-// larger bundle must not leak into a smaller one. The 1000-row bundle with
-// a single shared bit drives every count of one lane to 1000, which needs
-// ten planes; the 5-row bundle after it needs none.
+// TestAccEdgeCases runs bundle sizes around the carry-save tree's edges on
+// both bundle paths — empty, every n up to two blocks (each n mod 8 tail),
+// one short of a block, one block, one past it, and the 8- and 9-plane
+// boundaries (n = 255, 256, 511, 512) — on one accumulator per D, so staging
+// and high planes left by a larger bundle must not leak into a smaller one.
+// The 1000-row bundle with a single shared bit drives every count of one
+// lane to 1000, which needs ten planes; the 5-row bundle after it needs
+// none. D = 192 has no kernel column, 320 one beside a Go word, 2048 eight.
 func TestAccEdgeCases(t *testing.T) {
-	const d = 192 // three words: the high planes are reused across words
-	r := rng.New(5)
-	acc := NewAcc(d)
-
-	big := make([]*BinVec, 1000)
-	for i := range big {
-		big[i] = RandomBinVec(d, r)
-		big[i].SetBit(7, 1)
+	sizes := []int{5, 0}
+	for n := 1; n <= 17; n++ {
+		sizes = append(sizes, n)
 	}
-	bundle(acc, big)
-	checkReadouts(t, acc, big, d)
+	sizes = append(sizes, 63, 64, 65, 127, 128, 129, 254, 255, 256, 257, 511, 512, 513, 255, 5)
+	forEachBundlePath(t, func(t *testing.T) {
+		for _, d := range []int{192, 320, 2048} {
+			r := rng.New(5)
+			acc := NewAcc(d)
 
-	for _, n := range []int{5, 0, 7, 8, 9, 255, 256, 5} {
-		vecs := randomVecs(n, d, r)
-		bundle(acc, vecs)
-		checkReadouts(t, acc, vecs, d)
-	}
+			big := make([]*BinVec, 1000)
+			for i := range big {
+				big[i] = RandomBinVec(d, r)
+				big[i].SetBit(7, 1)
+			}
+			bundle(acc, big)
+			checkReadouts(t, acc, big, d)
+
+			for _, n := range sizes {
+				vecs := randomVecs(n, d, r)
+				bundle(acc, vecs)
+				checkReadouts(t, acc, vecs, d)
+			}
+
+			// Every lane of every row set: each count reaches n, the top
+			// of what n rows can hold.
+			for _, n := range []int{7, 8, 127, 128, 255, 256} {
+				vecs := make([]*BinVec, n)
+				for i := range vecs {
+					vecs[i] = NewBinVec(d)
+					for w := range vecs[i].Words() {
+						vecs[i].Words()[w] = ^uint64(0)
+					}
+				}
+				bundle(acc, vecs)
+				checkReadouts(t, acc, vecs, d)
+			}
+		}
+	})
 }
 
 func TestAccBipolar(t *testing.T) {
@@ -214,20 +265,24 @@ func TestAccMajorityRecovery(t *testing.T) {
 }
 
 func TestAccLargeCountPlaneGrowth(t *testing.T) {
-	const d = 64
-	acc := NewAcc(d)
-	const n = 1000
-	acc.Reset(n)
-	for i := 0; i < n; i++ {
-		v := acc.Row(i)
-		v.CopyFrom(NewBinVec(d))
-		v.SetBit(7, 1)
-	}
-	out := make([]int32, d)
-	acc.Bipolar(out)
-	if out[7] != n || out[8] != -n {
-		t.Fatalf("dims 7, 8 = %d, %d, want %d, %d", out[7], out[8], n, -n)
-	}
+	forEachBundlePath(t, func(t *testing.T) {
+		for _, d := range []int{64, 256} {
+			acc := NewAcc(d)
+			for _, n := range []int{255, 1000} {
+				acc.Reset(n)
+				for i := 0; i < n; i++ {
+					v := acc.Row(i)
+					v.CopyFrom(NewBinVec(d))
+					v.SetBit(7, 1)
+				}
+				out := make([]int32, d)
+				acc.Bipolar(out)
+				if out[7] != int32(n) || out[8] != -int32(n) {
+					t.Fatalf("D=%d n=%d: dims 7, 8 = %d, %d, want %d, %d", d, n, out[7], out[8], n, -n)
+				}
+			}
+		}
+	})
 }
 
 func TestMajorityIntoMatchesBipolarPackSigns(t *testing.T) {

@@ -147,21 +147,54 @@ func (v *BinVec) Equal(o *BinVec) bool {
 	return true
 }
 
-// XorInto stores a ⊕ b into dst. All three must share a dimensionality;
-// dst may alias a or b.
-func XorInto(dst, a, b *BinVec) {
-	mustSameDim("XorInto", a.d, dst.d)
-	mustSameDim("XorInto", b.d, dst.d)
-	for i := range dst.words {
-		dst.words[i] = a.words[i] ^ b.words[i]
+// XorInto stores the XOR of srcs into dst: with two sources it is the bind
+// a ⊕ b, XorInto(dst, dst, v) folds v into dst, and the windowed encoders
+// bind a whole window in one call. There must be at least one source, every
+// source must share dst's dimensionality, and dst may alias any of them.
+//
+//generic:hotpath
+func XorInto(dst *BinVec, srcs ...*BinVec) {
+	if len(srcs) == 0 {
+		panic("hdc: XorInto with no sources")
 	}
+	for _, s := range srcs {
+		mustSameDim("XorInto", s.d, dst.d)
+	}
+	xorRows(dst.words, srcs)
 }
 
-// XorAccumulate folds v into dst: dst ^= v.
-func XorAccumulate(dst, v *BinVec) {
-	mustSameDim("XorAccumulate", v.d, dst.d)
-	for i := range dst.words {
-		dst.words[i] ^= v.words[i]
+// xorRowsRef is xorRows' reference from word from on. Every source's word
+// is read before dst's is written, so dst may alias a source. The common
+// window shapes get their own loops: two sources (a bind, or level-id's
+// level and id), three (an n = 3 window) and four (a window and its id).
+//
+//generic:hotpath
+func xorRowsRef(dst []uint64, srcs []*BinVec, from int) {
+	n := len(dst)
+	switch len(srcs) {
+	case 2:
+		a, b := srcs[0].words[:n], srcs[1].words[:n]
+		for w := from; w < n; w++ {
+			dst[w] = a[w] ^ b[w]
+		}
+	case 3:
+		a, b, c := srcs[0].words[:n], srcs[1].words[:n], srcs[2].words[:n]
+		for w := from; w < n; w++ {
+			dst[w] = a[w] ^ b[w] ^ c[w]
+		}
+	case 4:
+		a, b, c, d := srcs[0].words[:n], srcs[1].words[:n], srcs[2].words[:n], srcs[3].words[:n]
+		for w := from; w < n; w++ {
+			dst[w] = a[w] ^ b[w] ^ c[w] ^ d[w]
+		}
+	default:
+		for w := from; w < n; w++ {
+			x := srcs[0].words[w]
+			for _, s := range srcs[1:] {
+				x ^= s.words[w]
+			}
+			dst[w] = x
+		}
 	}
 }
 

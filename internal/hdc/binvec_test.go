@@ -204,7 +204,8 @@ func TestBinVecDimensionGuards(t *testing.T) {
 		"PackSigns":            func() { a.PackSigns(NewVec(128)) },
 		"Unpack":               func() { a.Unpack(NewVec(128)) },
 		"XorInto":              func() { XorInto(a, a, b) },
-		"XorAccumulate":        func() { XorAccumulate(a, b) },
+		"XorInto/fourth":       func() { XorInto(a, a, a, a, b) },
+		"XorInto/no sources":   func() { XorInto(a) },
 		"RotateInto":           func() { RotateInto(a, b, 1) },
 		"RotateInto/unaligned": func() { RotateInto(NewBinVec(100), NewBinVec(100), 1) },
 	} {
@@ -286,17 +287,41 @@ func TestXorAliasingSafe(t *testing.T) {
 	}
 }
 
-func TestXorAccumulate(t *testing.T) {
-	r := rng.New(4)
-	a := RandomBinVec(testD, r)
-	b := RandomBinVec(testD, r)
-	want := NewBinVec(testD)
-	XorInto(want, a, b)
-	got := a.Clone()
-	XorAccumulate(got, b)
-	if !got.Equal(want) {
-		t.Fatal("XorAccumulate != XorInto")
-	}
+// TestXorIntoSources holds XorInto to a per-bit XOR over 1 to 10 sources on
+// both paths: D = 64 and 192 have no kernel word, 320 and 2112 a kernel
+// part beside a Go word, 2048 one whole 32-word chunk, and 2304 a chunk
+// plus one single-register step. dst aliases each source position in turn,
+// and an unaliased run checks that dst's old contents do not leak.
+func TestXorIntoSources(t *testing.T) {
+	forEachBundlePath(t, func(t *testing.T) {
+		r := rng.New(6)
+		for _, d := range []int{64, 192, 320, 2048, 2112, 2304} {
+			for k := 1; k <= 10; k++ {
+				srcs := randomVecs(k, d, r)
+				want := NewBinVec(d)
+				for i := 0; i < d; i++ {
+					b := 0
+					for _, s := range srcs {
+						b ^= s.Bit(i)
+					}
+					want.SetBit(i, b)
+				}
+				got := RandomBinVec(d, r)
+				XorInto(got, srcs...)
+				if !got.Equal(want) {
+					t.Fatalf("D=%d k=%d: XorInto differs from the per-bit XOR", d, k)
+				}
+				for a := range srcs {
+					aliased := append([]*BinVec(nil), srcs...)
+					aliased[a] = srcs[a].Clone()
+					XorInto(aliased[a], aliased...)
+					if !aliased[a].Equal(want) {
+						t.Fatalf("D=%d k=%d: XorInto with dst aliasing source %d gave a wrong result", d, k, a)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestRotatePreservesBitsExactPositions(t *testing.T) {
@@ -431,10 +456,10 @@ func FuzzBinVecPackHamming(f *testing.F) {
 			t.Fatalf("D=%d: OnesCount(a⊕b) = %d, Hamming = %d", d, x.OnesCount(), a.Hamming(b))
 		}
 		y := x.Clone()
-		XorAccumulate(y, b)
-		XorAccumulate(y, b)
+		XorInto(y, y, b)
+		XorInto(y, y, b)
 		if !y.Equal(x) {
-			t.Fatalf("D=%d: XorAccumulate twice is not the identity", d)
+			t.Fatalf("D=%d: folding b in twice is not the identity", d)
 		}
 	})
 }
