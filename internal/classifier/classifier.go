@@ -34,11 +34,12 @@ type Options struct {
 	// width during accumulation, like the accelerator's 16-bit memories.
 	// Zero means 16.
 	BW int
-	// Workers bounds the parallelism of the batch phases of training (the
-	// initialization bundling and norm refresh). Zero or negative means
-	// GOMAXPROCS; 1 forces the serial path. Retraining stays sequential
-	// regardless — its per-sample update order is part of the algorithm —
-	// so results are bit-identical for every worker count.
+	// Workers bounds the parallelism of training: the initialization
+	// bundling and norm refresh, and the perceptron's retraining, which is
+	// scored ahead on the workers and applied in serial order. Zero or
+	// negative means GOMAXPROCS; 1 forces the serial path. The per-sample
+	// update order is part of the algorithm and is kept, so results are
+	// bit-identical for every worker count.
 	Workers int
 	// Trainer selects the training strategy by registry name (see
 	// TrainerNames): "" or "perceptron" is the paper's one-shot+perceptron
