@@ -248,16 +248,16 @@ func buildSuite() ([]*bench, error) {
 		}},
 		{name: "fit/epoch200", op: func() error {
 			_, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
-				generic.TrainOptions{Epochs: 1, Seed: 1})
+				generic.TrainOptions{Epochs: 1, Seed: 1}, nil)
 			return err
 		}},
 		{name: "fit/lehdc200", op: func() error {
 			_, _, err := classifier.Train(encodedVecs, fitY, ds.Classes,
-				generic.TrainOptions{Epochs: 1, Seed: 1, Trainer: "lehdc"})
+				generic.TrainOptions{Epochs: 1, Seed: 1, Trainer: "lehdc"}, nil)
 			return err
 		}},
 		{name: "fit/dense", op: func() error {
-			_, _, err := classifier.Train(denseX, denseY, emg.Classes, denseOpts)
+			_, _, err := classifier.Train(denseX, denseY, emg.Classes, denseOpts, nil)
 			return err
 		}},
 		{name: "fit/isolet", op: func() error {

@@ -69,9 +69,10 @@ func run(args []string) (err error) {
 	defer func() { err = errors.Join(err, profiles.Stop()) }()
 	*seed = chooseSeed(*seed)
 	fmt.Printf("seed: %d (rerun with -seed %d to reproduce)\n", *seed, *seed)
-	// printAccuracy prints p's accuracy on (X, Y) as a percentage after label.
-	printAccuracy := func(label string, p *generic.Pipeline, X [][]float64, Y []int) error {
-		acc, err := p.Accuracy(X, Y, generic.WithWorkers(*workers))
+	// printAccuracy prints p's accuracy on (X, Y) under opts as a percentage
+	// after label.
+	printAccuracy := func(label string, p *generic.Pipeline, X [][]float64, Y []int, opts ...generic.Option) error {
+		acc, err := p.Accuracy(X, Y, append(opts, generic.WithWorkers(*workers))...)
 		if err == nil {
 			fmt.Printf("%s%.2f%%\n", label, 100*acc)
 		}
@@ -146,18 +147,9 @@ func run(args []string) (err error) {
 		}
 	}
 	if *dims > 0 {
-		correct := 0
-		for i, x := range ds.TestX {
-			pred, err := p.Predict(x, generic.WithDims(*dims))
-			if err != nil {
-				return err
-			}
-			if pred == ds.TestY[i] {
-				correct++
-			}
+		if err := printAccuracy(fmt.Sprintf("test accuracy @ %d dims: ", *dims), p, ds.TestX, ds.TestY, generic.WithDims(*dims)); err != nil {
+			return err
 		}
-		fmt.Printf("test accuracy @ %d dims: %.2f%%\n", *dims,
-			100*float64(correct)/float64(ds.TestLen()))
 	}
 	if *binar {
 		if err := p.Binarize(); err != nil {

@@ -69,18 +69,11 @@ func main() {
 	// 4. Edge deployments can trade accuracy for energy on demand: score
 	//    only a prefix of the dimensions (the accelerator's on-demand
 	//    dimension reduction) without retraining anything.
-	correct := 0
-	for i, x := range testX {
-		pred, err := p.Predict(x, generic.WithDims(1024))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if pred == testY[i] {
-			correct++
-		}
+	accDims, err := p.Accuracy(testX, testY, generic.WithDims(1024))
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("accuracy @ 1024 of 2048 dims: %.1f%%\n",
-		100*float64(correct)/float64(len(testX)))
+	fmt.Printf("accuracy @ 1024 of 2048 dims: %.1f%%\n", 100*accDims)
 
 	// 5. For the cheapest inference, binarize: classes collapse to packed
 	//    sign bits and prediction becomes XOR + popcount. Binarize switches

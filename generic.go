@@ -131,7 +131,7 @@ type TrainResult = classifier.TrainResult
 // EpochStat is one epoch's entry in a TrainResult.
 type EpochStat = classifier.EpochStat
 
-// Trainers returns the registered training-strategy names ("lehdc",
+// Trainers returns the selectable training-strategy names ("lehdc",
 // "perceptron"), sorted. The empty name selects the default (perceptron).
 func Trainers() []string { return classifier.TrainerNames() }
 
@@ -317,7 +317,7 @@ type pipeState struct {
 type PipelineOption func(*Pipeline)
 
 // WithTrainer sets the pipeline's default training strategy (see Trainers
-// for the registered names). A per-call TrainOptions.Trainer still wins; an
+// for the selectable names). A per-call TrainOptions.Trainer still wins; an
 // unknown name surfaces as an error from Fit, not here.
 func WithTrainer(name string) PipelineOption {
 	return func(p *Pipeline) { p.trainer = name }
@@ -377,11 +377,19 @@ func (p *Pipeline) Fit(X [][]float64, Y []int, opt TrainOptions) (TrainResult, e
 	encoded := encoding.EncodeAllWorkers(p.enc, X, opt.Workers)
 	esp.End()
 	tsp := sp.Child("train")
-	m, res, err := classifier.Train(encoded, Y, p.classes, opt)
+	start := telemetry.Now()
+	m, res, err := classifier.Train(encoded, Y, p.classes, opt, tsp)
 	tsp.End()
 	sp.End()
 	if err != nil {
 		return TrainResult{}, err
+	}
+	telemetry.FitNS.ObserveSince(start)
+	telemetry.FitEpochs.Add(int64(res.EpochsRun))
+	telemetry.FitSamples.Add(int64(len(X)))
+	for _, e := range res.Epochs {
+		telemetry.FitUpdates.Add(int64(e.Updates))
+		telemetry.FitLossMicro.Set(int64(e.Loss * 1e6))
 	}
 	p.model = m
 	p.trainer = res.Trainer
@@ -932,10 +940,14 @@ func (p *Pipeline) InjectFaults(spec FaultSpec) (int, error) {
 	if err := p.trained("InjectFaults"); err != nil {
 		return 0, err
 	}
-	n, err := p.faultController().Inject(spec)
+	ctl := p.faultController()
+	n, err := ctl.Inject(spec)
 	if err != nil {
 		return n, err
 	}
+	telemetry.FaultInjections.Inc()
+	telemetry.FaultBits.Add(int64(n))
+	telemetry.FaultPending.Set(int64(ctl.Health().PendingFaults))
 	if spec.Site == faults.SiteLevel || spec.Site == faults.SiteID {
 		// Pooled encoder clones predate the corruption; rebuild them from
 		// the primary encoder's now-corrupted material.
@@ -960,7 +972,13 @@ func (p *Pipeline) Scrub() (FaultScrubReport, error) {
 		return FaultScrubReport{}, err
 	}
 	sp := perf.Begin("pipeline.scrub")
-	rep := p.faultController().Scrub()
+	ctl := p.faultController()
+	start := telemetry.Now()
+	rep := ctl.Scrub()
+	telemetry.ScrubNS.ObserveSince(start)
+	telemetry.Scrubs.Inc()
+	telemetry.FaultPending.Set(0)
+	telemetry.FaultMaskedLanes.Set(int64(ctl.MaskedLaneCount()))
 	p.resetStates()
 	if p.bmodel != nil {
 		p.bmodel = classifier.Binarize(p.model)
@@ -1115,12 +1133,5 @@ func EncoderForDataset(kind EncodingKind, ds *Dataset, d int, seed uint64) (Enco
 	if ds == nil {
 		return nil, fmt.Errorf("generic: nil dataset")
 	}
-	n := 3
-	if ds.Features < n {
-		n = ds.Features
-	}
-	return encoding.New(kind, encoding.Config{
-		D: d, Features: ds.Features, Bins: 64, Lo: ds.Lo, Hi: ds.Hi,
-		N: n, UseID: ds.UseID, Seed: seed,
-	})
+	return encoding.New(kind, dataset.EncoderConfig(ds, d, seed))
 }

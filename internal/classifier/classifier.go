@@ -15,7 +15,6 @@ import (
 
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
-	"github.com/edge-hdc/generic/internal/perf"
 )
 
 // SubNormGranularity is the dimension granularity at which GENERIC stores
@@ -41,9 +40,9 @@ type Options struct {
 	// update order is part of the algorithm and is kept, so results are
 	// bit-identical for every worker count.
 	Workers int
-	// Trainer selects the training strategy by registry name (see
-	// TrainerNames): "" or "perceptron" is the paper's one-shot+perceptron
-	// path, "lehdc" the learned-classifier strategy.
+	// Trainer selects the training strategy by name (see TrainerNames):
+	// "" or "perceptron" is the paper's one-shot+perceptron path, "lehdc"
+	// the learned-classifier strategy.
 	Trainer string
 	// LR is the LeHDC initial learning rate (zero means 0.5); LRDecay the
 	// per-epoch multiplicative decay (zero means 0.95); BatchSize the
@@ -389,8 +388,6 @@ func (m *Model) Clone() *Model {
 // Scoring only reads the model, so any worker count yields identical
 // results; the model must not be mutated concurrently.
 func (m *Model) PredictDimsBatch(encoded []hdc.Vec, dims int, updatedNorms bool, workers int) []int {
-	sp := perf.Begin("score.batch")
-	defer sp.End()
 	out := make([]int, len(encoded))
 	parallel.For(workers, len(encoded), func(_, i int) {
 		out[i], _, _ = m.PredictDimsMargin(encoded[i], dims, updatedNorms)

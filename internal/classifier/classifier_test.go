@@ -55,7 +55,7 @@ func TestNewModelValidation(t *testing.T) {
 // mustTrain is Train failing the test or benchmark on its error.
 func mustTrain(t testing.TB, encoded []hdc.Vec, labels []int, nC int, opt Options) (*Model, TrainResult) {
 	t.Helper()
-	m, res, err := Train(encoded, labels, nC, opt)
+	m, res, err := Train(encoded, labels, nC, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/rng"
-	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
 // lehdcTemp is the softmax temperature (inverse): logits are cosine-scaled
@@ -18,7 +17,7 @@ const lehdcTemp = 8.0
 // lehdcMomentum is the SGD velocity coefficient.
 const lehdcMomentum = 0.9
 
-// LeHDCTrainer trains the class hypervectors as a learned linear classifier
+// trainLeHDC trains the class hypervectors as a learned linear classifier
 // (LeHDC: "Learning-Based Hyperdimensional Computing Classifier", DAC'22 —
 // see PAPERS.md): float32 shadow weights are initialized from the one-shot
 // bundled model and refined by mini-batch softmax/cross-entropy gradient
@@ -39,15 +38,7 @@ const lehdcMomentum = 0.9
 // order-independent integer sums); everything after it — shuffling, logits,
 // gradient accumulation, weight updates — runs sequentially in shuffle
 // order, so the model is bit-identical for every Options.Workers value.
-type LeHDCTrainer struct{}
-
-// Name implements Trainer.
-func (LeHDCTrainer) Name() string { return "lehdc" }
-
-// Train implements Trainer.
-func (LeHDCTrainer) Train(encoded []hdc.Vec, labels []int, nC int, opt Options) (*Model, TrainResult) {
-	sp := perf.Begin("fit")
-	defer sp.End()
+func trainLeHDC(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.Span) (*Model, TrainResult) {
 	m := bundleClasses(encoded, labels, nC, opt, sp)
 	d := m.d
 
@@ -88,7 +79,7 @@ func (LeHDCTrainer) Train(encoded []hdc.Vec, labels []int, nC int, opt Options) 
 	probs := make([]float64, nC)
 
 	lr := opt.LR
-	res := TrainResult{}
+	res := TrainResult{Trainer: "lehdc"}
 	for e := 0; e < opt.Epochs; e++ {
 		epochSpan := sp.Child("fit.epoch.lehdc")
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -162,8 +153,6 @@ func (LeHDCTrainer) Train(encoded []hdc.Vec, labels []int, nC int, opt Options) 
 		res.FinalUpdates = wrong
 		res.FinalLoss = loss
 		res.Epochs = append(res.Epochs, EpochStat{Epoch: e + 1, Updates: wrong, Loss: loss, LR: lr})
-		telemetry.FitUpdates.Add(int64(wrong))
-		telemetry.FitLossMicro.Set(int64(loss * 1e6))
 		epochSpan.End()
 		lr *= opt.LRDecay
 		// No early stop at wrong == 0: unlike the perceptron (for which zero

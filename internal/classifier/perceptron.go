@@ -7,29 +7,20 @@ import (
 	"github.com/edge-hdc/generic/internal/parallel"
 	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/rng"
-	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
-// PerceptronTrainer is the paper's training strategy (Fig. 1): one-shot
+// trainPerceptron is the paper's training strategy (Fig. 1): one-shot
 // class bundling followed by opt.Epochs perceptron-style retraining passes —
 // Model.Adapt on each shuffled sample, which on misprediction subtracts the
 // encoding from the wrong class and adds it to the correct one. The result
 // is locked bit-identical to the pre-strategy trainer by the golden test in
-// trainer_test.go.
+// trainer_test.go. Its inputs are validated by Train.
 //
 // The per-sample update order is part of the algorithm, so retraining is
 // scored ahead on the opt.Workers workers and applied in serial order (see
 // epoch); with the fanned initialization bundling, results are
 // bit-identical for every worker count.
-type PerceptronTrainer struct{}
-
-// Name implements Trainer.
-func (PerceptronTrainer) Name() string { return "perceptron" }
-
-// Train implements Trainer.
-func (PerceptronTrainer) Train(encoded []hdc.Vec, labels []int, nC int, opt Options) (*Model, TrainResult) {
-	sp := perf.Begin("fit")
-	defer sp.End()
+func trainPerceptron(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.Span) (*Model, TrainResult) {
 	m := bundleClasses(encoded, labels, nC, opt, sp)
 
 	r := rng.New(opt.Seed)
@@ -42,7 +33,7 @@ func (PerceptronTrainer) Train(encoded []hdc.Vec, labels []int, nC int, opt Opti
 	if workers > 1 {
 		preds = make([]int, specMaxBlock)
 	}
-	res := TrainResult{}
+	res := TrainResult{Trainer: "perceptron"}
 	for e := 0; e < opt.Epochs; e++ {
 		epochSpan := sp.Child("fit.epoch")
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -52,8 +43,6 @@ func (PerceptronTrainer) Train(encoded []hdc.Vec, labels []int, nC int, opt Opti
 		res.FinalUpdates = updates
 		res.FinalLoss = loss
 		res.Epochs = append(res.Epochs, EpochStat{Epoch: e + 1, Updates: updates, Loss: loss, LR: 1})
-		telemetry.FitUpdates.Add(int64(updates))
-		telemetry.FitLossMicro.Set(int64(loss * 1e6))
 		epochSpan.End()
 		if updates == 0 {
 			break

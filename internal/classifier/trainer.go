@@ -2,32 +2,11 @@ package classifier
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
 	"github.com/edge-hdc/generic/internal/perf"
-	"github.com/edge-hdc/generic/internal/telemetry"
 )
-
-// A Trainer is a pluggable training strategy: it turns pre-encoded
-// hypervectors into a *Model carrying the accelerator's bw-saturated int
-// class representation. Every strategy must honor the package's determinism
-// contract — same inputs, same Options.Seed ⇒ bit-identical model for every
-// Options.Workers value — and must leave the model with refreshed norms so
-// scoring, Quantize, fault injection and modelio consume its output
-// unmodified.
-//
-// Train may assume its inputs were validated (by classifier.Train): encoded
-// is nonempty with uniform dimensionality divisible by SubNormGranularity,
-// len(encoded) == len(labels), and every label lies in [0, nC).
-type Trainer interface {
-	// Name returns the registry name used for selection ("perceptron",
-	// "lehdc"); it is recorded in TrainResult.Trainer.
-	Name() string
-	// Train builds a model and reports how training went.
-	Train(encoded []hdc.Vec, labels []int, nC int, opt Options) (*Model, TrainResult)
-}
 
 // EpochStat records one training epoch's statistics — the per-epoch view
 // that dimension-scoring (DistHD-style) and training dashboards consume.
@@ -61,58 +40,34 @@ type TrainResult struct {
 	Epochs []EpochStat
 }
 
-// trainerFactories is the strategy registry. The empty name selects the
-// paper's perceptron strategy, keeping zero-valued Options meaning "train
-// exactly as the paper does".
-var trainerFactories = map[string]func() Trainer{
-	"":           func() Trainer { return PerceptronTrainer{} },
-	"perceptron": func() Trainer { return PerceptronTrainer{} },
-	"lehdc":      func() Trainer { return LeHDCTrainer{} },
-}
-
-// NewTrainer resolves a strategy name from the registry.
-func NewTrainer(name string) (Trainer, error) {
-	f, ok := trainerFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("classifier: unknown trainer %q (known: %v)", name, TrainerNames())
-	}
-	return f(), nil
-}
-
 // TrainerNames returns the selectable strategy names, sorted.
-func TrainerNames() []string {
-	keys := make([]string, 0, len(trainerFactories))
-	for name := range trainerFactories {
-		keys = append(keys, name)
-	}
-	sort.Strings(keys)
-	names := keys[:0]
-	for _, name := range keys {
-		if name != "" { // the "" alias of the default strategy is not selectable
-			names = append(names, name)
-		}
-	}
-	return names
-}
+func TrainerNames() []string { return []string{"lehdc", "perceptron"} }
 
 // Train is the canonical training entry point: it validates the training
-// set, resolves the strategy selected by opt.Trainer, and dispatches.
-func Train(encoded []hdc.Vec, labels []int, nC int, opt Options) (*Model, TrainResult, error) {
+// set, then runs the strategy opt.Trainer names — "" or "perceptron" the
+// paper's (trainPerceptron), "lehdc" the learned classifier (trainLeHDC) —
+// and records it in TrainResult.Trainer. The strategies' spans (fit.init,
+// fit.epoch, fit.epoch.lehdc, fit.quantize) are children of sp, which is
+// nil when the caller does not trace; Train records nothing else.
+//
+// Every strategy honors the package's determinism contract — same inputs,
+// same Options.Seed ⇒ bit-identical model for every Options.Workers value —
+// and leaves the model with refreshed norms, so scoring, Quantize, fault
+// injection and modelio consume its output unmodified.
+func Train(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.Span) (*Model, TrainResult, error) {
 	opt = opt.withDefaults()
 	if err := validateTraining(encoded, labels, nC); err != nil {
 		return nil, TrainResult{}, err
 	}
-	tr, err := NewTrainer(opt.Trainer)
-	if err != nil {
-		return nil, TrainResult{}, err
+	switch opt.Trainer {
+	case "", "perceptron":
+		m, res := trainPerceptron(encoded, labels, nC, opt, sp)
+		return m, res, nil
+	case "lehdc":
+		m, res := trainLeHDC(encoded, labels, nC, opt, sp)
+		return m, res, nil
 	}
-	start := telemetry.Now()
-	m, res := tr.Train(encoded, labels, nC, opt)
-	res.Trainer = tr.Name()
-	telemetry.FitEpochs.Add(int64(res.EpochsRun))
-	telemetry.FitSamples.Add(int64(len(encoded)))
-	telemetry.FitNS.ObserveSince(start)
-	return m, res, nil
+	return nil, TrainResult{}, fmt.Errorf("classifier: unknown trainer %q (known: %v)", opt.Trainer, TrainerNames())
 }
 
 // validateTraining checks the encoded set's shape upfront — mirroring

@@ -81,7 +81,7 @@ func TestTrainerDeterminismAcrossWorkers(t *testing.T) {
 			var wantRes TrainResult
 			for _, workers := range []int{1, 1, 2, 8} {
 				opt.Workers = workers
-				m, res, err := Train(train, labels, tc.set.nC, opt)
+				m, res, err := Train(train, labels, tc.set.nC, opt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func TestTrainValidation(t *testing.T) {
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := Train(tc.encoded, tc.labels, tc.nC, tc.opt)
+			_, _, err := Train(tc.encoded, tc.labels, tc.nC, tc.opt, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("Train error = %v, want substring %q", err, tc.wantSub)
 			}
@@ -135,17 +135,16 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
-// TestTrainerNames pins the registry surface the CLIs enumerate.
+// TestTrainerNames pins the strategy names the CLIs enumerate and the
+// empty name's resolution to the default strategy.
 func TestTrainerNames(t *testing.T) {
 	names := TrainerNames()
 	if len(names) != 2 || names[0] != "lehdc" || names[1] != "perceptron" {
 		t.Fatalf("TrainerNames() = %v", names)
 	}
-	if _, err := NewTrainer(""); err != nil {
-		t.Fatalf("empty trainer name must resolve to the default: %v", err)
-	}
-	if _, err := NewTrainer("nope"); err == nil {
-		t.Fatal("unknown trainer name accepted")
+	train, labels, _ := syntheticEncoded(rng.New(1), 256, 3, 4, 0.2)
+	if _, res, err := Train(train, labels, 3, Options{Epochs: 1}, nil); err != nil || res.Trainer != "perceptron" {
+		t.Fatalf("empty trainer name trained %q (err %v), want the perceptron default", res.Trainer, err)
 	}
 }
 
@@ -156,7 +155,7 @@ func TestLeHDCOutputIsDeployable(t *testing.T) {
 	r := rng.New(33)
 	train, labels, _ := syntheticEncoded(r, 512, 4, 20, 0.3)
 	for _, bw := range []int{16, 8, 4} {
-		m, res, err := Train(train, labels, 4, Options{Epochs: 6, Seed: 3, BW: bw, Trainer: "lehdc"})
+		m, res, err := Train(train, labels, 4, Options{Epochs: 6, Seed: 3, BW: bw, Trainer: "lehdc"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +192,7 @@ func TestLeHDCOutputIsDeployable(t *testing.T) {
 func TestLeHDCLossDecreases(t *testing.T) {
 	r := rng.New(5)
 	train, labels, _ := syntheticEncoded(r, 256, 6, 30, 0.4)
-	_, res, err := Train(train, labels, 6, Options{Epochs: 8, Seed: 2, Trainer: "lehdc"})
+	_, res, err := Train(train, labels, 6, Options{Epochs: 8, Seed: 2, Trainer: "lehdc"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

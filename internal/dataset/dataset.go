@@ -28,6 +28,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"github.com/edge-hdc/generic/internal/encoding"
 	"github.com/edge-hdc/generic/internal/rng"
 )
 
@@ -86,6 +87,17 @@ type Dataset struct {
 	// hypervectors for this benchmark. The paper sets id = 0 for
 	// applications where global window order is uninformative (§3.1).
 	UseID bool
+}
+
+// EncoderConfig returns the encoder configuration the experiments use for
+// ds at dimensionality d: the paper's 64 levels, windows of n = 3 features
+// (fewer when ds has fewer), ds's quantization range, and its prescribed id
+// setting (UseID, §3.1).
+func EncoderConfig(ds *Dataset, d int, seed uint64) encoding.Config {
+	return encoding.Config{
+		D: d, Features: ds.Features, Bins: 64, Lo: ds.Lo, Hi: ds.Hi,
+		N: min(3, ds.Features), UseID: ds.UseID, Seed: seed,
+	}
 }
 
 // names lists the classification benchmarks in the paper's Table 1 order.

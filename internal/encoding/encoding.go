@@ -20,9 +20,7 @@ import (
 
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
-	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/rng"
-	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
 // Kind selects an encoding family.
@@ -227,10 +225,6 @@ func EncodeAll(e Encoder, X [][]float64) []hdc.Vec { return EncodeAllWorkers(e, 
 // batch. One worker, or a batch too small to amortize the clones, encodes
 // serially with e.
 func EncodeAllWorkers(e Encoder, X [][]float64, workers int) []hdc.Vec {
-	sp := perf.Begin("encode.batch")
-	defer sp.End()
-	telemetry.EncodeBatches.Inc()
-	telemetry.EncodeBatchSamples.Add(int64(len(X)))
 	encs := []Encoder{e}
 	if w := parallel.Workers(workers); w > 1 && len(X) >= 2*w {
 		encs = make([]Encoder, w)

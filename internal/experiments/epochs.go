@@ -37,7 +37,7 @@ func EpochSaturation(cfg Config) (*EpochCurve, error) {
 		if err != nil {
 			return err
 		}
-		enc, err := encoderFor(encoding.Generic, ds, cfg.D, cfg.Seed)
+		enc, err := encoding.New(encoding.Generic, dataset.EncoderConfig(ds, cfg.D, cfg.Seed))
 		if err != nil {
 			return err
 		}
@@ -46,7 +46,7 @@ func EpochSaturation(cfg Config) (*EpochCurve, error) {
 		for _, e := range res.Epochs {
 			m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{
 				Epochs: e, Seed: cfg.Seed, Workers: cfg.Workers,
-			})
+			}, nil)
 			if err != nil {
 				return err
 			}

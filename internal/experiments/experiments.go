@@ -67,21 +67,6 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// encoderFor builds the encoder of the given kind for a dataset, honoring
-// the per-application id setting the paper prescribes for the GENERIC
-// encoding (§3.1: id hypervectors are zeroed where global window order is
-// uninformative).
-func encoderFor(kind encoding.Kind, ds *dataset.Dataset, d int, seed uint64) (encoding.Encoder, error) {
-	n := 3
-	if ds.Features < n {
-		n = ds.Features
-	}
-	return encoding.New(kind, encoding.Config{
-		D: d, Features: ds.Features, Bins: 64, Lo: ds.Lo, Hi: ds.Hi,
-		N: n, UseID: ds.UseID, Seed: seed,
-	})
-}
-
 // encodeAndTrain encodes both splits of ds with enc and trains a full-D
 // model on the training split with cfg's epochs, seed and workers. It
 // returns the model, the encoded test split, and Train's error.
@@ -90,7 +75,7 @@ func encodeAndTrain(enc encoding.Encoder, ds *dataset.Dataset, cfg Config) (*cla
 	testH := encoding.EncodeAllWorkers(enc, ds.TestX, cfg.Workers)
 	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{
 		Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: cfg.Workers,
-	})
+	}, nil)
 	return m, testH, err
 }
 

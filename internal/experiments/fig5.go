@@ -43,7 +43,7 @@ func Figure5(cfg Config) (*Fig5Result, error) {
 		if err != nil {
 			return err
 		}
-		enc, err := encoderFor(encoding.Generic, ds, cfg.D, cfg.Seed)
+		enc, err := encoding.New(encoding.Generic, dataset.EncoderConfig(ds, cfg.D, cfg.Seed))
 		if err != nil {
 			return err
 		}

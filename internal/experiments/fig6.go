@@ -54,7 +54,7 @@ func Figure6(cfg Config) (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		enc, err := encoderFor(encoding.Generic, ds, cfg.D, cfg.Seed)
+		enc, err := encoding.New(encoding.Generic, dataset.EncoderConfig(ds, cfg.D, cfg.Seed))
 		if err != nil {
 			return nil, err
 		}

@@ -92,7 +92,7 @@ func Resilience(cfg Config) (*ResilienceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc, err := encoderFor(encoding.Generic, ds, cfg.D, cfg.Seed)
+	enc, err := encoding.New(encoding.Generic, dataset.EncoderConfig(ds, cfg.D, cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

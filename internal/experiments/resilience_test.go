@@ -112,13 +112,13 @@ func TestBankFailureUnderTwoPointsAtD4096(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := encoderFor(encoding.Generic, ds, d, seed)
+	enc, err := encoding.New(encoding.Generic, dataset.EncoderConfig(ds, d, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	trainH := encoding.EncodeAllWorkers(enc, ds.TrainX, 0)
 	testH := encoding.EncodeAllWorkers(enc, ds.TestX, 0)
-	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 5, Seed: seed, Workers: 0})
+	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 5, Seed: seed, Workers: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

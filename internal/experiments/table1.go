@@ -58,7 +58,7 @@ func table1Dataset(name string, cfg Config) (Table1Row, error) {
 
 	// HDC encodings.
 	hdcAcc := func(kind encoding.Kind) (float64, error) {
-		enc, err := encoderFor(kind, ds, cfg.D, cfg.Seed+uint64(kind)*7919)
+		enc, err := encoding.New(kind, dataset.EncoderConfig(ds, cfg.D, cfg.Seed+uint64(kind)*7919))
 		if err != nil {
 			return 0, err
 		}

@@ -91,7 +91,7 @@ func trainersDataset(name string, cfg Config) (TrainersRow, error) {
 		return TrainersRow{}, err
 	}
 	d := trainersD(cfg)
-	enc, err := encoderFor(encoding.Generic, ds, d, cfg.Seed)
+	enc, err := encoding.New(encoding.Generic, dataset.EncoderConfig(ds, d, cfg.Seed))
 	if err != nil {
 		return TrainersRow{}, err
 	}
@@ -101,7 +101,7 @@ func trainersDataset(name string, cfg Config) (TrainersRow, error) {
 	for _, trainer := range []string{"perceptron", "lehdc"} {
 		m, res, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{
 			Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: cfg.Workers, Trainer: trainer,
-		})
+		}, nil)
 		if err != nil {
 			return row, err
 		}

@@ -7,9 +7,7 @@ import (
 	"github.com/edge-hdc/generic/internal/classifier"
 	"github.com/edge-hdc/generic/internal/encoding"
 	"github.com/edge-hdc/generic/internal/hdc"
-	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/rng"
-	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
 // ErrNoIDMemory is returned when a SiteID spec targets an encoder without id
@@ -129,9 +127,6 @@ func (c *Controller) Inject(spec Spec) (int, error) {
 	c.injectedBits += n
 	c.pending++
 	c.history = append(c.history, spec.String())
-	telemetry.FaultInjections.Inc()
-	telemetry.FaultBits.Add(int64(n))
-	telemetry.FaultPending.Set(int64(c.pending))
 	return n, nil
 }
 
@@ -185,9 +180,6 @@ func (r ScrubReport) String() string {
 // Without an active guard (nothing injected since the last legitimate
 // mutation) the class memory is trusted as-is; step 3 still runs.
 func (c *Controller) Scrub() ScrubReport {
-	start := telemetry.Now()
-	sp := perf.Begin("faults.scrub")
-	defer sp.End()
 	var rep ScrubReport
 	if c.enc != nil {
 		c.enc.Regenerate()
@@ -239,10 +231,6 @@ func (c *Controller) Scrub() ScrubReport {
 	c.model.RefreshAllNorms()
 	c.guard = NewGuard(c.model)
 	c.pending = 0
-	telemetry.Scrubs.Inc()
-	telemetry.FaultPending.Set(0)
-	telemetry.FaultMaskedLanes.Set(int64(c.MaskedLaneCount()))
-	telemetry.ScrubNS.ObserveSince(start)
 	return rep
 }
 

@@ -49,7 +49,7 @@ func newHarness(t *testing.T, kind encoding.Kind, useID bool) *harness {
 		encoded[i] = make(hdc.Vec, enc.D())
 		enc.Encode(x, encoded[i])
 	}
-	m, _, err := classifier.Train(encoded, Y, 2, classifier.Options{Epochs: 3, Seed: 9})
+	m, _, err := classifier.Train(encoded, Y, 2, classifier.Options{Epochs: 3, Seed: 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

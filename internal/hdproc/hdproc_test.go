@@ -76,7 +76,7 @@ func TestInferMatchesClassifier(t *testing.T) {
 	}
 	enc := encoding.MustNew(encoding.Generic, cfg)
 	trainH := encoding.EncodeAll(enc, ds.TrainX)
-	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 10, Seed: 1})
+	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 10, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

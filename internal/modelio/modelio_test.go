@@ -24,7 +24,7 @@ func trainedBundle(t *testing.T) *Bundle {
 	}
 	enc := encoding.MustNew(encoding.Generic, cfg)
 	trainH := encoding.EncodeAll(enc, ds.TrainX[:200])
-	m, _, err := classifier.Train(trainH, ds.TrainY[:200], ds.Classes, classifier.Options{Epochs: 3, Seed: 1})
+	m, _, err := classifier.Train(trainH, ds.TrainY[:200], ds.Classes, classifier.Options{Epochs: 3, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

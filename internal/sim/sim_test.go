@@ -75,7 +75,7 @@ func TestInferMatchesSoftwareArgmax(t *testing.T) {
 
 	enc := acc.Encoder()
 	trainH := encoding.EncodeAll(enc, ds.TrainX)
-	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 5, Seed: 1})
+	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 5, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestLoadModelQuantizes(t *testing.T) {
 	spec.BW = 4
 	acc := MustNewWithRange(spec, 7, ds.Lo, ds.Hi)
 	trainH := encoding.EncodeAll(acc.Encoder(), ds.TrainX[:100])
-	m, _, err := classifier.Train(trainH, ds.TrainY[:100], ds.Classes, classifier.Options{Epochs: 2})
+	m, _, err := classifier.Train(trainH, ds.TrainY[:100], ds.Classes, classifier.Options{Epochs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

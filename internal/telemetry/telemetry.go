@@ -298,8 +298,10 @@ func (r *Registry) Reset() {
 	}
 }
 
-// Default is the process-wide registry every instrumented package records
-// into; cmd/generic-serve exposes it on /metrics.
+// Default is the process-wide registry. The generic Pipeline, the serving
+// core (internal/serve), the quality observer and the commands record into
+// it; the kernels and the packages under them do not. cmd/generic-serve
+// exposes it on /metrics.
 var Default = NewRegistry()
 
 // The canonical instruments, one handle per hot path. Metric names are part
@@ -307,16 +309,14 @@ var Default = NewRegistry()
 var (
 	// Encoding: one observation per sample the Pipeline serves (a predict,
 	// single or batch, or an adapt), timing its encode alone; the encoders
-	// themselves record nothing. Batch-level counters come from
-	// EncodeAll/EncodeAllWorkers.
-	EncodeNS           = Default.Histogram("encode_ns")
-	EncodeBatches      = Default.Counter("encode_batches_total")
-	EncodeBatchSamples = Default.Counter("encode_batch_samples_total")
+	// themselves record nothing.
+	EncodeNS = Default.Histogram("encode_ns")
 
 	// Classification: scoring latency of each predict the Pipeline serves
 	// (not training's retraining predicts, nor an adapt's
-	// predict-before-apply), training passes, and online adaptation — the
-	// Pipeline's Adapt times Model.Adapt and counts the updates it applies.
+	// predict-before-apply), each Pipeline.Fit's training (timing
+	// classifier.Train alone), and online adaptation — the Pipeline's Adapt
+	// times Model.Adapt and counts the updates it applies.
 	PredictNS  = Default.Histogram("predict_ns")
 	FitNS      = Default.Histogram("fit_ns")
 	FitEpochs  = Default.Counter("fit_epochs_total")
@@ -330,7 +330,8 @@ var (
 	AdaptNS      = Default.Histogram("adapt_ns")
 	AdaptUpdates = Default.Counter("adapt_updates_total")
 
-	// Fault layer: injection activity, scrub passes, and repair state.
+	// Fault layer: the Pipeline's injections, scrub passes, and repair
+	// state; a faults.Controller driven directly records nothing.
 	FaultInjections  = Default.Counter("fault_injections_total")
 	FaultBits        = Default.Counter("fault_bits_total")
 	Scrubs           = Default.Counter("scrubs_total")

@@ -23,7 +23,7 @@ func trainedSetup(t *testing.T, name string) (*classifier.Model, encoding.Encode
 		N: n, UseID: ds.UseID, Seed: 5,
 	})
 	trainH := encoding.EncodeAll(enc, ds.TrainX)
-	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 10, Seed: 1})
+	m, _, err := classifier.Train(trainH, ds.TrainY, ds.Classes, classifier.Options{Epochs: 10, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,19 @@ package generic_test
 
 // Model-quality observability at the pipeline layer: drift-reference
 // capture at Fit/Binarize, the PredictMargin surface, shadow-mode
-// disagreement sampling, and Clone sharing the (immutable) quality state.
+// disagreement sampling, and Clone sharing the (immutable) quality state;
+// and the observation contract: which Pipeline calls record which
+// instruments and spans.
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	generic "github.com/edge-hdc/generic"
+	"github.com/edge-hdc/generic/internal/classifier"
+	"github.com/edge-hdc/generic/internal/encoding"
+	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/quality"
 	"github.com/edge-hdc/generic/internal/telemetry"
 )
@@ -232,5 +239,185 @@ func TestObservationContract(t *testing.T) {
 	want := observed{encodes: 16, adapts: 16, updates: updates, adaptEvals: 16, adaptHits: hits}
 	if got := readObserved().since(before); got != want {
 		t.Fatalf("16 Adapt recorded %+v, want %+v (no predict_ns, no margin sample)", got, want)
+	}
+}
+
+// maintained is the training and fault-repair record: the fit_* and
+// fault/scrub counters.
+type maintained struct {
+	fits, epochs, samples, updates       int64
+	injections, bits, scrubs, scrubTimes int64
+}
+
+func readMaintained() maintained {
+	return maintained{
+		fits:       telemetry.FitNS.Count(),
+		epochs:     telemetry.FitEpochs.Value(),
+		samples:    telemetry.FitSamples.Value(),
+		updates:    telemetry.FitUpdates.Value(),
+		injections: telemetry.FaultInjections.Value(),
+		bits:       telemetry.FaultBits.Value(),
+		scrubs:     telemetry.Scrubs.Value(),
+		scrubTimes: telemetry.ScrubNS.Count(),
+	}
+}
+
+// since returns what was recorded between b and m.
+func (m maintained) since(b maintained) maintained {
+	return maintained{
+		fits:       m.fits - b.fits,
+		epochs:     m.epochs - b.epochs,
+		samples:    m.samples - b.samples,
+		updates:    m.updates - b.updates,
+		injections: m.injections - b.injections,
+		bits:       m.bits - b.bits,
+		scrubs:     m.scrubs - b.scrubs,
+		scrubTimes: m.scrubTimes - b.scrubTimes,
+	}
+}
+
+// TestObservationContractFitAndFaults pins where training and fault repair
+// are recorded: each Pipeline Fit, InjectFaults and Scrub exactly once, from
+// the result it returns, and a direct classifier.Train, EncodeAllWorkers or
+// accelerator fault pass not at all.
+func TestObservationContractFitAndFaults(t *testing.T) {
+	ds, err := generic.LoadDataset("EEG", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := generic.EncoderForDataset(generic.Generic, ds, 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	X, Y := ds.TrainX[:300], ds.TrainY[:300]
+	for _, trainer := range generic.Trainers() {
+		p := generic.NewPipeline(enc, ds.Classes, generic.WithTrainer(trainer))
+		before := readMaintained()
+		res, err := p.Fit(X, Y, generic.TrainOptions{Epochs: 3, Seed: 1, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var updates int64
+		for _, e := range res.Epochs {
+			updates += int64(e.Updates)
+		}
+		want := maintained{fits: 1, epochs: int64(res.EpochsRun), samples: int64(len(X)), updates: updates}
+		if got := readMaintained().since(before); got != want {
+			t.Fatalf("%s: one Fit recorded %+v, want %+v", trainer, got, want)
+		}
+		if got, want := telemetry.FitLossMicro.Value(), int64(res.FinalLoss*1e6); got != want {
+			t.Fatalf("%s: fit_loss_micro = %d, want %d", trainer, got, want)
+		}
+	}
+
+	p, _ := trainedEEG(t)
+	before := readMaintained()
+	bits, err := p.InjectFaults(generic.FaultSpec{Site: generic.FaultSiteClass, Kind: generic.FaultBankFail, Lane: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readMaintained().since(before), (maintained{injections: 1, bits: int64(bits)}); got != want || bits == 0 {
+		t.Fatalf("one InjectFaults of %d bits recorded %+v, want %+v", bits, got, want)
+	}
+	if got := telemetry.FaultPending.Value(); got != 1 {
+		t.Fatalf("fault_pending = %d after one injection, want 1", got)
+	}
+	before = readMaintained()
+	if _, err := p.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readMaintained().since(before), (maintained{scrubs: 1, scrubTimes: 1}); got != want {
+		t.Fatalf("one Scrub recorded %+v, want %+v", got, want)
+	}
+	h := must(p.Health())
+	if telemetry.FaultPending.Value() != 0 || telemetry.FaultMaskedLanes.Value() != int64(len(h.MaskedLanes)) {
+		t.Fatalf("after Scrub fault_pending = %d, fault_masked_lanes = %d, want 0, %d",
+			telemetry.FaultPending.Value(), telemetry.FaultMaskedLanes.Value(), len(h.MaskedLanes))
+	}
+
+	before = readMaintained()
+	encoded := encoding.EncodeAllWorkers(enc, X, 2)
+	if _, _, err := classifier.Train(encoded, Y, ds.Classes, classifier.Options{Epochs: 2, Seed: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	acc, err := generic.NewAccelerator(generic.Spec{
+		D: 1024, Features: ds.Features, N: 3, Classes: ds.Classes,
+		BW: 16, UseID: ds.UseID, Mode: generic.ModeTrain,
+	}, 1, ds.Lo, ds.Hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc.Train(X[:100], Y[:100], 2)
+	if _, err := acc.InjectFaults(generic.FaultSpec{Site: generic.FaultSiteClass, Kind: generic.FaultBankFail, Lane: 5, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	acc.Scrub()
+	if got := readMaintained().since(before); got != (maintained{}) {
+		t.Fatalf("direct EncodeAllWorkers, classifier.Train and accelerator faults recorded %+v, want nothing", got)
+	}
+}
+
+// TestSpanTree pins the traced shape of training and repair: a Fit (either
+// strategy) and a Scrub each record one root span, every trainer span hangs
+// off Fit's train span, and no package under the Pipeline opens a root of
+// its own — a direct batch encode or batch score under an enabled tracer
+// records nothing.
+func TestSpanTree(t *testing.T) {
+	perf.Reset()
+	perf.Enable()
+	defer func() {
+		perf.Disable()
+		perf.Reset()
+	}()
+	ds, err := generic.LoadDataset("EEG", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := generic.EncoderForDataset(generic.Generic, ds, 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	X, Y := ds.TrainX[:300], ds.TrainY[:300]
+	trainerSpans := map[string][]string{
+		"perceptron": {"fit.init", "fit.epoch"},
+		"lehdc":      {"fit.init", "fit.epoch.lehdc", "fit.quantize"},
+	}
+	for _, trainer := range generic.Trainers() {
+		perf.Reset()
+		p := generic.NewPipeline(enc, ds.Classes, generic.WithTrainer(trainer))
+		must(p.Fit(X, Y, generic.TrainOptions{Epochs: 2, Seed: 1, Workers: 2}))
+		must(p.InjectFaults(generic.FaultSpec{Site: generic.FaultSiteClass, Kind: generic.FaultBankFail, Lane: 5, Seed: 3}))
+		must(p.Scrub())
+		p.Model().PredictDimsBatch(generic.EncodeWorkers(enc, X, 2), enc.D(), true, 2)
+
+		recs := perf.Snapshot()
+		names := make(map[uint64]string, len(recs))
+		for _, r := range recs {
+			names[r.ID] = r.Name
+		}
+		var roots []string
+		seen := map[string]bool{}
+		for _, r := range recs {
+			seen[r.Name] = true
+			if r.Parent == 0 {
+				roots = append(roots, r.Name)
+			}
+			if strings.HasPrefix(r.Name, "fit.") && names[r.Parent] != "train" {
+				t.Errorf("%s: span %s has parent %q, want train", trainer, r.Name, names[r.Parent])
+			}
+		}
+		if !slices.Equal(roots, []string{"pipeline.fit", "pipeline.scrub"}) {
+			t.Errorf("%s: root spans %v, want [pipeline.fit pipeline.scrub]", trainer, roots)
+		}
+		for _, name := range trainerSpans[trainer] {
+			if !seen[name] {
+				t.Errorf("%s: no %s span", trainer, name)
+			}
+		}
+		for _, name := range []string{"encode.batch", "fit", "faults.scrub", "score.batch"} {
+			if seen[name] {
+				t.Errorf("%s: retired span %s recorded", trainer, name)
+			}
+		}
 	}
 }
