@@ -1,8 +1,9 @@
 // Command generic-perf is the repository's benchmark harness: it runs a
 // registered suite over the engine's hot paths (GENERIC encoding single and
-// batch, batch prediction at several worker counts, a retraining epoch, the
-// accelerator cycle model, model-file round-trips, and generic-serve's cold
-// start: the ISOLET load and self-train) and writes the summary to
+// batch, batch prediction at several worker counts, one exact 26-class
+// score, a retraining epoch, the accelerator cycle model, model-file
+// round-trips, and generic-serve's cold start: the ISOLET load and
+// self-train) and writes the summary to
 // BENCH_GENERIC.json — the machine-readable perf trajectory CI records on
 // every push to main.
 //
@@ -188,6 +189,14 @@ func buildSuite() ([]*bench, error) {
 		return nil, err
 	}
 	isoOpts := generic.TrainOptions{Epochs: 20, Seed: 1, Workers: 2}
+	// The exact score alone: the daemon's ISOLET model (26 classes, D=2048)
+	// over its encoded test rows, in rotation.
+	isoPipe := generic.NewPipeline(isoEnc, iso.Classes)
+	if _, err := isoPipe.Fit(iso.TrainX, iso.TrainY, isoOpts); err != nil {
+		return nil, err
+	}
+	isoModel, isoRows := isoPipe.Model(), generic.Encode(isoEnc, iso.TestX)
+	isoRow := 0
 
 	// An update-dense retraining epoch: about half of these EMG rows update
 	// under RP encoding, so the epoch rarely leaves its serial loop.
@@ -237,6 +246,11 @@ func buildSuite() ([]*bench, error) {
 		{name: "predict/batch256/w4", op: func() error {
 			_, err := p.PredictAll(batch, generic.WithWorkers(4))
 			return err
+		}},
+		{name: "score/exact", op: func() error {
+			isoModel.PredictDimsMargin(isoRows[isoRow%len(isoRows)], d, true)
+			isoRow++
+			return nil
 		}},
 		{name: "predict/binary/single", op: func() error {
 			_, err := pb.Predict(nextRow())

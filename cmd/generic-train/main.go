@@ -50,7 +50,7 @@ func run(args []string) (err error) {
 		lrDecay = fs.Float64("lr-decay", 0, "lehdc: per-epoch learning-rate decay (0 = default 0.95)")
 		batch   = fs.Int("batch", 0, "lehdc: mini-batch size (0 = default 16)")
 		seed    = fs.Uint64("seed", 0, "random seed (0 = derive one from the clock; the choice is printed so any run can be replayed)")
-		bw      = fs.Int("bw", 0, "quantize the trained model to this bit-width (0 = keep 16)")
+		bw      = fs.Int("bw", 0, "quantize the trained model to this bit-width, 1-16 (0 = keep 16)")
 		dims    = fs.Int("dims", 0, "also evaluate with dimension reduction to this many dims")
 		binar   = fs.Bool("binarize", false, "binarize the trained model for packed Hamming inference (-save then emits a binarized model file)")
 		save    = fs.String("save", "", "write the trained pipeline to this file")
@@ -62,6 +62,13 @@ func run(args []string) (err error) {
 		traceF  = fs.String("trace", "", "enable span tracing and write Chrome trace-event JSON to this file")
 	)
 	fs.Parse(args)
+	// Reject what training or Quantize would refuse before any data loads.
+	if *epochs < 0 {
+		return fmt.Errorf("-epochs %d must not be negative", *epochs)
+	}
+	if *bw < 0 || *bw > 16 {
+		return fmt.Errorf("-bw %d out of range [0,16]", *bw)
+	}
 	profiles, err := perf.StartProfiles(*cpuProf, *memProf, *traceF)
 	if err != nil {
 		return err

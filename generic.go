@@ -290,16 +290,17 @@ type Pipeline struct {
 	// holds the strategy that actually trained the current model.
 	trainer string
 	// Model-quality observability (internal/quality). profile is the drift
-	// reference captured at Fit/Binarize from calibX/calibY, a bounded
-	// stride-subsample of the encoded training set retained for re-profiling
-	// across mode transitions. All three are immutable once built and shared
-	// (not deep-copied) across Clone — the serving layer clones per adapt,
-	// and calibration data never mutates. shadowEvery > 0 samples one in
-	// shadowEvery binary predicts through the retained integer counters to
-	// track binary-vs-exact disagreement; it is configuration, set before
-	// serving starts (SetShadowSampling requires exclusive access, like Fit).
+	// reference built at Fit from a bounded stride-subsample of the encoded
+	// training set, and rebuilt at Binarize from calibBin/calibY: that
+	// subsample's sign vectors and labels, all the binary profile reads. All
+	// three are immutable once built and shared (not deep-copied) across
+	// Clone — the serving layer clones per adapt, and calibration data never
+	// mutates. shadowEvery > 0 samples one in shadowEvery binary predicts
+	// through the retained integer counters to track binary-vs-exact
+	// disagreement; it is configuration, set before serving starts
+	// (SetShadowSampling requires exclusive access, like Fit).
 	profile     *quality.Profile
-	calibX      []hdc.Vec
+	calibBin    []*hdc.BinVec
 	calibY      []int
 	shadowEvery int
 }
@@ -374,11 +375,11 @@ func (p *Pipeline) Fit(X [][]float64, Y []int, opt TrainOptions) (TrainResult, e
 	}
 	sp := perf.Begin("pipeline.fit")
 	esp := sp.Child("encode")
-	encoded := encoding.EncodeAllWorkers(p.enc, X, opt.Workers)
+	encoded := encoding.EncodeSet(p.enc, X, opt.Workers)
 	esp.End()
 	tsp := sp.Child("train")
 	start := telemetry.Now()
-	m, res, err := classifier.Train(encoded, Y, p.classes, opt, tsp)
+	m, res, err := classifier.TrainSet(encoded, Y, p.classes, opt, tsp)
 	tsp.End()
 	sp.End()
 	if err != nil {
@@ -405,59 +406,50 @@ func (p *Pipeline) Fit(X [][]float64, Y []int, opt TrainOptions) (TrainResult, e
 
 // calibCap bounds the calibration subsample retained for quality profiling:
 // enough samples for a stable margin distribution, small enough that a
-// pipeline keeps O(calibCap·D) extra bytes, not the training set.
+// pipeline keeps O(calibCap·D) extra bits, not the training set.
 const calibCap = 256
 
-// captureCalibration stride-subsamples the encoded training set and builds
-// the drift reference profile for the current mode on workers workers. The
-// retained vectors are references into the encoded set (training never
-// mutates them), so the rest of the set stays collectable.
-func (p *Pipeline) captureCalibration(encoded []hdc.Vec, Y []int, workers int) {
-	n := len(encoded)
-	if n == 0 {
-		p.calibX, p.calibY, p.profile = nil, nil, nil
-		return
-	}
+// captureCalibration stride-subsamples the encoded training set, builds the
+// exact drift reference from its margins and keeps its sign vectors for a
+// later Binarize, in one pass across workers workers. Only the packed signs
+// stay: the set itself, an int8 slab or its rows, is collectable after Fit.
+func (p *Pipeline) captureCalibration(set hdc.Set, Y []int, workers int) {
+	n, d := set.Len(), set.D()
 	stride := (n + calibCap - 1) / calibCap
-	cx := make([]hdc.Vec, 0, calibCap)
-	cy := make([]int, 0, calibCap)
-	for i := 0; i < n; i += stride {
-		cx = append(cx, encoded[i])
-		cy = append(cy, Y[i])
-	}
-	p.calibX, p.calibY = cx, cy
-	p.reprofile(workers)
+	k := (n + stride - 1) / stride
+	bins := make([]*hdc.BinVec, k)
+	cy := make([]int, k)
+	margins := make([]float64, k)
+	parallel.ForChunks(workers, k, func(_, lo, hi int) {
+		scratch := set.Scratch()
+		for j := lo; j < hi; j++ {
+			h := set.Widen(j*stride, scratch)
+			_, _, margins[j] = p.model.PredictDimsMargin(h, d, true)
+			bins[j] = hdc.NewBinVec(d)
+			bins[j].PackSigns(h)
+			cy[j] = Y[j*stride]
+		}
+	})
+	p.calibBin, p.calibY = bins, cy
+	p.profile = quality.BuildProfile(margins, cy, "exact")
 }
 
-// reprofile rebuilds the drift reference from the retained calibration
-// subsample under the pipeline's current mode, scoring it across workers
-// workers (0 means GOMAXPROCS) with margins written by index. Margins are
-// not comparable across representations — binarizing both re-scores the
-// calibration set through the packed path and rebases the reference.
-// Pipelines without calibration data (loaded model files) keep a nil
-// profile; the serving monitor bootstraps a baseline from the first healthy
-// window instead.
-func (p *Pipeline) reprofile(workers int) {
-	if len(p.calibX) == 0 || p.model == nil {
+// rebaseBinary rebuilds the drift reference from the retained calibration
+// signs under the binary model, scoring it across workers workers with
+// margins written by index. Margins are not comparable across
+// representations — binarizing rebases the reference. Pipelines without
+// calibration data (loaded model files) keep a nil profile; the serving
+// monitor bootstraps a baseline from the first healthy window instead.
+func (p *Pipeline) rebaseBinary(workers int) {
+	if len(p.calibBin) == 0 {
 		p.profile = nil
 		return
 	}
-	margins := make([]float64, len(p.calibX))
-	if p.mode == Binary && p.bmodel != nil {
-		parallel.ForChunks(workers, len(p.calibX), func(_, lo, hi int) {
-			bv := hdc.NewBinVec(p.bmodel.D())
-			for i, h := range p.calibX[lo:hi] {
-				bv.PackSigns(h)
-				_, _, margins[lo+i] = p.bmodel.PredictDimsMargin(bv, p.bmodel.D())
-			}
-		})
-		p.profile = quality.BuildProfile(margins, p.calibY, "binary")
-		return
-	}
-	parallel.For(workers, len(p.calibX), func(_, i int) {
-		_, _, margins[i] = p.model.PredictDimsMargin(p.calibX[i], p.model.D(), true)
+	margins := make([]float64, len(p.calibBin))
+	parallel.For(workers, len(p.calibBin), func(_, i int) {
+		_, _, margins[i] = p.bmodel.PredictDimsMargin(p.calibBin[i], p.bmodel.D())
 	})
-	p.profile = quality.BuildProfile(margins, p.calibY, "exact")
+	p.profile = quality.BuildProfile(margins, p.calibY, "binary")
 }
 
 // Trainer returns the pipeline's training strategy: the name set via
@@ -845,7 +837,7 @@ func (p *Pipeline) Binarize() error {
 	// The margin distribution changes representation with the mode; rebase
 	// the drift reference on the retained calibration subsample (no-op when
 	// none exists, e.g. a loaded model file).
-	p.reprofile(1)
+	p.rebaseBinary(1)
 	return nil
 }
 

@@ -26,6 +26,10 @@ const hotpathDirective = "generic:hotpath"
 // `go build -gcflags=-m=1`; this analyzer reports each "escapes to heap" or
 // "moved to heap" diagnostic that falls inside a hot function's line span.
 //
+// Every go statement in a hot function is reported too, from the syntax
+// tree: spawning a goroutine allocates its closure or, for `go f(x)`, an
+// argument wrapper that -m=1 does not print.
+//
 // Guard blocks that end in panic are dead on the hot path and are skipped,
 // so the dimguard-mandated dimension checks (which format a message and
 // panic) do not trip the contract. What the compiler cannot see here —
@@ -33,7 +37,7 @@ const hotpathDirective = "generic:hotpath"
 // bound by the measured alloc-budget gate (internal/analysis/budget).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "report compiler heap escapes (go build -gcflags=-m=1) in //generic:hotpath functions and default-hot internal/hdc kernels",
+	Doc:  "report compiler heap escapes (go build -gcflags=-m=1) and go statements in //generic:hotpath functions and default-hot internal/hdc kernels",
 	Run:  runHotAlloc,
 }
 
@@ -41,6 +45,14 @@ func runHotAlloc(pass *Pass) {
 	for _, r := range hotRegions(pass) {
 		tf := pass.Fset.File(r.pos)
 		reported := map[int]bool{}
+		for _, g := range r.Go {
+			line := pass.Fset.Position(g).Line
+			if r.coldLine(line) || reported[line] {
+				continue
+			}
+			reported[line] = true
+			pass.Reportf(g, "go statement inside hotpath %s: a goroutine start allocates its closure or argument wrapper; hand the work to workers started outside the hot path", r.Func)
+		}
 		for _, d := range pass.escapes {
 			if d.File != r.File || d.Line < r.StartLine || d.Line > r.EndLine || reported[d.Line] {
 				continue
@@ -135,7 +147,9 @@ type hotRegion struct {
 	// pure guard helpers. Escapes there (error-message formatting, mostly)
 	// are the cold price of failing, not a hot-path cost.
 	Cold [][2]int
-	pos  token.Pos // the declaration, for resolving diagnostic positions
+	// Go holds the positions of the function's go statements.
+	Go  []token.Pos
+	pos token.Pos // the declaration, for resolving diagnostic positions
 }
 
 // coldLine reports whether line falls in one of the region's cold spans.
@@ -184,6 +198,8 @@ func hotRegions(pass *Pass) []hotRegion {
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.GoStmt:
+				region.Go = append(region.Go, n.Pos())
 			case *ast.IfStmt:
 				if blockEndsInPanic(pass, n.Body) {
 					span(n.Body)

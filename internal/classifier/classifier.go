@@ -25,13 +25,13 @@ const SubNormGranularity = 128
 // Options configures training.
 type Options struct {
 	// Epochs is the number of retraining passes after initialization.
-	// The paper uses a constant 20.
+	// The paper uses a constant 20, which zero means; negative is an error.
 	Epochs int
 	// Seed drives the per-epoch shuffling of the training set.
 	Seed uint64
 	// BW is the class-element bit-width; class values saturate at this
 	// width during accumulation, like the accelerator's 16-bit memories.
-	// Zero means 16.
+	// Zero means 16; outside [1, hdc.MaxSatBits] is an error.
 	BW int
 	// Workers bounds the parallelism of training: the initialization
 	// bundling and norm refresh, and the perceptron's retraining, which is
@@ -51,6 +51,18 @@ type Options struct {
 	LR        float64
 	LRDecay   float64
 	BatchSize int
+}
+
+// validate rejects defaulted options no strategy can run: a negative epoch
+// count, and a class bit-width outside [1, hdc.MaxSatBits].
+func (o Options) validate() error {
+	if o.Epochs < 0 {
+		return fmt.Errorf("classifier: Train: Epochs=%d must not be negative", o.Epochs)
+	}
+	if o.BW < 1 || o.BW > hdc.MaxSatBits {
+		return fmt.Errorf("classifier: Train: BW=%d out of range [1,%d]", o.BW, hdc.MaxSatBits)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -171,15 +183,32 @@ func (m *Model) Class(c int) hdc.Vec { return m.classes[c] }
 // Norm2 returns ‖C_c‖².
 func (m *Model) Norm2(c int) int64 { return m.norm2[c] }
 
-// SetClass overwrites class c's hypervector with a copy of v and refreshes
-// its norms — the model-loading path of the config port.
+// SetClass overwrites class c's hypervector with a copy of v, saturated to
+// the model's bit-width (see clampToBW), and refreshes its norms — the
+// model-loading path of the config port.
 func (m *Model) SetClass(c int, v hdc.Vec) {
 	if len(v) != m.d {
 		panic(fmt.Sprintf("classifier: SetClass length %d, want %d", len(v), m.d))
 	}
 	m.own(c)
 	copy(m.classes[c], v)
+	clampToBW(m.classes[c], m.bw)
 	m.refreshNorms(c)
+}
+
+// clampToBW clamps v to the elements a bw-bit class memory holds: the signed
+// range of bw bits, or [−1, 1] at bw = 1, whose bipolar cells are ±1
+// (Quantize(1)) or 0 (a masked dimension). Every class writer leaves its
+// rows in that range, and scoring relies on it: at bw ≤ 16 the elements fit
+// the 16-bit lanes of hdc.Query.
+func clampToBW(v hdc.Vec, bw int) {
+	if bw > 1 {
+		v.Saturate(bw)
+		return
+	}
+	for i, x := range v {
+		v[i] = max(-1, min(1, x))
+	}
 }
 
 // AddEncoded bundles an encoded hypervector into class c (training
@@ -243,8 +272,10 @@ func (m *Model) RefreshAllNorms() {
 // Fig. 5, which lose up to 20% accuracy).
 //
 // The loop tracks the two highest scores; ties keep the lower class index,
-// so the winner is the single-best loop's. Like every per-sample kernel
-// here it records nothing: the Pipeline observes served predicts.
+// so the winner is the single-best loop's. The scored prefix of h is read
+// once as an hdc.Query, which picks the dot kernel for the model's
+// bit-width. Like every per-sample kernel here it records nothing: the
+// Pipeline observes served predicts.
 //
 //generic:hotpath
 func (m *Model) PredictDimsMargin(h hdc.Vec, dims int, updatedNorms bool) (class int, score, margin float64) {
@@ -256,9 +287,13 @@ func (m *Model) PredictDimsMargin(h hdc.Vec, dims int, updatedNorms bool) (class
 		chunks = 1
 	}
 	dims = chunks * SubNormGranularity
+	if len(h) < dims {
+		panic(fmt.Sprintf("classifier: query length %d shorter than the %d scored dimensions", len(h), dims))
+	}
+	q := hdc.NewQuery(h[:dims], m.bw)
 	best, s1, s2 := 0, -1e308, -1e308
 	for c, cv := range m.classes {
-		dot := h.DotPrefix(cv, dims)
+		dot := q.Dot(cv)
 		var n2 int64
 		if updatedNorms {
 			n2 = m.subNorm2[c][chunks-1]

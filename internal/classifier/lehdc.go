@@ -38,9 +38,10 @@ const lehdcMomentum = 0.9
 // order-independent integer sums); everything after it — shuffling, logits,
 // gradient accumulation, weight updates — runs sequentially in shuffle
 // order, so the model is bit-identical for every Options.Workers value.
-func trainLeHDC(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.Span) (*Model, TrainResult) {
-	m := bundleClasses(encoded, labels, nC, opt, sp)
+func trainLeHDC(set hdc.Set, labels []int, nC int, opt Options, sp *perf.Span) (*Model, TrainResult) {
+	m := bundleClasses(set, labels, nC, opt, sp)
 	d := m.d
+	scratch := set.Scratch()
 
 	// Shadow weights: unit-normalized float32 copies of the bundled classes —
 	// the warm start LeHDC prescribes (a random init wastes the one-shot
@@ -57,15 +58,15 @@ func trainLeHDC(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.S
 		}
 	}
 	// Per-sample inverse norms, applied as logit/gradient scales.
-	invNorm := make([]float64, len(encoded))
-	for i, h := range encoded {
-		if n2 := h.Norm2(); n2 > 0 {
+	invNorm := make([]float64, set.Len())
+	for i := range invNorm {
+		if n2 := set.Widen(i, scratch).Norm2(); n2 > 0 {
 			invNorm[i] = 1 / math.Sqrt(float64(n2))
 		}
 	}
 
 	r := rng.New(opt.Seed)
-	order := make([]int, len(encoded))
+	order := make([]int, set.Len())
 	for i := range order {
 		order[i] = i
 	}
@@ -94,7 +95,7 @@ func trainLeHDC(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.S
 				clear(grad[c])
 			}
 			for _, i := range order[lo:hi] {
-				h, y := encoded[i], labels[i]
+				h, y := set.Widen(i, scratch), labels[i]
 				scale := lehdcTemp * invNorm[i]
 				best := 0
 				for c := 0; c < nC; c++ {
@@ -148,7 +149,7 @@ func trainLeHDC(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.S
 				}
 			}
 		}
-		loss := lossSum / float64(len(encoded))
+		loss := lossSum / float64(set.Len())
 		res.EpochsRun = e + 1
 		res.FinalUpdates = wrong
 		res.FinalLoss = loss

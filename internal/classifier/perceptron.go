@@ -20,11 +20,11 @@ import (
 // scored ahead on the opt.Workers workers and applied in serial order (see
 // epoch); with the fanned initialization bundling, results are
 // bit-identical for every worker count.
-func trainPerceptron(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.Span) (*Model, TrainResult) {
-	m := bundleClasses(encoded, labels, nC, opt, sp)
+func trainPerceptron(set hdc.Set, labels []int, nC int, opt Options, sp *perf.Span) (*Model, TrainResult) {
+	m := bundleClasses(set, labels, nC, opt, sp)
 
 	r := rng.New(opt.Seed)
-	order := make([]int, len(encoded))
+	order := make([]int, set.Len())
 	for i := range order {
 		order[i] = i
 	}
@@ -33,12 +33,16 @@ func trainPerceptron(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *p
 	if workers > 1 {
 		preds = make([]int, specMaxBlock)
 	}
+	scratch := make([]hdc.Vec, workers)
+	for w := range scratch {
+		scratch[w] = set.Scratch()
+	}
 	res := TrainResult{Trainer: "perceptron"}
 	for e := 0; e < opt.Epochs; e++ {
 		epochSpan := sp.Child("fit.epoch")
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		updates := epoch(m, encoded, labels, order, workers, preds)
-		loss := float64(updates) / float64(len(encoded))
+		updates := epoch(m, set, labels, order, workers, preds, scratch)
+		loss := float64(updates) / float64(set.Len())
 		res.EpochsRun = e + 1
 		res.FinalUpdates = updates
 		res.FinalLoss = loss
@@ -73,11 +77,14 @@ const (
 // serially right after it. A block is never larger than the clean run
 // before it, so the scoring a misprediction wastes never exceeds the clean
 // scoring that justified it; blocks double while they come back clean.
-func epoch(m *Model, encoded []hdc.Vec, labels, order []int, workers int, preds []int) int {
+//
+// Each row is read through set.Widen, into scratch[w] on worker w and into
+// scratch[0] on the serial path.
+func epoch(m *Model, set hdc.Set, labels, order []int, workers int, preds []int, scratch []hdc.Vec) int {
 	updates := 0
 	if workers <= 1 {
 		for _, i := range order {
-			if _, updated := m.Adapt(encoded[i], labels[i]); updated {
+			if _, updated := m.Adapt(set.Widen(i, scratch[0]), labels[i]); updated {
 				updates++
 			}
 		}
@@ -89,7 +96,7 @@ func epoch(m *Model, encoded []hdc.Vec, labels, order []int, workers int, preds 
 			i := order[pos]
 			pos++
 			clean++
-			if _, updated := m.Adapt(encoded[i], labels[i]); updated {
+			if _, updated := m.Adapt(set.Widen(i, scratch[0]), labels[i]); updated {
 				updates++
 				clean = 0
 			}
@@ -97,14 +104,14 @@ func epoch(m *Model, encoded []hdc.Vec, labels, order []int, workers int, preds 
 		}
 		block := order[pos : pos+min(clean, specMaxBlock, len(order)-pos)]
 		var next atomic.Int64 // first sample of the next unclaimed grain
-		parallel.ForChunks(workers, workers, func(_, _, _ int) {
+		parallel.ForChunks(workers, workers, func(w, _, _ int) {
 			for {
 				lo := int(next.Add(specGrain)) - specGrain
 				if lo >= len(block) {
 					return
 				}
 				for k := lo; k < min(lo+specGrain, len(block)); k++ {
-					preds[k], _, _ = m.PredictDimsMargin(encoded[block[k]], m.d, true)
+					preds[k], _, _ = m.PredictDimsMargin(set.Widen(block[k], scratch[w]), m.d, true)
 				}
 			}
 		})
@@ -116,7 +123,7 @@ func epoch(m *Model, encoded []hdc.Vec, labels, order []int, workers int, preds 
 		clean += k
 		if k < len(block) {
 			i := block[k]
-			m.Update(encoded[i], labels[i], preds[k])
+			m.Update(set.Widen(i, scratch[0]), labels[i], preds[k])
 			updates++
 			pos++
 			clean = 0

@@ -53,18 +53,30 @@ func TrainerNames() []string { return []string{"lehdc", "perceptron"} }
 // Every strategy honors the package's determinism contract — same inputs,
 // same Options.Seed ⇒ bit-identical model for every Options.Workers value —
 // and leaves the model with refreshed norms, so scoring, Quantize, fault
-// injection and modelio consume its output unmodified.
+// injection and modelio consume its output unmodified. Options are checked
+// first: a negative Epochs or a BW outside [1, hdc.MaxSatBits] (after zero
+// takes its default) is an error.
 func Train(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.Span) (*Model, TrainResult, error) {
+	return TrainSet(hdc.VecSet(encoded), labels, nC, opt, sp)
+}
+
+// TrainSet is Train over an encoded set of either width (see hdc.Set): an
+// int8 set trains the bit-identical model its int32 rows would. The
+// strategies widen each int8 row into int32 scratch where they read it.
+func TrainSet(set hdc.Set, labels []int, nC int, opt Options, sp *perf.Span) (*Model, TrainResult, error) {
 	opt = opt.withDefaults()
-	if err := validateTraining(encoded, labels, nC); err != nil {
+	if err := opt.validate(); err != nil {
+		return nil, TrainResult{}, err
+	}
+	if err := validateTraining(set, labels, nC); err != nil {
 		return nil, TrainResult{}, err
 	}
 	switch opt.Trainer {
 	case "", "perceptron":
-		m, res := trainPerceptron(encoded, labels, nC, opt, sp)
+		m, res := trainPerceptron(set, labels, nC, opt, sp)
 		return m, res, nil
 	case "lehdc":
-		m, res := trainLeHDC(encoded, labels, nC, opt, sp)
+		m, res := trainLeHDC(set, labels, nC, opt, sp)
 		return m, res, nil
 	}
 	return nil, TrainResult{}, fmt.Errorf("classifier: unknown trainer %q (known: %v)", opt.Trainer, TrainerNames())
@@ -73,22 +85,22 @@ func Train(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.Span) 
 // validateTraining checks the encoded set's shape upfront — mirroring
 // Pipeline.Fit's raw-input validation — so malformed input is an error here
 // rather than a panic deep inside a strategy.
-func validateTraining(encoded []hdc.Vec, labels []int, nC int) error {
+func validateTraining(set hdc.Set, labels []int, nC int) error {
 	if nC < 2 {
 		return fmt.Errorf("classifier: Train: need at least 2 classes, got %d", nC)
 	}
-	if len(encoded) == 0 {
+	if set.Len() == 0 {
 		return fmt.Errorf("classifier: Train: empty training set")
 	}
-	if len(encoded) != len(labels) {
-		return fmt.Errorf("classifier: Train: %d encoded samples vs %d labels", len(encoded), len(labels))
+	if set.Len() != len(labels) {
+		return fmt.Errorf("classifier: Train: %d encoded samples vs %d labels", set.Len(), len(labels))
 	}
-	d := len(encoded[0])
+	d := set.D()
 	if d <= 0 || d%SubNormGranularity != 0 {
 		return fmt.Errorf("classifier: Train: D=%d must be a positive multiple of %d", d, SubNormGranularity)
 	}
-	for i, h := range encoded {
-		if len(h) != d {
+	for i := range set.Len() {
+		if h := set.Vec(i); h != nil && len(h) != d {
 			return fmt.Errorf("classifier: Train: sample %d has %d dims, want %d", i, len(h), d)
 		}
 	}
@@ -106,22 +118,22 @@ func validateTraining(encoded []hdc.Vec, labels []int, nC int) error {
 // sums merged in worker order — integer accumulation is order-independent,
 // so the result is bit-identical to a serial build. Both strategies start
 // from this model.
-func bundleClasses(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *perf.Span) *Model {
+func bundleClasses(set hdc.Set, labels []int, nC int, opt Options, sp *perf.Span) *Model {
 	initSpan := sp.Child("fit.init")
 	defer initSpan.End()
-	m := NewModel(len(encoded[0]), nC, opt.BW)
+	m := NewModel(set.D(), nC, opt.BW)
 	workers := parallel.Workers(opt.Workers)
-	if workers > 1 && len(encoded) >= 2*workers {
+	if workers > 1 && set.Len() >= 2*workers {
 		d := m.d
 		partials := make([][]hdc.Vec, workers)
-		parallel.ForChunks(workers, len(encoded), func(w, lo, hi int) {
+		parallel.ForChunks(workers, set.Len(), func(w, lo, hi int) {
 			sums := make([]hdc.Vec, nC)
 			for i := lo; i < hi; i++ {
 				c := labels[i]
 				if sums[c] == nil {
 					sums[c] = hdc.NewVec(d)
 				}
-				sums[c].AddInto(encoded[i])
+				set.AddRow(sums[c], i)
 			}
 			partials[w] = sums
 		})
@@ -133,8 +145,8 @@ func bundleClasses(encoded []hdc.Vec, labels []int, nC int, opt Options, sp *per
 			}
 		}
 	} else {
-		for i, h := range encoded {
-			m.classes[labels[i]].AddInto(h)
+		for i := range set.Len() {
+			set.AddRow(m.classes[labels[i]], i)
 		}
 	}
 	parallel.For(workers, nC, func(_, c int) {

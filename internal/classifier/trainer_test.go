@@ -124,6 +124,10 @@ func TestTrainValidation(t *testing.T) {
 		{"ragged dims", append(append([]hdc.Vec{}, train...), hdc.NewVec(128)), append(append([]int{}, labels...), 0), 3, Options{}, "has 128 dims"},
 		{"bad dimensionality", []hdc.Vec{hdc.NewVec(100), hdc.NewVec(100)}, []int{0, 1}, 2, Options{}, "positive multiple"},
 		{"unknown trainer", train, labels, 3, Options{Trainer: "nope"}, "unknown trainer"},
+		{"negative epochs", train, labels, 3, Options{Epochs: -3}, "Epochs=-3 must not be negative"},
+		{"negative bw", train, labels, 3, Options{BW: -1}, "BW=-1 out of range"},
+		{"bw past int32", train, labels, 3, Options{BW: 40}, "BW=40 out of range"},
+		{"bw past int32, lehdc", train, labels, 3, Options{BW: 32, Trainer: "lehdc"}, "BW=32 out of range"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -208,5 +212,38 @@ func TestLeHDCLossDecreases(t *testing.T) {
 	}
 	if res.FinalLoss != last.Loss || res.FinalUpdates != last.Updates {
 		t.Errorf("Final* fields disagree with the last EpochStat: %+v", res)
+	}
+}
+
+// TestTrainSetWidthsAgree trains both strategies on an int8 set and on the
+// int32 rows it holds, at one and two workers: the models and training
+// records must be identical. Rows take magnitudes up to 127 so the widening
+// covers the whole byte range.
+func TestTrainSetWidthsAgree(t *testing.T) {
+	r := rng.New(5)
+	train, labels, _ := syntheticEncoded(r, 512, 5, 40, 0.4)
+	narrow := hdc.NewSet8(len(train), 512)
+	for i, v := range train {
+		row := narrow.Row8(i)
+		for j := range v {
+			v[j] *= int32(r.Intn(127) + 1)
+			row[j] = int8(v[j])
+		}
+	}
+	for _, trainer := range []string{"perceptron", "lehdc"} {
+		for _, workers := range []int{1, 2} {
+			opt := Options{Epochs: 4, Seed: 3, Trainer: trainer, Workers: workers}
+			m32, res32, err := Train(train, labels, 5, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m8, res8, err := TrainSet(narrow, labels, 5, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if modelHash(m8) != modelHash(m32) || !reflect.DeepEqual(res8, res32) {
+				t.Errorf("%s workers=%d: the int8 set trained another model or record", trainer, workers)
+			}
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -394,6 +397,117 @@ func TestClusterDeterminism(t *testing.T) {
 		for j := range a.X[i] {
 			if a.X[i][j] != b.X[i][j] {
 				t.Fatal("cluster generation not deterministic")
+			}
+		}
+	}
+}
+
+// hashDataset is an FNV-64a hash of every value, label and range bound of
+// ds, in split order.
+func hashDataset(ds *Dataset) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	for _, rows := range [][][]float64{ds.TrainX, ds.TestX} {
+		put(uint64(len(rows)))
+		for _, x := range rows {
+			put(uint64(len(x)))
+			for _, v := range x {
+				put(math.Float64bits(v))
+			}
+		}
+	}
+	for _, ys := range [][]int{ds.TrainY, ds.TestY} {
+		put(uint64(len(ys)))
+		for _, y := range ys {
+			put(uint64(y))
+		}
+	}
+	put(math.Float64bits(ds.Lo))
+	put(math.Float64bits(ds.Hi))
+	return h.Sum64()
+}
+
+// serialIsolet is genIsolet's rows as one NormFloat64 call per value, row
+// by row: the reference its two-phase generation must equal.
+func serialIsolet(seed uint64) *Dataset {
+	r := rng.New(seed ^ hashName("ISOLET"))
+	const segLen, segsPerInput, dictSize, nc, n = 16, 8, 6, 26, 2080
+	const length = segLen * segsPerInput
+	d := &Dataset{Name: "ISOLET", Kind: Tabular, Features: length, Classes: nc, UseID: true}
+	dict := make([][]float64, dictSize)
+	for s := range dict {
+		seg := make([]float64, segLen)
+		a, b, ph := r.NormFloat64(), r.NormFloat64()*0.5, r.Float64()*2*math.Pi
+		for j := range seg {
+			t := 2 * math.Pi * float64(j) / segLen
+			seg[j] = a*math.Sin(t+ph) + b*math.Cos(2*t+ph)
+		}
+		dict[s] = seg
+	}
+	arrangement := make([][]int, nc)
+	for c := range arrangement {
+		arr := make([]int, segsPerInput)
+		for k := range arr {
+			arr[k] = r.Intn(dictSize)
+		}
+		arrangement[c] = arr
+	}
+	X := make([][]float64, n)
+	Y := make([]int, n)
+	for i := 0; i < n; i++ {
+		c := r.Intn(nc)
+		x := make([]float64, length)
+		for k, s := range arrangement[c] {
+			for j, v := range dict[s] {
+				x[k*segLen+j] = v + 0.3*r.NormFloat64()
+			}
+		}
+		X[i], Y[i] = x, c
+	}
+	split(r, X, Y, 0.25, d)
+	d.computeRange()
+	return d
+}
+
+// TestLoadMatchesSerialReference pins every benchmark's values, seeds 1-3,
+// to hashes of the serial one-NormFloat64-per-value generators, at
+// GOMAXPROCS 1, 2 and 4: generation on the workers must not change one bit.
+// ISOLET is also checked against serialIsolet directly.
+func TestLoadMatchesSerialReference(t *testing.T) {
+	want := map[string][3]uint64{
+		"CARDIO": {0x3db106becd23b3aa, 0x7b2509b734127c6a, 0x07698596f2e4e759},
+		"DNA":    {0xb9f2a0dafc8684b3, 0xc41e306333db5ec0, 0xc34ec50f9f59d2fd},
+		"EEG":    {0xeea9e89db33a97e4, 0x471e1118c4b57536, 0xa5b3d59a713cff7a},
+		"EMG":    {0xfc8ba399e283eccd, 0xa8d68edd16ca7d2f, 0xf45f21adf8696615},
+		"FACE":   {0x5deb676246961f29, 0xbc199f726152eb71, 0x37f429a395f87116},
+		"ISOLET": {0x676607ed509eb711, 0x18e3dd6cc1ed830d, 0x6b5e4c3fedc6cbe7},
+		"LANG":   {0xb21f4ad7a2b1ff72, 0x5683d39ce2b69ac1, 0x553cddc52c1750d6},
+		"MNIST":  {0x5dfc58af895c4dfc, 0x5ff05ee608ac5dba, 0x6cd5fb086935cd1c},
+		"PAGE":   {0xefa8399415b2305e, 0x5fa23bcf42d6333a, 0x410e2f7c76eae5e8},
+		"PAMAP2": {0xa82fa6422de9a909, 0x4886dc0034c7c19c, 0x48c06d8a1589cdb3},
+		"UCIHAR": {0x722034ba83e10694, 0x37843b7d7bb78fb0, 0x7c80bc795fea3495},
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		if got, w := hashDataset(serialIsolet(seed)), want["ISOLET"][seed-1]; got != w {
+			t.Fatalf("serialIsolet seed %d hashes %#x, want %#x", seed, got, w)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, name := range Names() {
+			for seed := uint64(1); seed <= 3; seed++ {
+				ds, err := Load(name, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, w := hashDataset(ds), want[name][seed-1]; got != w {
+					t.Errorf("GOMAXPROCS=%d %s seed %d hashes %#x, want %#x", procs, name, seed, got, w)
+				}
 			}
 		}
 	}

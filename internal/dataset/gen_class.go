@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"math"
+	"sync"
 
+	"github.com/edge-hdc/generic/internal/parallel"
 	"github.com/edge-hdc/generic/internal/rng"
 )
 
@@ -261,21 +263,53 @@ func genIsolet(r *rng.Rand) *Dataset {
 		}
 		arrangement[c] = arr
 	}
+	// Rows are generated in blocks, in two phases: this goroutine draws each
+	// row's class and its polar pairs serially, in the order a row-by-row
+	// loop of NormFloat64 calls would, and the workers transform the pairs
+	// into the rows while the next block is drawn into the other buffer.
+	// Feature k·segLen + j takes pair k·segLen + j, so every value equals
+	// that loop's v + 0.3·NormFloat64().
 	X := make([][]float64, n)
 	Y := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := r.Intn(nc)
-		x := make([]float64, length)
-		for k, s := range arrangement[c] {
-			for j, v := range dict[s] {
-				x[k*segLen+j] = v + 0.3*r.NormFloat64()
+	const rowPairs = 2 * length
+	pairs := [2][]float64{make([]float64, isoletBlock*rowPairs), make([]float64, isoletBlock*rowPairs)}
+	transform := func(lo, hi int, p []float64) {
+		parallel.ForChunks(0, hi-lo, func(_, a, b int) {
+			for i := lo + a; i < lo+b; i++ {
+				x := make([]float64, length)
+				p := p[(i-lo)*rowPairs : (i-lo+1)*rowPairs]
+				for k, s := range arrangement[Y[i]] {
+					for j, v := range dict[s] {
+						m := k*segLen + j
+						x[m] = v + 0.3*rng.Polar(p[2*m], p[2*m+1])
+					}
+				}
+				X[i] = x
 			}
-		}
-		X[i], Y[i] = x, c
+		})
 	}
+	var inFlight sync.WaitGroup // the previous block's transform
+	for b, lo := 0, 0; lo < n; b, lo = 1-b, lo+isoletBlock {
+		hi := min(lo+isoletBlock, n)
+		for i := lo; i < hi; i++ {
+			Y[i] = r.Intn(nc)
+			r.PolarPairs(pairs[b][(i-lo)*rowPairs : (i-lo+1)*rowPairs])
+		}
+		inFlight.Wait()
+		inFlight.Add(1)
+		go func(lo, hi int, p []float64) {
+			defer inFlight.Done()
+			transform(lo, hi, p)
+		}(lo, hi, pairs[b])
+	}
+	inFlight.Wait()
 	split(r, X, Y, 0.25, d)
 	return d
 }
+
+// isoletBlock is the rows genIsolet draws before the workers transform them:
+// each of its two pair buffers is 64 × 128 × 2 floats, 128 KiB.
+const isoletBlock = 64
 
 // genLang stands in for language identification from character streams.
 // Each language is a first-order Markov chain over a 24-letter alphabet

@@ -16,6 +16,7 @@ package encoding
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/edge-hdc/generic/internal/hdc"
@@ -110,8 +111,11 @@ type Encoder interface {
 	// reads the receiver, so it may run concurrently with encodes on it, but
 	// not with its Faultable writers.
 	CloneMaterial() Encoder
-	// library closes the interface to this package.
-	library()
+	// bound returns the largest magnitude an element of Encode's output can
+	// take: the rows a level-based encoder bundles, 1 for RP.
+	bound() int
+	// encode8 writes Encode(x) into out as int8; bound() must be at most 127.
+	encode8(x []float64, out []int8)
 }
 
 // BinaryEncoder is Encoder.
@@ -217,37 +221,60 @@ func MustNew(kind Kind, cfg Config) Encoder {
 func EncodeAll(e Encoder, X [][]float64) []hdc.Vec { return EncodeAllWorkers(e, X, 1) }
 
 // EncodeAllWorkers encodes every row of X into a slice of fresh
-// hypervectors across workers encoders (workers ≤ 0 means GOMAXPROCS), each
-// a CloneMaterial copy of e. Every row therefore sees e's current material,
-// and the result is bit-identical to EncodeAll whichever clone encodes it.
-// The clones take rows in blocks of encodeGrain as they go free, so a worker
-// slowed by another tenant of its CPU holds up one block, not half the
-// batch. One worker, or a batch too small to amortize the clones, encodes
-// serially with e.
+// hypervectors across workers encoders (see encodeRows). The result is
+// bit-identical to EncodeAll.
 func EncodeAllWorkers(e Encoder, X [][]float64, workers int) []hdc.Vec {
+	out := make([]hdc.Vec, len(X))
+	encodeRows(e, len(X), workers, func(enc Encoder, i int) {
+		out[i] = hdc.NewVec(enc.D())
+		enc.Encode(X[i], out[i])
+	})
+	return out
+}
+
+// EncodeSet encodes every row of X across workers encoders (see
+// encodeRows) into a set at the width e's bound allows: one int8 slab when
+// no element can exceed 127 in magnitude, else EncodeAllWorkers' int32
+// rows. Either way row i holds Encode(X[i]).
+func EncodeSet(e Encoder, X [][]float64, workers int) hdc.Set {
+	if e.bound() > math.MaxInt8 {
+		return hdc.VecSet(EncodeAllWorkers(e, X, workers))
+	}
+	s := hdc.NewSet8(len(X), e.D())
+	encodeRows(e, len(X), workers, func(enc Encoder, i int) {
+		enc.encode8(X[i], s.Row8(i))
+	})
+	return s
+}
+
+// encodeRows runs encode(enc, i) for every row i in [0, n) across workers
+// encoders (workers ≤ 0 means GOMAXPROCS), each a CloneMaterial copy of e, so
+// every row sees e's current material whichever clone encodes it. The clones
+// take rows in blocks of encodeGrain as they go free, so a worker slowed by
+// another tenant of its CPU holds up one block, not half the batch. One
+// worker, or a batch too small to amortize the clones, encodes serially
+// with e.
+func encodeRows(e Encoder, n, workers int, encode func(enc Encoder, i int)) {
 	encs := []Encoder{e}
-	if w := parallel.Workers(workers); w > 1 && len(X) >= 2*w {
+	if w := parallel.Workers(workers); w > 1 && n >= 2*w {
 		encs = make([]Encoder, w)
 		for i := range encs {
 			encs[i] = e.CloneMaterial()
 		}
 	}
-	out := make([]hdc.Vec, len(X))
 	var next atomic.Int64 // first row of the next unclaimed block
 	parallel.ForChunks(len(encs), len(encs), func(worker, _, _ int) {
 		enc := encs[worker]
 		for {
 			lo := int(next.Add(encodeGrain)) - encodeGrain
-			if lo >= len(X) {
+			if lo >= n {
 				return
 			}
-			for i := lo; i < min(lo+encodeGrain, len(X)); i++ {
-				out[i] = hdc.NewVec(enc.D())
-				enc.Encode(X[i], out[i])
+			for i := lo; i < min(lo+encodeGrain, n); i++ {
+				encode(enc, i)
 			}
 		}
 	})
-	return out
 }
 
 // encodeGrain is the block of rows an EncodeAllWorkers clone claims at a
@@ -292,7 +319,7 @@ func newRP(cfg Config) *rpEncoder {
 func (e *rpEncoder) D() int         { return e.d }
 func (e *rpEncoder) Kind() Kind     { return RP }
 func (e *rpEncoder) Config() Config { return e.cfg }
-func (e *rpEncoder) library()       {}
+func (e *rpEncoder) bound() int     { return 1 }
 
 // project accumulates the projection Φx into e.acc.
 //
@@ -315,6 +342,19 @@ func (e *rpEncoder) project(x []float64) {
 
 //generic:hotpath
 func (e *rpEncoder) Encode(x []float64, out hdc.Vec) {
+	checkEncodeArgs(len(e.rows), e.d, x, out)
+	e.project(x)
+	for i, s := range e.acc {
+		if s >= 0 {
+			out[i] = 1
+		} else {
+			out[i] = -1
+		}
+	}
+}
+
+//generic:hotpath
+func (e *rpEncoder) encode8(x []float64, out []int8) {
 	checkEncodeArgs(len(e.rows), e.d, x, out)
 	e.project(x)
 	for i, s := range e.acc {
@@ -364,7 +404,7 @@ func newPermute(cfg Config) *permuteEncoder {
 func (e *permuteEncoder) D() int         { return e.cfg.D }
 func (e *permuteEncoder) Kind() Kind     { return Permute }
 func (e *permuteEncoder) Config() Config { return e.cfg }
-func (e *permuteEncoder) library()       {}
+func (e *permuteEncoder) bound() int     { return e.cfg.Features }
 
 // bundle stages ρ(m)(ℓ(x_m)) as row m of e.acc, for every feature m.
 //
@@ -382,6 +422,13 @@ func (e *permuteEncoder) Encode(x []float64, out hdc.Vec) {
 	checkEncodeArgs(e.cfg.Features, e.cfg.D, x, out)
 	e.bundle(x)
 	e.acc.Bipolar(out)
+}
+
+//generic:hotpath
+func (e *permuteEncoder) encode8(x []float64, out []int8) {
+	checkEncodeArgs(e.cfg.Features, e.cfg.D, x, out)
+	e.bundle(x)
+	e.acc.Bipolar8(out)
 }
 
 //generic:hotpath
@@ -412,8 +459,10 @@ type windowedEncoder struct {
 	quant     *hdc.LevelTable
 	// Scratch, private to each encoder.
 	acc  *hdc.Acc
-	bins []int         // per-feature quantized levels, reused across calls
-	srcs []*hdc.BinVec // one window's rows to bind; sized by the first encode
+	bins []int // per-feature quantized levels, reused across calls
+	// srcs holds every window's rows to bind, window after window: its n
+	// rotated levels and, with ids on, its id. Sized by the first encode.
+	srcs []*hdc.BinVec
 }
 
 func newWindowed(cfg Config, kind Kind, n int, useID bool) *windowedEncoder {
@@ -434,10 +483,11 @@ func (e *windowedEncoder) initScratch() {
 func (e *windowedEncoder) D() int         { return e.cfg.D }
 func (e *windowedEncoder) Kind() Kind     { return e.kind }
 func (e *windowedEncoder) Config() Config { return e.cfg }
-func (e *windowedEncoder) library()       {}
+func (e *windowedEncoder) bound() int     { return e.cfg.Features - e.n + 1 }
 
 // bundle quantizes x and stages window i as row i of e.acc: the XOR of the
-// window's permuted levels and, with ids on, its id, bound in one call.
+// window's permuted levels and, with ids on, its id. Every window's rows go
+// into one table, and one call stages them all.
 //
 //generic:hotpath
 func (e *windowedEncoder) bundle(x []float64) {
@@ -445,28 +495,31 @@ func (e *windowedEncoder) bundle(x []float64) {
 	for m, v := range x {
 		bins[m] = e.quant.Quantize(v, e.cfg.Lo, e.cfg.Hi)
 	}
-	windows := len(x) - n + 1
-	e.acc.Reset(windows)
-	if cap(e.srcs) < n+1 {
-		//lint:ignore generic/hotalloc sized once: every window of an encoder binds the same number of rows
-		e.sizeSrcs()
+	k := n
+	if e.useID {
+		k++
 	}
+	windows := len(x) - n + 1
+	if len(e.srcs) != windows*k {
+		//lint:ignore generic/hotalloc sized once: every bundle of an encoder stages the same windows
+		e.sizeSrcs(windows * k)
+	}
+	srcs := e.srcs
 	for i := 0; i < windows; i++ {
-		srcs := e.srcs[:n]
-		for j := range srcs {
-			srcs[j] = e.rotLevels[j][bins[i+j]]
+		row := srcs[i*k : i*k+k]
+		for j, lv := range e.rotLevels {
+			row[j] = lv[bins[i+j]]
 		}
 		if e.useID {
-			srcs = append(srcs, e.ids[i])
+			row[n] = e.ids[i]
 		}
-		hdc.XorInto(e.acc.Row(i), srcs...)
 	}
+	e.acc.StageXor(srcs, k)
 }
 
-// sizeSrcs sizes the window source list: n levels and room for the id. It
-// runs on an encoder's first bundle, so a clone that never encodes does not
-// pay for it.
-func (e *windowedEncoder) sizeSrcs() { e.srcs = make([]*hdc.BinVec, e.n, e.n+1) }
+// sizeSrcs sizes the window source table to m rows. It runs on an encoder's
+// first bundle, so a clone that never encodes does not pay for it.
+func (e *windowedEncoder) sizeSrcs(m int) { e.srcs = make([]*hdc.BinVec, m) }
 
 //generic:hotpath
 func (e *windowedEncoder) Encode(x []float64, out hdc.Vec) {
@@ -476,14 +529,23 @@ func (e *windowedEncoder) Encode(x []float64, out hdc.Vec) {
 }
 
 //generic:hotpath
+func (e *windowedEncoder) encode8(x []float64, out []int8) {
+	checkEncodeArgs(e.cfg.Features, e.cfg.D, x, out)
+	e.bundle(x)
+	e.acc.Bipolar8(out)
+}
+
+//generic:hotpath
 func (e *windowedEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
 	checkEncodeBinArgs(e.cfg.Features, e.cfg.D, x, out)
 	e.bundle(x)
 	e.acc.MajorityInto(out)
 }
 
+// checkEncodeArgs guards Encode (int32 output) and encode8 (int8 output).
+//
 //generic:hotpath
-func checkEncodeArgs(features, d int, x []float64, out hdc.Vec) {
+func checkEncodeArgs[E int8 | int32](features, d int, x []float64, out []E) {
 	if len(x) != features {
 		panic(fmt.Sprintf("encoding: input has %d features, encoder expects %d", len(x), features))
 	}

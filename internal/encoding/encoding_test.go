@@ -512,3 +512,42 @@ func TestEncoderGoldenBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeSetMatchesEncode checks Fit's encode-all: for every kind, with
+// a bound just inside and just past int8 (127 and 128 bundled rows for the
+// level kinds), EncodeSet is an int8 set exactly when the bound fits and,
+// at every worker count, row i holds Encode(X[i]).
+func TestEncodeSetMatchesEncode(t *testing.T) {
+	r := rng.New(12)
+	for _, k := range Kinds() {
+		for _, rows := range []int{127, 128} {
+			features := rows
+			switch k {
+			case Ngram, Generic:
+				features = rows + 2 // windows of 3
+			}
+			cfg := testCfg(features)
+			e := MustNew(k, cfg)
+			X := make([][]float64, 21)
+			for i := range X {
+				X[i] = randInput(r, features)
+			}
+			wantNarrow := k == RP || rows <= 127
+			if e.bound() > 127 == wantNarrow {
+				t.Fatalf("%v over %d rows: bound %d", k, rows, e.bound())
+			}
+			for _, workers := range []int{1, 2, 3} {
+				s := EncodeSet(e, X, workers)
+				if s.Narrow() != wantNarrow || s.Len() != len(X) || s.D() != e.D() {
+					t.Fatalf("%v over %d rows, workers=%d: narrow=%v len=%d D=%d", k, rows, workers, s.Narrow(), s.Len(), s.D())
+				}
+				scratch := hdc.NewVec(e.D())
+				for i, x := range X {
+					if got := s.Widen(i, scratch); !vecsEqual(got, encodeOne(e, x)) {
+						t.Fatalf("%v over %d rows, workers=%d: row %d differs from Encode", k, rows, workers, i)
+					}
+				}
+			}
+		}
+	}
+}

@@ -32,8 +32,15 @@ type Controller struct {
 	pending      int // injections since the last scrub
 	quarantined  int
 	masked       [Lanes]bool
-	history      []string
+	// injections counts the specs ever injected; recent holds the last
+	// min(injections, historyTail) of them, spec i at i mod historyTail.
+	injections int
+	recent     [historyTail]string
 }
+
+// historyTail is how many of the most recent injected specs Health lists.
+// A fixed tail keeps Health's cost flat over a long chaos run.
+const historyTail = 8
 
 // NewController builds a controller for the model and encoder. A nil or
 // non-Faultable encoder limits injection to the class and norm memories.
@@ -47,13 +54,14 @@ func NewController(m *classifier.Model, enc encoding.Encoder) *Controller {
 
 // CloneFor returns a controller carrying this controller's accumulated
 // fault state — guard CRCs, injected/pending counters, masked lanes,
-// quarantine totals, and history — rebound to a cloned model/encoder pair.
+// quarantine totals, and recent history — rebound to a cloned model/encoder
+// pair.
 // The serving layer's clone-modify-publish protocol uses it so that a
 // published snapshot remembers which banks are dead and which corruption a
 // scrub has not yet seen, rather than resetting fault bookkeeping on every
 // publish. It copies no memory: the guard is immutable once built (a scrub
-// builds a new one), and the history is shared with its capacity capped,
-// so the first append on either side copies it.
+// builds a new one), and the recent history is a fixed array, copied by
+// value.
 func (c *Controller) CloneFor(m *classifier.Model, enc encoding.Encoder) *Controller {
 	n := &Controller{
 		model:        m,
@@ -62,7 +70,8 @@ func (c *Controller) CloneFor(m *classifier.Model, enc encoding.Encoder) *Contro
 		pending:      c.pending,
 		quarantined:  c.quarantined,
 		masked:       c.masked,
-		history:      c.history[:len(c.history):len(c.history)],
+		injections:   c.injections,
+		recent:       c.recent,
 	}
 	if f, ok := enc.(encoding.Faultable); ok {
 		n.enc = f
@@ -126,7 +135,8 @@ func (c *Controller) Inject(spec Spec) (int, error) {
 	}
 	c.injectedBits += n
 	c.pending++
-	c.history = append(c.history, spec.String())
+	c.recent[c.injections%historyTail] = spec.String()
+	c.injections++
 	return n, nil
 }
 
@@ -250,13 +260,16 @@ type Health struct {
 	// EffectiveDims is the dimensionality still contributing to scores
 	// after lane masking.
 	EffectiveDims int
-	// Faults is the history of injected specs, oldest first.
+	// Injections counts the specs injected so far.
+	Injections int
+	// Faults lists the most recent injected specs, at most 8, oldest
+	// first.
 	Faults []string
 }
 
 func (h Health) String() string {
 	return fmt.Sprintf("faults=%d bits=%d pending=%d maskedLanes=%v effectiveD=%d quarantined=%d guard=%v",
-		len(h.Faults), h.InjectedBits, h.PendingFaults, h.MaskedLanes, h.EffectiveDims, h.QuarantinedRows, h.GuardActive)
+		max(h.Injections, len(h.Faults)), h.InjectedBits, h.PendingFaults, h.MaskedLanes, h.EffectiveDims, h.QuarantinedRows, h.GuardActive)
 }
 
 // Degraded reports whether the engine is running with known or suspected
@@ -273,7 +286,12 @@ func (c *Controller) Health() Health {
 		InjectedBits:    c.injectedBits,
 		PendingFaults:   c.pending,
 		QuarantinedRows: c.quarantined,
-		Faults:          append([]string(nil), c.history...),
+		Injections:      c.injections,
+	}
+	n := min(c.injections, historyTail)
+	h.Faults = make([]string, 0, n)
+	for i := c.injections - n; i < c.injections; i++ {
+		h.Faults = append(h.Faults, c.recent[i%historyTail])
 	}
 	nMasked := 0
 	for lane := 0; lane < Lanes; lane++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/edge-hdc/generic/internal/classifier"
@@ -617,6 +618,49 @@ func TestUniformClassMemInjection(t *testing.T) {
 					t.Errorf("accuracy %v at 5%% BER", acc)
 				}
 			})
+		}
+	}
+}
+
+// TestHealthCostFlat checks that Health's cost does not grow with the
+// injections behind it: bytes per call after 10 and after 10,000 norm
+// injections are equal, and Faults lists the last historyTail specs in
+// order while Injections counts them all.
+func TestHealthCostFlat(t *testing.T) {
+	h := newHarness(t, encoding.Generic, true)
+	ctl := NewController(h.model, h.enc)
+	bytesPerCall := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const calls = 100
+		for i := 0; i < calls; i++ {
+			ctl.Health()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	inject := func(n int) {
+		for i := 0; i < n; i++ {
+			seed := uint64(ctl.injections)
+			if _, err := ctl.Inject(Spec{Site: SiteNorm, Kind: Uniform, Rate: 0.001, Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inject(10)
+	small := bytesPerCall()
+	inject(9990)
+	if large := bytesPerCall(); large != small {
+		t.Errorf("Health allocates %d B/call after 10 injections and %d after 10,000", small, large)
+	}
+	hl := ctl.Health()
+	if hl.Injections != 10000 || len(hl.Faults) != historyTail {
+		t.Fatalf("Injections = %d, len(Faults) = %d; want 10000, %d", hl.Injections, len(hl.Faults), historyTail)
+	}
+	for i, f := range hl.Faults {
+		want := Spec{Site: SiteNorm, Kind: Uniform, Rate: 0.001, Seed: uint64(10000 - historyTail + i)}.String()
+		if f != want {
+			t.Fatalf("Faults[%d] = %q, want %q", i, f, want)
 		}
 	}
 }

@@ -169,6 +169,60 @@ func (a *Acc) Bipolar(dst []int32) {
 	}
 }
 
+// Bipolar8 writes the exact bundle 2·count − n into dst (length D) as int8,
+// which holds it exactly for a bundle of at most 127 rows; larger bundles
+// panic. It equals Bipolar narrowed element by element.
+//
+//generic:hotpath
+func (a *Acc) Bipolar8(dst []int8) {
+	mustSameDim("Acc.Bipolar8", len(dst), a.d)
+	if a.n > 127 {
+		panic(fmt.Sprintf("hdc: Acc.Bipolar8 of %d rows, at most 127 fit int8", a.n))
+	}
+	n := int8(a.n)
+	var t [8]uint64
+	for w := a.bipolar8Kernel(dst); w < a.nw; w++ {
+		out := (*[WordBits]int8)(dst[w*WordBits:])
+		transposePlanes(&t, a.count(w))
+		for j, c := range t {
+			o := (*[8]int8)(out[8*j:])
+			for b := range o {
+				o[b] = 2*int8(uint8(c)) - n
+				c >>= 8
+			}
+		}
+	}
+}
+
+// StageXor stages a whole bundle in one call: it starts a bundle of
+// len(srcs)/k rows, as Reset does, and writes row i as the XOR of
+// srcs[i·k : (i+1)·k] — a windowed encoder's windows, each the bind of its
+// k rows. k must be positive and divide len(srcs), and every source must
+// have the accumulator's dimensionality; a row may alias a source. The
+// kernel checks each source's dimensionality as it reads it; without the
+// kernel, or when it finds a mismatch, the check runs here first.
+//
+//generic:hotpath
+func (a *Acc) StageXor(srcs []*BinVec, k int) {
+	if k < 1 || len(srcs)%k != 0 {
+		panic(fmt.Sprintf("hdc: Acc.StageXor of %d sources in rows of %d", len(srcs), k))
+	}
+	a.Reset(len(srcs) / k)
+	from := xorKernel(a.rows, srcs, k, a.d, a.nw, a.n)
+	if from <= 0 {
+		for _, s := range srcs {
+			mustSameDim("Acc.StageXor", s.d, a.d)
+		}
+		from = 0
+	}
+	if from == a.nw {
+		return
+	}
+	for i := 0; i < a.n; i++ {
+		xorRowsRef(a.rows[i*a.nw:(i+1)*a.nw], srcs[i*k:(i+1)*k], from)
+	}
+}
+
 // transposePlanes sets t[j] to byte j of the first eight planes, transposed:
 // bit 8b+k of t[j] is bit 8j+b of planes[k], so byte b of t[j] holds lane
 // 8j+b's bits of planes[0] through planes[7], low bit first. Planes past the

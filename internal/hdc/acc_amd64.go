@@ -53,25 +53,39 @@ func (a *Acc) majorityKernel(out *BinVec) int {
 }
 
 //go:noescape
-func xorAVX2(dst *uint64, srcs **uint64, k, n int)
+func bipolar8AVX2(rows *uint64, nw, n, cols int, dst *int8)
 
-// xorRows sets each word of dst to the XOR of that word of every source:
-// the AVX2 kernel takes the leading multiple of four words of up to eight
-// sources, and xorRowsRef the rest.
+// bipolar8Kernel writes Bipolar8's output for the leading words the kernel
+// takes and returns their count.
 //
 //generic:hotpath
-func xorRows(dst []uint64, srcs []*BinVec) {
-	n := len(dst) &^ 3
-	if !useAVX2 || n == 0 || len(srcs) > 8 {
-		xorRowsRef(dst, srcs, 0)
-		return
+func (a *Acc) bipolar8Kernel(dst []int8) int {
+	kw := a.kernelWords()
+	if kw > 0 {
+		bipolar8AVX2(&a.rows[0], a.nw, a.n, kw/4, &dst[0])
 	}
-	var rows [8]*uint64
-	for k, s := range srcs {
-		rows[k] = &s.words[:n][0]
+	return kw
+}
+
+//go:noescape
+func xorAVX2(dst *uint64, srcs **BinVec, k, d, nw, rows int) bool
+
+// xorKernel stages rows rows of nw words at dst, row r the XOR of
+// srcs[k·r : k·r+k], and returns how many leading words of each row it
+// wrote: the multiple of four the AVX2 kernel takes, or none without it.
+// The kernel checks that every source has dimensionality d before reading
+// it and returns -1 at the first that does not.
+//
+//generic:hotpath
+func xorKernel(dst []uint64, srcs []*BinVec, k, d, nw, rows int) int {
+	n := nw &^ 3
+	if !useAVX2 || n == 0 || rows == 0 {
+		return 0
 	}
-	xorAVX2(&dst[0], &rows[0], len(srcs), n)
-	if n < len(dst) {
-		xorRowsRef(dst, srcs, n)
+	_ = dst[rows*nw-1]
+	_ = srcs[rows*k-1]
+	if !xorAVX2(&dst[0], &srcs[0], k, d, nw, rows) {
+		return -1
 	}
+	return n
 }

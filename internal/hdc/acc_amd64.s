@@ -1,3 +1,4 @@
+#include "go_asm.h"
 #include "textflag.h"
 
 // The bundle kernels count a column of four words (256 lanes, one YMM
@@ -132,7 +133,48 @@ tailrow: \
 	JNZ     tailrow; \
 counted:
 
-// SETUP loads the arguments shared by both kernels.
+// TRANSPOSE is transposePlanes on the planes Y0-Y7 of a column: afterwards
+// quadword q of Yj holds the counts of lanes 64q + 8j … 64q + 8j + 7, one
+// byte each. It uses Y8-Y14.
+#define TRANSPOSE \
+	SWAP(Y0, Y4, 32, accM32<>(SB), Y8); \
+	SWAP(Y1, Y5, 32, accM32<>(SB), Y8); \
+	SWAP(Y2, Y6, 32, accM32<>(SB), Y8); \
+	SWAP(Y3, Y7, 32, accM32<>(SB), Y8); \
+	SWAP(Y0, Y2, 16, accM16<>(SB), Y8); \
+	SWAP(Y1, Y3, 16, accM16<>(SB), Y8); \
+	SWAP(Y4, Y6, 16, accM16<>(SB), Y8); \
+	SWAP(Y5, Y7, 16, accM16<>(SB), Y8); \
+	SWAP(Y0, Y1, 8, accM8<>(SB), Y8); \
+	SWAP(Y2, Y3, 8, accM8<>(SB), Y8); \
+	SWAP(Y4, Y5, 8, accM8<>(SB), Y8); \
+	SWAP(Y6, Y7, 8, accM8<>(SB), Y8); \
+	SWAP(Y0, Y0, 28, accB28<>(SB), Y8); \
+	SWAP(Y1, Y1, 28, accB28<>(SB), Y9); \
+	SWAP(Y2, Y2, 28, accB28<>(SB), Y10); \
+	SWAP(Y3, Y3, 28, accB28<>(SB), Y11); \
+	SWAP(Y4, Y4, 28, accB28<>(SB), Y12); \
+	SWAP(Y5, Y5, 28, accB28<>(SB), Y13); \
+	SWAP(Y6, Y6, 28, accB28<>(SB), Y14); \
+	SWAP(Y7, Y7, 28, accB28<>(SB), Y8); \
+	SWAP(Y0, Y0, 14, accB14<>(SB), Y9); \
+	SWAP(Y1, Y1, 14, accB14<>(SB), Y10); \
+	SWAP(Y2, Y2, 14, accB14<>(SB), Y11); \
+	SWAP(Y3, Y3, 14, accB14<>(SB), Y12); \
+	SWAP(Y4, Y4, 14, accB14<>(SB), Y13); \
+	SWAP(Y5, Y5, 14, accB14<>(SB), Y14); \
+	SWAP(Y6, Y6, 14, accB14<>(SB), Y8); \
+	SWAP(Y7, Y7, 14, accB14<>(SB), Y9); \
+	SWAP(Y0, Y0, 7, accB7<>(SB), Y10); \
+	SWAP(Y1, Y1, 7, accB7<>(SB), Y11); \
+	SWAP(Y2, Y2, 7, accB7<>(SB), Y12); \
+	SWAP(Y3, Y3, 7, accB7<>(SB), Y13); \
+	SWAP(Y4, Y4, 7, accB7<>(SB), Y14); \
+	SWAP(Y5, Y5, 7, accB7<>(SB), Y8); \
+	SWAP(Y6, Y6, 7, accB7<>(SB), Y9); \
+	SWAP(Y7, Y7, 7, accB7<>(SB), Y10)
+
+// SETUP loads the arguments shared by the bundle kernels.
 #define SETUP \
 	MOVQ rows+0(FP), AX; \
 	MOVQ nw+8(FP), BX; \
@@ -156,10 +198,9 @@ counted:
 
 // func bipolarAVX2(rows *uint64, nw, n, cols int, dst *int32, scratch *[8][4]uint64)
 //
-// Writes 2·count − n for the 256·cols lanes of the first cols columns.
-// After the byte and bit block swaps of transposePlanes, quadword q of Yj
-// holds the counts of lanes 64q + 8j … 64q + 8j + 7, one byte each; the
-// registers go through the scratch so VPMOVZXBD can widen eight at a time.
+// Writes 2·count − n for the 256·cols lanes of the first cols columns. The
+// transposed counts go through the scratch so VPMOVZXBD can widen eight at
+// a time.
 TEXT ·bipolarAVX2(SB), NOSPLIT, $0-48
 	SETUP
 	MOVQ dst+32(FP), DI
@@ -171,42 +212,7 @@ TEXT ·bipolarAVX2(SB), NOSPLIT, $0-48
 column:
 	COUNT
 
-	SWAP(Y0, Y4, 32, accM32<>(SB), Y8)
-	SWAP(Y1, Y5, 32, accM32<>(SB), Y8)
-	SWAP(Y2, Y6, 32, accM32<>(SB), Y8)
-	SWAP(Y3, Y7, 32, accM32<>(SB), Y8)
-	SWAP(Y0, Y2, 16, accM16<>(SB), Y8)
-	SWAP(Y1, Y3, 16, accM16<>(SB), Y8)
-	SWAP(Y4, Y6, 16, accM16<>(SB), Y8)
-	SWAP(Y5, Y7, 16, accM16<>(SB), Y8)
-	SWAP(Y0, Y1, 8, accM8<>(SB), Y8)
-	SWAP(Y2, Y3, 8, accM8<>(SB), Y8)
-	SWAP(Y4, Y5, 8, accM8<>(SB), Y8)
-	SWAP(Y6, Y7, 8, accM8<>(SB), Y8)
-	SWAP(Y0, Y0, 28, accB28<>(SB), Y8)
-	SWAP(Y1, Y1, 28, accB28<>(SB), Y9)
-	SWAP(Y2, Y2, 28, accB28<>(SB), Y10)
-	SWAP(Y3, Y3, 28, accB28<>(SB), Y11)
-	SWAP(Y4, Y4, 28, accB28<>(SB), Y12)
-	SWAP(Y5, Y5, 28, accB28<>(SB), Y13)
-	SWAP(Y6, Y6, 28, accB28<>(SB), Y14)
-	SWAP(Y7, Y7, 28, accB28<>(SB), Y8)
-	SWAP(Y0, Y0, 14, accB14<>(SB), Y9)
-	SWAP(Y1, Y1, 14, accB14<>(SB), Y10)
-	SWAP(Y2, Y2, 14, accB14<>(SB), Y11)
-	SWAP(Y3, Y3, 14, accB14<>(SB), Y12)
-	SWAP(Y4, Y4, 14, accB14<>(SB), Y13)
-	SWAP(Y5, Y5, 14, accB14<>(SB), Y14)
-	SWAP(Y6, Y6, 14, accB14<>(SB), Y8)
-	SWAP(Y7, Y7, 14, accB14<>(SB), Y9)
-	SWAP(Y0, Y0, 7, accB7<>(SB), Y10)
-	SWAP(Y1, Y1, 7, accB7<>(SB), Y11)
-	SWAP(Y2, Y2, 7, accB7<>(SB), Y12)
-	SWAP(Y3, Y3, 7, accB7<>(SB), Y13)
-	SWAP(Y4, Y4, 7, accB7<>(SB), Y14)
-	SWAP(Y5, Y5, 7, accB7<>(SB), Y8)
-	SWAP(Y6, Y6, 7, accB7<>(SB), Y9)
-	SWAP(Y7, Y7, 7, accB7<>(SB), Y10)
+	TRANSPOSE
 
 	VMOVDQU Y0, 0(R12)
 	VMOVDQU Y1, 32(R12)
@@ -258,6 +264,62 @@ column:
 	VZEROUPPER
 	RET
 
+// BYTES2 writes 2·count − n over the bytes of register R, with n in every
+// byte of Y15. Bytes wrap modulo 256, which is exact for n ≤ 127.
+#define BYTES2(R) \
+	VPADDB R, R, R; \
+	VPSUBB Y15, R, R
+
+// QUADS writes quadword q of A, B, C and D, in that order, to byte offset
+// 64q + O of the output, for q = 0 … 3: a 4×4 transpose of quadwords through
+// Y8-Y12.
+#define QUADS(A, B, C, D, O) \
+	VPUNPCKLQDQ B, A, Y8; \
+	VPUNPCKHQDQ B, A, Y9; \
+	VPUNPCKLQDQ D, C, Y10; \
+	VPUNPCKHQDQ D, C, Y11; \
+	VPERM2I128  $0x20, Y10, Y8, Y12; \
+	VMOVDQU     Y12, O(DI); \
+	VPERM2I128  $0x20, Y11, Y9, Y12; \
+	VMOVDQU     Y12, 64+O(DI); \
+	VPERM2I128  $0x31, Y10, Y8, Y12; \
+	VMOVDQU     Y12, 128+O(DI); \
+	VPERM2I128  $0x31, Y11, Y9, Y12; \
+	VMOVDQU     Y12, 192+O(DI)
+
+// func bipolar8AVX2(rows *uint64, nw, n, cols int, dst *int8)
+//
+// Writes 2·count − n as int8 for the 256·cols lanes of the first cols
+// columns, n ≤ 127: the transposed counts are already one byte per lane, so
+// the readout is a byte add, a byte subtract and a quadword reordering.
+TEXT ·bipolar8AVX2(SB), NOSPLIT, $0-40
+	SETUP
+	MOVQ         dst+32(FP), DI
+	MOVQ         n+16(FP), CX
+	VMOVQ        CX, X15
+	VPBROADCASTB X15, Y15
+
+column8:
+	COUNT
+	TRANSPOSE
+	BYTES2(Y0)
+	BYTES2(Y1)
+	BYTES2(Y2)
+	BYTES2(Y3)
+	BYTES2(Y4)
+	BYTES2(Y5)
+	BYTES2(Y6)
+	BYTES2(Y7)
+	QUADS(Y0, Y1, Y2, Y3, 0)
+	QUADS(Y4, Y5, Y6, Y7, 32)
+
+	ADDQ $32, AX
+	ADDQ $256, DI
+	DECQ R11
+	JNZ  column8
+	VZEROUPPER
+	RET
+
 // MAJ_PLANE folds plane P into the borrow Y8 of subtracting the threshold:
 // borrow = ^c&(t|borrow) | t&borrow, with t the all-ones-or-zero mask at
 // byte offset M of the scratch.
@@ -306,24 +368,47 @@ column:
 	OP 128(AX)(DX*1), Y4, Y4; OP 160(AX)(DX*1), Y5, Y5; \
 	OP 192(AX)(DX*1), Y6, Y6; OP 224(AX)(DX*1), Y7, Y7
 
-// func xorAVX2(dst *uint64, srcs **uint64, k, n int)
+// SRC loads the words pointer of the BinVec that the pointer at P points
+// to, after checking that its dimensionality is R14's.
+#define SRC(P) \
+	MOVQ P, AX; \
+	CMPQ BinVec_d(AX), R14; \
+	JNE  mismatch; \
+	MOVQ BinVec_words(AX), AX
+
+// func xorAVX2(dst *uint64, srcs **BinVec, k, d, nw, rows int) bool
 //
-// Sets word i of dst to the XOR of word i of the k rows srcs points to, for
-// n words; k >= 1 and n must be a positive multiple of 4. Each 32-word chunk
-// (a D=2048 row) is read from every source into Y0-Y7 before it is stored,
-// so dst may alias a source.
-TEXT ·xorAVX2(SB), NOSPLIT, $0-32
+// Stages rows rows of nw words, one call for a whole bundle: row r starts
+// at dst + 8·nw·r and its first nw &^ 3 words become the XOR of the same
+// words of the k vectors srcs[k·r] … srcs[k·r + k − 1]. k >= 1, rows >= 1,
+// nw >= 4, and d is the rows' dimensionality (64·nw). Each source is
+// checked to have dimensionality d before it is read; at the first that
+// does not, the kernel returns false, leaving the rows part-staged. Each
+// 32-word chunk (a D=2048 row) is read from every source into Y0-Y7 before
+// it is stored, so a row may alias a source.
+//
+//	DI  the current row, R13 its stride in bytes, R12 rows left
+//	SI  the current row's first source pointer, R8 k, R14 d
+//	CX  4-word units left in the row, DX their byte offset
+//	R10 the next source pointer, R9 sources left
+TEXT ·xorAVX2(SB), NOSPLIT, $0-49
 	MOVQ dst+0(FP), DI
 	MOVQ srcs+8(FP), SI
 	MOVQ k+16(FP), R8
-	MOVQ n+24(FP), CX
-	SHRQ $2, CX
+	MOVQ d+24(FP), R14
+	MOVQ nw+32(FP), R13
+	MOVQ rows+40(FP), R12
+	SHLQ $3, R13
+
+row:
+	MOVQ R13, CX
+	SHRQ $5, CX
 	XORQ DX, DX
 	CMPQ CX, $8
 	JB   single
 
 chunk:
-	MOVQ    (SI), AX
+	SRC((SI))
 	VMOVDQU 0(AX)(DX*1), Y0
 	VMOVDQU 32(AX)(DX*1), Y1
 	VMOVDQU 64(AX)(DX*1), Y2
@@ -338,7 +423,7 @@ chunk:
 	JZ      storechunk
 
 srcchunk:
-	MOVQ (R10), AX
+	SRC((R10))
 	XOR8(VPXOR)
 	ADDQ $8, R10
 	DECQ R9
@@ -360,10 +445,10 @@ storechunk:
 
 single:
 	TESTQ CX, CX
-	JZ    done
+	JZ    nextrow
 
 one:
-	MOVQ    (SI), AX
+	SRC((SI))
 	VMOVDQU (AX)(DX*1), Y0
 	LEAQ    8(SI), R10
 	MOVQ    R8, R9
@@ -371,7 +456,7 @@ one:
 	JZ      storeone
 
 srcone:
-	MOVQ  (R10), AX
+	SRC((R10))
 	VPXOR (AX)(DX*1), Y0, Y0
 	ADDQ  $8, R10
 	DECQ  R9
@@ -383,6 +468,16 @@ storeone:
 	DECQ    CX
 	JNZ     one
 
-done:
+nextrow:
+	ADDQ R13, DI
+	LEAQ (SI)(R8*8), SI
+	DECQ R12
+	JNZ  row
 	VZEROUPPER
+	MOVB $1, ret+48(FP)
+	RET
+
+mismatch:
+	VZEROUPPER
+	MOVB $0, ret+48(FP)
 	RET

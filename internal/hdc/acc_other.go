@@ -10,7 +10,7 @@ var useAVX2 = false
 func (a *Acc) bipolarKernel([]int32) int  { return 0 }
 func (a *Acc) majorityKernel(*BinVec) int { return 0 }
 
-// xorRows sets each word of dst to the XOR of that word of every source.
-//
-//generic:hotpath
-func xorRows(dst []uint64, srcs []*BinVec) { xorRowsRef(dst, srcs, 0) }
+func (a *Acc) bipolar8Kernel([]int8) int { return 0 }
+
+// Off amd64 the Go loops stage every word.
+func xorKernel([]uint64, []*BinVec, int, int, int, int) int { return 0 }

@@ -361,3 +361,91 @@ func BenchmarkAccMajority4096x128(b *testing.B) {
 		acc.MajorityInto(out)
 	}
 }
+
+// TestAccBipolar8 reads bundles of n = 0..127 rows out as int8 on both
+// bundle paths and compares them with the naive sums, at D where the kernel
+// takes every word, some, or none.
+func TestAccBipolar8(t *testing.T) {
+	forEachBundlePath(t, func(t *testing.T) {
+		r := rng.New(8)
+		for _, d := range []int{64, 192, 320, 2048} {
+			acc := NewAcc(d)
+			got := make([]int8, d)
+			for n := 0; n <= 127; n++ {
+				vecs := randomVecs(n, d, r)
+				bundle(acc, vecs)
+				acc.Bipolar8(got)
+				for i, w := range naiveBipolar(vecs, d) {
+					if int32(got[i]) != w {
+						t.Fatalf("d=%d n=%d dim %d: Bipolar8 = %d, naive %d", d, n, i, got[i], w)
+					}
+				}
+			}
+		}
+	})
+	defer func() {
+		if msg, _ := recover().(string); msg == "" {
+			t.Fatal("Bipolar8 of 128 rows did not panic")
+		}
+	}()
+	acc := NewAcc(64)
+	acc.Reset(128)
+	acc.Bipolar8(make([]int8, 64))
+}
+
+// TestAccStageXor stages whole bundles of windows in one call and compares
+// every row with XorInto of the same sources, for window sizes 1 to 9, at D
+// where the kernel takes every word, some, or none; one source aliases a row
+// of the staging. Each bundle is then counted, so the staging is what the
+// readouts see.
+func TestAccStageXor(t *testing.T) {
+	forEachBundlePath(t, func(t *testing.T) {
+		r := rng.New(14)
+		for _, d := range []int{64, 192, 320, 2048} {
+			acc := NewAcc(d)
+			for k := 1; k <= 9; k++ {
+				for _, rows := range []int{0, 1, 3, 126} {
+					srcs := randomVecs(rows*k, d, r)
+					acc.StageXor(srcs, k)
+					want := make([]*BinVec, rows)
+					for i := range want {
+						want[i] = NewBinVec(d)
+						XorInto(want[i], srcs[i*k:(i+1)*k]...)
+						if !acc.Row(i).Equal(want[i]) {
+							t.Fatalf("d=%d k=%d rows=%d: row %d differs from XorInto", d, k, rows, i)
+						}
+					}
+					checkReadouts(t, acc, want, d)
+				}
+			}
+			// A source that is itself a staged row: every source word is
+			// read before the row's word is written.
+			srcs := randomVecs(4, d, r)
+			acc.StageXor(srcs, 2)
+			row0 := acc.Row(0)
+			want := NewBinVec(d)
+			XorInto(want, row0, srcs[3])
+			acc.StageXor([]*BinVec{row0, srcs[3]}, 2)
+			if !acc.Row(0).Equal(want) {
+				t.Fatalf("d=%d: aliased source staged wrongly", d)
+			}
+		}
+	})
+	for name, f := range map[string]func(){
+		"k=0":     func() { NewAcc(64).StageXor(nil, 0) },
+		"ragged":  func() { NewAcc(64).StageXor(make([]*BinVec, 3), 2) },
+		"wrong D": func() { NewAcc(64).StageXor([]*BinVec{NewBinVec(128)}, 1) },
+		"wrong D in the kernel": func() {
+			NewAcc(2048).StageXor([]*BinVec{NewBinVec(2048), NewBinVec(2048), NewBinVec(2048), NewBinVec(4096)}, 2)
+		},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); len(msg) < 4 || msg[:4] != "hdc:" {
+					t.Errorf("%s: did not panic with the hdc: prefix (got %q)", name, msg)
+				}
+			}()
+			f()
+		}()
+	}
+}

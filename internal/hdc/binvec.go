@@ -160,10 +160,12 @@ func XorInto(dst *BinVec, srcs ...*BinVec) {
 	for _, s := range srcs {
 		mustSameDim("XorInto", s.d, dst.d)
 	}
-	xorRows(dst.words, srcs)
+	nw := len(dst.words)
+	xorRowsRef(dst.words, srcs, xorKernel(dst.words, srcs, len(srcs), dst.d, nw, 1))
 }
 
-// xorRowsRef is xorRows' reference from word from on. Every source's word
+// xorRowsRef sets dst's words from word from on to the XOR of the same words
+// of every source: what the XOR kernel leaves of a row. Every source's word
 // is read before dst's is written, so dst may alias a source. The common
 // window shapes get their own loops: two sources (a bind, or level-id's
 // level and id), three (an n = 3 window) and four (a window and its id).

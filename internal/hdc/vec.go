@@ -19,11 +19,17 @@ func (v Vec) Clone() Vec {
 	return c
 }
 
-// AddInto accumulates o into v element-wise.
+// AddInto accumulates o into v element-wise, modulo 2^32.
 func (v Vec) AddInto(o Vec) {
 	mustSameLen("Vec.AddInto", v, o)
-	for i, x := range o {
-		v[i] += x
+	add(v, o)
+}
+
+// addRef is add's reference: dst[i] += src[i].
+func addRef(dst, src Vec) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] += x
 	}
 }
 

@@ -21,6 +21,31 @@ func TestVecAddSub(t *testing.T) {
 	}
 }
 
+// TestVecAddIntoKernel checks AddInto on both paths against element-wise
+// int32 addition, wraparound included, at lengths that enter and leave the
+// vector loop.
+func TestVecAddIntoKernel(t *testing.T) {
+	forEachBundlePath(t, func(t *testing.T) {
+		r := rng.New(4)
+		for _, n := range []int{0, 1, 15, 16, 17, 33, 130, 2048} {
+			v, o := make(Vec, n), make(Vec, n)
+			for i := range v {
+				v[i], o[i] = int32(r.Uint32()), int32(r.Uint32())
+			}
+			want := v.Clone()
+			for i, x := range o {
+				want[i] += x
+			}
+			v.AddInto(o)
+			for i := range v {
+				if v[i] != want[i] {
+					t.Fatalf("n=%d: AddInto[%d] = %d, want %d", n, i, v[i], want[i])
+				}
+			}
+		}
+	})
+}
+
 func TestVecDotNorm(t *testing.T) {
 	a := Vec{1, -2, 3}
 	b := Vec{4, 5, -6}

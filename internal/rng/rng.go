@@ -50,18 +50,26 @@ func (r *Rand) Split() *Rand {
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
+// step is the one definition of the xoshiro256** step: it returns the
+// output of state (s0, s1, s2, s3) and the state after it. It inlines, so a
+// batch draw that holds the state in locals keeps it in registers.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	out, s0, s1, s2, s3 := step(s[0], s[1], s[2], s[3])
+	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+	return out
 }
 
 // Uint32 returns the next 32 random bits.
@@ -101,21 +109,47 @@ func mul64(x, y uint64) (hi, lo uint64) {
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+func (r *Rand) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits to Float64's [0, 1).
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+
+// NormFloat64 returns a standard normal variate (Marsaglia polar method):
+// Polar of one PolarPairs draw.
+func (r *Rand) NormFloat64() float64 {
+	var p [2]float64
+	r.PolarPairs(p[:])
+	return Polar(p[0], p[1])
 }
 
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+// PolarPairs fills dst with len(dst)/2 draws of the polar method's serial
+// half, in order: pair i is (u, s) at dst[2i], dst[2i+1], where u and v
+// are uniform on (−1, 1), drawn again until s = u² + v² lies in (0, 1).
+// Polar(u, s) of pair i is the normal variate the i-th NormFloat64 call
+// would have returned, and the generator ends where those calls leave it.
+// The draw is branchy and serial; the transform is independent per pair,
+// so a caller may run it on other goroutines.
+func (r *Rand) PolarPairs(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := 0; i+1 < len(dst); i += 2 {
+		for {
+			var a, b uint64
+			a, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			u := 2*unit(a) - 1
+			v := 2*unit(b) - 1
+			if s := u*u + v*v; s > 0 && s < 1 {
+				dst[i], dst[i+1] = u, s
+				break
+			}
 		}
 	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
+
+// Polar is the polar method's transform of one accepted draw (u, s) of
+// PolarPairs: the standard normal variate u·√(−2·ln s / s).
+func Polar(u, s float64) float64 { return u * math.Sqrt(-2*math.Log(s)/s) }
 
 // Bool returns a uniform random boolean.
 func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }

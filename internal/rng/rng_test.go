@@ -216,3 +216,40 @@ func BenchmarkNormFloat64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// refNorm is the polar method as one loop over Float64 draws: the
+// reference NormFloat64 and the two-phase PolarPairs/Polar split must equal.
+func refNorm(r *Rand) float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
+	}
+}
+
+// TestPolarPairsMatchNormFloat64 checks the two-phase polar method and
+// NormFloat64 against refNorm: the same variates in the same order, and the
+// generator left in the same state, for batch sizes around the rejection
+// loop's retries.
+func TestPolarPairsMatchNormFloat64(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 128, 1000} {
+		a, b, c := New(uint64(n)+3), New(uint64(n)+3), New(uint64(n)+3)
+		pairs := make([]float64, 2*n)
+		a.PolarPairs(pairs)
+		for i := 0; i < n; i++ {
+			want := refNorm(b)
+			if got := Polar(pairs[2*i], pairs[2*i+1]); got != want {
+				t.Fatalf("n=%d: variate %d = %v, reference %v", n, i, got, want)
+			}
+			if got := c.NormFloat64(); got != want {
+				t.Fatalf("n=%d: NormFloat64 %d = %v, reference %v", n, i, got, want)
+			}
+		}
+		if x := b.Uint64(); a.Uint64() != x || c.Uint64() != x {
+			t.Fatalf("n=%d: the generators end in different states", n)
+		}
+	}
+}
